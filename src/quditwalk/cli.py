@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     critical_j,
     curvature_at_origin,
@@ -45,8 +46,6 @@ from .qudit import PRESET_NAMES, Qudit, preset_qudit
 from .walk import binned_density, evolve, position_distribution, pseudovelocity_moment
 
 __all__ = ["main", "parse_angle"]
-
-_VERSION = "0.1.0"
 
 
 def parse_angle(text: str) -> float:
@@ -187,7 +186,7 @@ def _emit(args, command: str, tables: dict[str, str], params: dict, results: dic
             fh.write(text)
         outputs.append(path)
     manifest = {
-        "artifact": f"quditwalk {_VERSION}",
+        "artifact": f"quditwalk {__version__}",
         "command": command,
         "parameters": params,
         "outputs": outputs,

@@ -145,6 +145,8 @@ def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
     jy[idx + 1, idx] = 0.5j * lad
     _, vec = np.linalg.eigh(jy)
     lam = np.arange(-tj, tj + 1, 2) / 2.0
+    lam.setflags(write=False)
+    vec.setflags(write=False)
     return lam, vec
 
 

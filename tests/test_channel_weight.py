@@ -1,0 +1,221 @@
+"""The batched rank-two channel weight against a pairwise reference.
+
+The package evaluates phi0^dag M^(j,m)(x) phi0 on the support as
+|v1^dag phi0|^2 + |v2^dag phi0|^2 in blocks of points.  The reference here
+sums the form pair by pair over the nonzero qudit components, each entry
+from the collapsed formula
+
+    M_{m1 m2}(x) = 2 d_{m1 m}(arccos(-x)) d_{m2 m}(arccos(-x))
+                   * cos((m2 - m1) phi) e^{-i (m2 - m1) gamma}
+
+with d taken from the public ``small_d``.  Swapping it in for the package's
+evaluator lets every public limit-law number be compared end to end.
+"""
+
+import cmath
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+import quditwalk.density as density
+from quditwalk import (
+    DomainError,
+    HalfInt,
+    LimitSpec,
+    Qudit,
+    continuous_density,
+    delta_mass,
+    limit_bin_masses,
+    limit_moment,
+    preset_qudit,
+    small_d,
+)
+
+BETAS = (0.002, math.pi / 10, math.pi / 2, 3.0)
+GAMMAS = (0.0, 0.4, -1.1)
+
+
+# moments visit the same 200 nodes in every channel; the bound keeps the
+# 130-component matrices (135 kB each) to a few tens of MB
+@lru_cache(maxsize=256)
+def _small_d_at(tj, angle):
+    return small_d(HalfInt(tj), angle)
+
+
+def _reference_grid(spec, tm, x):
+    q = spec.qudit.amplitudes
+    tj = spec.tj
+    tau = math.tan(0.5 * spec.beta)
+    x = np.asarray(x, dtype=float)
+    col = np.array([_small_d_at(tj, math.acos(-xk))[:, (tj - tm) // 2] for xk in x])
+    phi = np.arctan2(np.sqrt(np.maximum(1.0 - (1.0 + tau * tau) * x * x, 0.0)), tau * x)
+    out = np.zeros(x.shape)
+    for i1 in np.flatnonzero(q):
+        for i2 in np.flatnonzero(q):
+            order = int(i1) - int(i2)  # (m2 - m1)
+            entry = (
+                2.0
+                * col[:, i1]
+                * col[:, i2]
+                * np.cos(order * phi)
+                * cmath.exp(-1j * order * spec.gamma)
+            )
+            out += (np.conj(q[i1]) * q[i2] * entry).real
+    return out
+
+
+def _use_reference(monkeypatch):
+    # limit_moment(r) and delta_mass revisit the same nodes for every r
+    memo = {}
+
+    def grid(spec, tm, x):
+        key = (tm, np.asarray(x, dtype=float).tobytes())
+        if key not in memo:
+            memo[key] = _reference_grid(spec, tm, x)
+        return memo[key]
+
+    monkeypatch.setattr(density, "_scalar_grid", grid)
+
+
+def _or_nan(number):
+    # at beta = 0.002 the 200-node rule misses the sin(beta/2)-wide peak, and
+    # for some odd-dimensional qudits the continuous mass passes 1 + 1e-8:
+    # both evaluators must then refuse the point mass alike
+    try:
+        return number()
+    except DomainError:
+        return math.nan
+
+
+def _limit_numbers(spec, v):
+    return (
+        continuous_density(spec, v),
+        np.array([_or_nan(lambda: limit_moment(spec, r)) for r in range(5)]),
+        _or_nan(lambda: delta_mass(spec)),
+    )
+
+
+def _qudit(kind, dim, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if kind == "asym":
+        # weight on the top quarter of the components only, unevenly: no
+        # reflection symmetry
+        amps[dim // 4 + 2 :] = 0.0
+        amps[0] *= 3.0
+    return Qudit(HalfInt(dim - 1), amps)
+
+
+def _cases():
+    for dim in (2, 3, 13):
+        for kind in ("dense", "asym"):
+            for beta in BETAS:
+                for gamma in GAMMAS:
+                    yield kind, dim, beta, gamma
+    # 50 components: the dense qudit at every beta but the shallowest, whose
+    # edge points take the wedge route entry by entry (seconds per call at
+    # 1275 entries), and the sparser asymmetric one at every beta
+    for k, beta in enumerate(BETAS):
+        if beta > 0.002:
+            yield "dense", 50, beta, GAMMAS[k % 3]
+        yield "asym", 50, beta, GAMMAS[(k + 1) % 3]
+    for beta in BETAS:
+        yield "paper-sym", 130, beta, 0.0
+
+
+@pytest.mark.parametrize("kind, dim, beta, gamma", list(_cases()))
+def test_limit_law_matches_the_pairwise_reference(monkeypatch, kind, dim, beta, gamma):
+    if kind == "paper-sym":
+        qudit = preset_qudit("paper-sym", HalfInt(dim - 1))
+    else:
+        qudit = _qudit(kind, dim, seed=1000 + dim)
+    spec = LimitSpec(qudit, beta, gamma)
+    vmax = (dim - 1) * spec.a
+    # off the node sets, inside and beyond the widest channel
+    v = np.linspace(-1.05 * vmax, 1.05 * vmax, 9 if dim == 130 else 31)
+    got = _limit_numbers(spec, v)
+    with monkeypatch.context() as mp:
+        _use_reference(mp)
+        want = _limit_numbers(spec, v)
+    for g, w, scale in zip(got, want, _scales(want)):
+        g, w = np.asarray(g), np.asarray(w)
+        assert np.array_equal(np.isnan(g), np.isnan(w)), (g, w)
+        gap = (np.abs(g - w) / scale)[~np.isnan(w)]
+        assert float(np.max(gap, initial=0.0)) < 1e-12, (gap, g, w)
+
+
+def _scales(numbers):
+    """max(1, |value|) per number; an odd moment's rounding instead follows
+    the absolute moment E|X|^r <= sqrt(E X^(r-1) E X^(r+1)), which is what
+    remains of a symmetric law's zero odd moments at 130 components."""
+    dens, mom, dm = numbers
+    absmom = np.abs(mom)
+    for r in (1, 3):
+        absmom[r] = np.fmax(absmom[r], math.sqrt(mom[r - 1] * mom[r + 1]))
+    return np.maximum(1.0, np.abs(dens)), np.maximum(1.0, absmom), max(1.0, abs(dm))
+
+
+def test_edge_fallback_is_exercised():
+    # at beta = 0.002 the outermost moment nodes sit at |x| >= _EDGE
+    spec = LimitSpec(preset_qudit("up", "1/2"), 0.002)
+    nodes, _ = density._gauss_legendre(density._GL_ORDER)
+    s = spec.a * np.sin(0.5 * math.pi * nodes)
+    assert not density._on_support(s, math.tan(0.5 * spec.beta)).all()
+
+
+def _bin_masses_per_slice(spec, edges):
+    """limit_bin_masses with one evaluator call per (bin, channel) slice."""
+    out = np.zeros(edges.size - 1)
+    a = spec.a
+    nodes, weights = density._gauss_legendre(density._BIN_ORDER)
+    pref = math.sqrt(1.0 - a * a) / math.pi
+    for tm in spec.channels:
+        th = np.arcsin(np.clip(edges / (tm * a), -1.0, 1.0))
+        for k in range(out.size):
+            t1, t2 = th[k], th[k + 1]
+            if t2 <= t1:
+                continue
+            hw = 0.5 * (t2 - t1)
+            s = a * np.sin(0.5 * (t1 + t2) + hw * nodes)
+            vals = density._scalar_grid(spec, tm, s) / (1.0 - s * s)
+            out[k] += pref * hw * float(np.dot(weights, vals))
+    if spec.has_point_mass:
+        k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
+        out[k0] += delta_mass(spec)
+    return out
+
+
+@pytest.mark.parametrize(
+    "qudit, beta, gamma, width, seams, edge",
+    [
+        (_qudit("dense", 13, 7), 22 * math.pi / 25, 0.4, 0.2, False, False),
+        (_qudit("asym", 6, 8), 0.002, -1.1, 0.5, False, True),
+        # the top channel spans ~340 slices: one call of over 8000 nodes
+        (preset_qudit("paper-sym", 6), math.pi / 2, 0.0, 0.05, True, False),
+    ],
+)
+def test_bin_masses_match_the_per_slice_loop(
+    monkeypatch, qudit, beta, gamma, width, seams, edge
+):
+    spec = LimitSpec(qudit, beta, gamma)
+    reach = qudit.tj * spec.a + width
+    edges = np.arange(-reach, reach + width, width)
+    evaluator = density._scalar_grid
+    calls = []
+
+    def recording(spec, tm, x):
+        calls.append(x)
+        return evaluator(spec, tm, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(density, "_scalar_grid", recording)
+        got = limit_bin_masses(spec, edges)
+    # one call per channel, plus delta_mass's one per channel
+    assert len(calls) == len(spec.channels) * (1 + spec.has_point_mass)
+    assert (max(x.size for x in calls) > 2 * density._BLOCK) == seams
+    tau = math.tan(0.5 * beta)
+    assert (not all(density._on_support(x, tau).all() for x in calls)) == edge
+    want = _bin_masses_per_slice(spec, edges)
+    assert float(np.abs(got - want).max()) < 1e-14

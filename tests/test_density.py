@@ -1,11 +1,17 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quditwalk
 from quditwalk import (
     DomainError,
     HalfInt,
@@ -23,6 +29,8 @@ from quditwalk import (
     weight_matrix_top,
     weight_scalar,
 )
+from quditwalk.coin import _jy_eig
+from quditwalk.density import _gamma_vec, _gauss_legendre
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -333,3 +341,48 @@ def test_bin_masses_sum_to_total_mass():
         limit_bin_masses(spec, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(DomainError):
         limit_bin_masses(spec, np.array([1.0]))
+
+
+# ------------------------------------------------------ guards and caches
+
+def test_cached_arrays_are_read_only():
+    spec = LimitSpec(preset_qudit("up", "1/2"), math.pi / 2)
+    before = limit_moment(spec, 2)
+    lam, vec = _jy_eig(5)
+    nodes, weights = _gauss_legendre(200)
+    _, gam = _gamma_vec(5, 1, 3)
+    for arr in (lam, vec, nodes, weights, gam):
+        with pytest.raises(ValueError):
+            arr *= 2
+    assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
+
+
+def test_runtime_checks_survive_optimized_mode():
+    # under python -O an assert would vanish and these would return numbers
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        import quditwalk.density as density
+        from quditwalk import DomainError, LimitSpec, Qudit, WeightMatrix, preset_qudit, weight_scalar
+
+        skew = WeightMatrix(1, 1, 0.0, 0.5, 0.0, np.array([[-1.0, 1j], [1j, 0.0]]))
+        try:
+            print("weight_scalar returned", weight_scalar(skew, Qudit("1/2", (1, 1))))
+        except DomainError:
+            print("weight_scalar raised")
+        density._channel_moment = lambda spec, tm, r: 2.0
+        try:
+            print("delta_mass returned", density.delta_mass(LimitSpec(preset_qudit("up", 1), 1.0)))
+        except DomainError:
+            print("delta_mass raised")
+        """
+    )
+    src = str(Path(quditwalk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["weight_scalar raised", "delta_mass raised"]
