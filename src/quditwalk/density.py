@@ -23,17 +23,17 @@ holds to rounding.  The channel weight there is |v1^dag phi0|^2 +
 vectors for a whole block of points in one (points x 2j+1) product, and
 serves both the density quadratures and ``weight_matrix_direct``.
 
-Off the support the same collapse holds with cos turned into a growing
-exponential that amplifies the small-d rounding floor at large j, so there
-entries instead go through a factored polynomial in rho = (1+x)/(1-x)
-whose coefficients never cancel when formed; the one remaining alternating
-Horner recursion runs in extended precision and its conditioning is
-reported via ``cancellation``.  Points with |x| essentially 1 (beyond
-``_EDGE``, which quadrature nodes reach only for beta of order 1e-3) are
-summed term by term, which is exact at x = +-1.  This wedge route is the
-fallback for every point the rank-two evaluator does not take: entries are
-computed on the wedge m1 <= m2, m1 >= -m2 and spread by hermiticity and the
-reflection symmetry M_{-m2,-m1}(x) = (-1)^{m1+m2+2m} M_{m1,m2}(-x).
+Off the support, which only the public weight-matrix API visits, the same
+collapse holds with cos turned into a growing exponential that amplifies
+the small-d rounding floor at large j.  There entries instead go through a
+factored polynomial in rho = (1+x)/(1-x) whose coefficients never cancel
+when formed.  Only the wedge m1 <= m2, m1 >= -m2 is evaluated; the other
+entries follow by hermiticity and the reflection symmetry
+M_{-m2,-m1}(x) = (-1)^{m1+m2+2m} M_{m1,m2}(-x).  One extended-precision
+Horner pass per point evaluates every wedge entry at -|x| and +|x|, in rho
+at the first and in 1/rho at the second, so its variable never exceeds 1
+and x = +-1 needs no route of its own.  The conditioning of that one
+alternating sum is reported via ``cancellation``.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ __all__ = [
     "delta_mass",
     "limit_bin_masses",
 ]
-
-# Points with |x| at or beyond this are evaluated term by term instead of
-# through the rho = (1+x)/(1-x) factorization, which needs |x| bounded away
-# from 1.  Quadrature nodes never get here; direct matrix evaluation can.
-_EDGE = 0.999999
 
 # Gauss-Legendre orders: moments use one rule across a channel's support,
 # bin masses use a short rule per (bin, channel) slice.
@@ -119,32 +114,35 @@ def offdiag_poly(order: int, tau: float, x):
     """
     if order != int(order) or order < 0:
         raise DomainError(f"order must be a nonnegative integer, got {order!r}")
-    order = int(order)
     tau = float(tau)
     if not math.isfinite(tau):
         raise DomainError(f"tau must be finite, got {tau!r}")
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    x1 = np.atleast_1d(arr)
-    ax = np.abs(x1)
+    out = _offdiag(int(order), tau, np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def _offdiag(order, tau: float, x: np.ndarray) -> np.ndarray:
+    """``offdiag_poly`` without its checks, broadcasting integer orders
+    against points."""
+    order, x = np.broadcast_arrays(order, x)
+    ax = np.abs(x)
     out = np.empty(ax.shape)
     disc = (1.0 + tau * tau) * ax * ax
     trig = disc <= 1.0
     if trig.any():
-        xt = ax[trig]
+        xt, n = ax[trig], order[trig]
         s = np.sqrt(np.maximum(1.0 - disc[trig], 0.0))
         phi = np.arctan2(s, tau * xt)
-        out[trig] = np.power(1.0 - xt * xt, 0.5 * order) * np.cos(order * phi)
+        out[trig] = np.power(1.0 - xt * xt, 0.5 * n) * np.cos(n * phi)
     hyp = ~trig
     if hyp.any():
-        xh = ax[hyp]
+        xh, n = ax[hyp], order[hyp]
         w = np.sqrt(disc[hyp] - 1.0)
         u = tau * xh + w
         # tau x - w = (1 - x^2)/u avoids subtracting nearby quantities
-        out[hyp] = 0.5 * (u**order + ((1.0 - xh * xh) / u) ** order)
-    if order % 2:
-        out = np.where(x1 < 0.0, -out, out)
-    return float(out[0]) if scalar else out
+        out[hyp] = 0.5 * (u**n + ((1.0 - xh * xh) / u) ** n)
+    return np.where((order % 2 == 1) & (x < 0.0), -out, out)
 
 
 @lru_cache(maxsize=65536)
@@ -156,38 +154,85 @@ def _gamma_vec(tj: int, tm1: int, tm: int):
     return lo, vals
 
 
-class _EntryTable(NamedTuple):
-    order: int  # m2 - m1, the off-diagonal distance
-    p1: int  # power of (1 - x) in front of the rho polynomial
-    p2: int  # power of (1 + x)
-    poly: tuple  # coefficients in rho, ascending, alternating in sign
-    absx: tuple  # their absolute values, for conditioning estimates
-    scale: float  # 2^(1-2j)
+class _WedgeIndex(NamedTuple):
+    """Where each lower-triangle entry (m1 <= m2) of a (2j+1)-square matrix
+    takes its value from, with rows and columns i counting m = j - i.
+
+    An entry with m1 >= -m2 lies on the wedge and is read as it is; any
+    other is the reflection (-1)^(m1+m2+2m) M_{-m2,-m1}(-x) of a wedge
+    entry.  2m has the parity of 2j, so the sign, and the map, serve every
+    channel.
+    """
+
+    rows: np.ndarray  # lower-triangle positions, rows >= cols
+    cols: np.ndarray
+    mirror: np.ndarray  # True where the wedge entry is read at -x
+    wedge: np.ndarray  # that wedge entry, numbered along rows/cols
+    sign: np.ndarray  # the reflection sign; 1 on the wedge
 
 
-@lru_cache(maxsize=65536)
-def _entry_table(tj: int, tm: int, tm1: int, tm2: int) -> _EntryTable:
-    l1, g1 = _gamma_vec(tj, tm1, tm)
-    l2, g2 = _gamma_vec(tj, tm2, tm)
-    # Terms of the clashing double sum with equal ell1+ell2 all share one
-    # sign, so convolving in floats is safe.
-    conv = np.convolve(g1, g2)
-    a0 = tj - (tm - tm1) // 2
-    b0 = (tm - tm2) // 2
-    return _EntryTable(
-        order=(tm2 - tm1) // 2,
-        p1=a0 - l1 - l2,
-        p2=b0 + l1 + l2,
-        poly=tuple(float(c) for c in conv),
-        absx=tuple(abs(float(c)) for c in conv),
-        scale=2.0 ** (1 - tj),
-    )
+@lru_cache(maxsize=256)
+def _wedge_index(tj: int) -> _WedgeIndex:
+    rows, cols = np.tril_indices(tj + 1)
+    mirror = rows + cols > tj  # m1 < -m2
+    num = np.cumsum(~mirror) - 1
+    pos = np.zeros((tj + 1, tj + 1), dtype=int)
+    pos[rows, cols] = num
+    wedge = np.where(mirror, pos[tj - cols, tj - rows], num)
+    sign = np.where(mirror & ((rows + cols) % 2 == 1), -1.0, 1.0)
+    for arr in (rows, cols, mirror, wedge, sign):
+        arr.setflags(write=False)
+    return _WedgeIndex(rows, cols, mirror, wedge, sign)
 
 
-def _on_support(x, tau: float):
-    """Points the rank-two evaluator takes: inside the channel support
-    (1+tau^2) x^2 <= 1 and short of the |x| >= _EDGE term-by-term route."""
-    return (np.abs(x) < _EDGE) & ((1.0 + tau * tau) * x * x <= 1.0)
+class _WedgeTable(NamedTuple):
+    """The wedge entries of M^(j,m) as polynomials, for points off the
+    support.
+
+    Wedge entry M_{m1 m2}(x) is 2^(1-2j) f_{m2-m1}(x) e^{-i (m2-m1) gamma}
+    times (1-x)^p1 (1+x)^p2 P(rho), rho = (1+x)/(1-x), where P convolves
+    two ladder rows whose terms at equal total ell share one sign, so its
+    coefficients never cancel when formed.  P has degree D <= p1, because
+    its two ladder indices stop at ell1 <= j + m1 and ell2 <= j - m.  With
+    r = (1-|x|)/(1+|x|) <= 1, the entry at x = -|x| is
+    (1+|x|)^p1 (1-|x|)^p2 P(r) and the entry at x = +|x| is
+    (1+|x|)^(p2+D) (1-|x|)^(p1-D) r^D P(1/r): both polynomials in r, held in
+    the middle axis as side 0 and side 1.
+    """
+
+    order: np.ndarray  # m2 - m1 per wedge entry
+    coef: np.ndarray  # (width, side, entry), ascending in r, zero-padded
+    up: np.ndarray  # (side, entry) powers of 1 + |x|
+    down: np.ndarray  # (side, entry) powers of 1 - |x|
+
+
+@lru_cache(maxsize=16)
+def _wedge_table(tj: int, tm: int) -> _WedgeTable:
+    idx = _wedge_index(tj)
+    r, c = idx.rows[~idx.mirror], idx.cols[~idx.mirror]
+    # each component's ladder row from its lowest ell, forwards and reversed
+    h = (tj - tm) // 2
+    fwd = np.zeros((tj + 1, h + 1))
+    rev = np.zeros((tj + 1, h + 1))
+    lo = np.empty(tj + 1, dtype=int)
+    top = np.empty(tj + 1, dtype=int)
+    for i in range(tj + 1):
+        lo[i], g = _gamma_vec(tj, tj - 2 * i, tm)
+        fwd[i, : g.size] = g
+        rev[i, : g.size] = g[::-1]
+        top[i] = g.size - 1
+    conv = np.zeros((r.size, 2, 2 * h + 1))
+    for u in range(h + 1):
+        conv[:, 0, u : u + h + 1] += fwd[r, u, None] * fwd[c]
+        conv[:, 1, u : u + h + 1] += rev[r, u, None] * rev[c]
+    deg = top[r] + top[c]
+    p1 = tj + h - r - lo[r] - lo[c]
+    p2 = c - h + lo[r] + lo[c]
+    coef = np.ascontiguousarray(conv[:, :, : deg.max() + 1].transpose(2, 1, 0))
+    tab = _WedgeTable(r - c, coef, np.stack([p1, p2 + deg]), np.stack([p2, p1 - deg]))
+    for arr in tab:
+        arr.setflags(write=False)
+    return tab
 
 
 def _support_vectors(tj, tm, x, tau, gamma, rows):
@@ -225,80 +270,35 @@ def _support_vectors(tj, tm, x, tau, gamma, rows):
     return dd * turn * tilt, dd * np.conj(turn) * tilt
 
 
-def _top_values(tj, tm, tm1, tm2, x, tau, gamma):
-    """One wedge entry M_{m1 m2} of M^(j,m) on a 1-D array of points that
-    lie off the channel support or at |x| >= _EDGE.
+def _wedge_matrix(tj, tm, x: float, tau, gamma):
+    """M^(j,m) at one point x from the wedge polynomials of
+    ``_wedge_table``, spread over the matrix by ``_wedge_index``.
 
-    Returns (values, cancel): cancel is the worst ratio between the
-    absolute-value sum and the net alternating sum, and a value near 10^10
-    or above means the entry has shed that many digits.
+    Returns (entries, worst): worst is the largest ratio, over the entries
+    used, between the Horner sum of absolute coefficients and the net sum;
+    a value near 10^10 or above means an entry has shed that many digits.
     """
-    x = np.asarray(x, dtype=float)
-    real = np.empty(x.shape, dtype=float)
-    worst = 1.0
-    edge = np.abs(x) >= _EDGE
-    far = ~edge
-    order = (tm2 - tm1) // 2
-    tab = _entry_table(tj, tm, tm1, tm2)
-    if far.any():
-        xs = x[far].astype(np.longdouble)
-        rho = (1.0 + xs) / (1.0 - xs)
-        acc = np.full(xs.shape, tab.poly[-1], dtype=np.longdouble)
-        aac = np.full(xs.shape, tab.absx[-1], dtype=np.longdouble)
-        for c, ac in zip(tab.poly[-2::-1], tab.absx[-2::-1]):
-            acc = acc * rho + c
-            aac = aac * rho + ac
-        pref = (1.0 - xs) ** tab.p1 * (1.0 + xs) ** tab.p2
-        real[far] = (pref * acc).astype(float) * (
-            tab.scale * offdiag_poly(order, tau, x[far])
-        )
-        denom = np.maximum(np.abs(acc), aac * np.longdouble(1e-30))
-        ratio = np.where(aac > 0, aac / np.maximum(denom, np.longdouble(1e-300)), 1.0)
-        worst = max(worst, float(ratio.max()))
-    for k in np.flatnonzero(edge):
-        xe = float(x[k])
-        terms = [
-            c * (1.0 - xe) ** (tab.p1 - u) * (1.0 + xe) ** (tab.p2 + u)
-            for u, c in enumerate(tab.poly)
-        ]
-        val = math.fsum(terms)
-        real[k] = val * tab.scale * offdiag_poly(order, tau, xe)
-        sabs = math.fsum(abs(t) for t in terms)
-        if sabs > 0.0:
-            worst = max(worst, sabs / max(abs(val), sabs * 1e-30))
-    phase = complex(np.exp(-1j * order * gamma))
-    return real * phase, worst
-
-
-def _reflect_sign(tm1: int, tm2: int, tm: int) -> float:
-    return -1.0 if ((tm1 + tm2) // 2 + tm) % 2 else 1.0
-
-
-def _wedge_block(tj, tm, x, tau, gamma, rows):
-    """M^(j,m) on the components ``rows`` x ``rows`` at each point of a 1-D
-    array, for points that ``_on_support`` rejects.
-
-    Each entry with m1 <= m2 comes from the wedge (m1 >= -m2 directly, the
-    rest by reflection through -x); the others follow by hermiticity.
-    Returns (entries of shape (points, len(rows), len(rows)), worst
-    cancellation ratio met).
-    """
-    n = len(rows)
-    ent = np.empty((x.size, n, n), dtype=complex)
-    worst = 1.0
-    for a in range(n):
-        tm1 = tj - 2 * int(rows[a])
-        for b in range(a + 1):
-            tm2 = tj - 2 * int(rows[b])
-            if tm1 >= -tm2:
-                vals, c = _top_values(tj, tm, tm1, tm2, x, tau, gamma)
-            else:
-                vals, c = _top_values(tj, tm, -tm2, -tm1, -x, tau, gamma)
-                vals = _reflect_sign(tm1, tm2, tm) * vals
-            ent[:, b, a] = np.conj(vals)
-            ent[:, a, b] = vals
-            worst = max(worst, c)
-    return ent, worst
+    idx = _wedge_index(tj)
+    tab = _wedge_table(tj, tm)
+    t = np.longdouble(abs(x))
+    r = (1.0 - t) / (1.0 + t)
+    acc = np.zeros(tab.coef.shape[1:], dtype=np.longdouble)
+    aac = np.zeros_like(acc)
+    for col in tab.coef[::-1]:
+        acc = acc * r + col
+        aac = aac * r + np.abs(col)
+    pref = (1.0 + t) ** tab.up * (1.0 - t) ** tab.down
+    side = np.array([[-abs(x)], [abs(x)]])
+    vals = (pref * acc).astype(float) * (2.0 ** (1 - tj) * _offdiag(tab.order, tau, side))
+    vals = vals * np.exp(-1j * tab.order * gamma)
+    denom = np.maximum(np.abs(acc), aac * np.longdouble(1e-30))
+    ratio = np.where(aac > 0, aac / np.maximum(denom, np.longdouble(1e-300)), 1.0)
+    at = (idx.mirror != (x > 0)).astype(int)  # the side each entry reads
+    low = idx.sign * vals[at, idx.wedge]
+    ent = np.empty((tj + 1, tj + 1), dtype=complex)
+    ent[idx.cols, idx.rows] = np.conj(low)
+    ent[idx.rows, idx.cols] = low
+    return ent, max(1.0, float(ratio[at, idx.wedge].max()))
 
 
 def _require_beta(beta: float) -> float:
@@ -314,12 +314,12 @@ def _require_beta(beta: float) -> float:
 class WeightMatrix:
     """Hermitian channel-weight matrix M^(j,m) evaluated at one point x.
 
-    ``cancellation`` carries the worst alternating-sum conditioning ratio
-    met while assembling entries.  It stays 1.0 wherever none occurs: on
-    the recurrence path, and on the channel support |x| <= cos(beta/2),
-    where the rank-two evaluation is cancellation-free.  Off the
-    support, results with ratios beyond ~1e10 should not be trusted to
-    more than a few digits.
+    ``cancellation`` carries the worst conditioning ratio of the wedge
+    polynomials met while assembling entries: the Horner sum of absolute
+    coefficients over the net sum.  It stays 1.0 on the recurrence path and
+    on the channel support (1+tau^2) x^2 <= 1, where the rank-two
+    evaluation is cancellation-free.  Off the support, results with ratios
+    beyond ~1e10 should not be trusted to more than a few digits.
     """
 
     tj: int
@@ -354,25 +354,25 @@ def _weight_indices(j, m) -> tuple[int, int]:
 def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     """Evaluate M^(j,m)(x) from the defining sum, collapsed per regime.
 
-    On the channel support the whole matrix is assembled at once as a sum
-    of two outer products; elsewhere entries are evaluated one at a time on
-    the wedge and spread by symmetry.  Accepts m = 0 so the m = j-1
-    recurrence can be cross-checked at j = 1, although the density itself
-    only sums channels with m > 0.
+    On the channel support (1+tau^2) x^2 <= 1 the whole matrix is the sum
+    of two outer products of ``_support_vectors``.  Off it the wedge
+    entries are polynomials evaluated in one Horner pass and spread by
+    symmetry (``_wedge_matrix``).  Accepts m = 0 so the m = j-1 recurrence
+    can be cross-checked at j = 1, although the density itself only sums
+    channels with m > 0.
     """
     tj, tm = _weight_indices(j, m)
     tau = _require_beta(beta)
     gamma = float(gamma)
     x = float(x)
-    xs = np.array([x])
-    rows = np.arange(tj + 1)
-    if _on_support(xs, tau)[0]:
+    if (1.0 + tau * tau) * x * x <= 1.0:
         # rank-two assembly: exactly hermitian and PSD
-        v1, v2 = (v[0] for v in _support_vectors(tj, tm, xs, tau, gamma, rows))
+        vecs = _support_vectors(tj, tm, np.array([x]), tau, gamma, np.arange(tj + 1))
+        v1, v2 = (v[0] for v in vecs)
         ent = np.outer(v1, np.conj(v1)) + np.outer(v2, np.conj(v2))
         return WeightMatrix(tj, tm, x, float(beta), gamma, ent)
-    ent, worst = _wedge_block(tj, tm, xs, tau, gamma, rows)
-    return WeightMatrix(tj, tm, x, float(beta), gamma, ent[0], worst)
+    ent, worst = _wedge_matrix(tj, tm, x, tau, gamma)
+    return WeightMatrix(tj, tm, x, float(beta), gamma, ent, worst)
 
 
 def _base_matrix(x: float, tau: float, gamma: float) -> np.ndarray:
@@ -386,41 +386,24 @@ def _base_matrix(x: float, tau: float, gamma: float) -> np.ndarray:
 def _lift_top(tjj: int, prev: np.ndarray, x: float, tau: float, gamma: float) -> np.ndarray:
     """Wedge of M^(j,j) at doubled spin tjj from the full matrix one half
     step down, evaluated at the same point."""
-    dim = tjj + 1
-    top = np.zeros((dim, dim), dtype=complex)
-    for i1 in range(dim):
-        tm1 = tjj - 2 * i1
-        for i2 in range(i1 + 1):
-            tm2 = tjj - 2 * i2
-            if tm1 < -tm2:
-                continue
-            if tm1 == -tjj:
-                # within the wedge m1 = -j forces m2 = j: the corner term
-                top[i1, i2] = (
-                    2.0 ** (1 - tjj)
-                    * offdiag_poly(tjj, tau, x)
-                    * complex(np.exp(-1j * tjj * gamma))
-                )
-            else:
-                fac = tjj / math.sqrt((tjj + tm1) * (tjj + tm2))
-                top[i1, i2] = fac * (1.0 - x) * prev[i1, i2]
+    idx = _wedge_index(tjj)
+    # the wedge entries but the corner: m1 = -j there forces m2 = j
+    keep = ~idx.mirror & (idx.rows < tjj)
+    r, c = idx.rows[keep], idx.cols[keep]
+    top = np.zeros((tjj + 1, tjj + 1), dtype=complex)
+    fac = tjj / np.sqrt(4 * (tjj - r) * (tjj - c))
+    top[r, c] = fac * (1.0 - x) * prev[r, c]
+    top[tjj, 0] = 2.0 ** (1 - tjj) * offdiag_poly(tjj, tau, x) * complex(np.exp(-1j * tjj * gamma))
     return top
 
 
-def _complete(tjj: int, tm: int, top_x: np.ndarray, top_mx: np.ndarray) -> np.ndarray:
+def _complete(tjj: int, top_x: np.ndarray, top_mx: np.ndarray) -> np.ndarray:
     """Fill a full matrix from its wedge at x and the wedge at -x."""
-    dim = tjj + 1
+    idx = _wedge_index(tjj)
+    m = idx.mirror
     ent = top_x.copy()
-    for i1 in range(dim):
-        tm1 = tjj - 2 * i1
-        for i2 in range(i1 + 1):
-            tm2 = tjj - 2 * i2
-            if tm1 >= -tm2:
-                continue
-            r = (tjj + tm2) // 2
-            c = (tjj + tm1) // 2
-            ent[i1, i2] = _reflect_sign(tm1, tm2, tm) * top_mx[r, c]
-    iu = np.triu_indices(dim, 1)
+    ent[idx.rows[m], idx.cols[m]] = idx.sign[m] * top_mx[tjj - idx.cols[m], tjj - idx.rows[m]]
+    iu = np.triu_indices(tjj + 1, 1)
     ent[iu] = np.conj(ent.T[iu])
     return ent
 
@@ -441,8 +424,8 @@ def weight_matrix_top(j, x, beta, gamma=0.0) -> WeightMatrix:
     for tjj in range(2, tj + 1):
         tp = _lift_top(tjj, p, x, tau, gamma)
         tq = _lift_top(tjj, q, -x, tau, gamma)
-        p = _complete(tjj, tjj, tp, tq)
-        q = _complete(tjj, tjj, tq, tp)
+        p = _complete(tjj, tp, tq)
+        q = _complete(tjj, tq, tp)
     return WeightMatrix(tj, tj, x, float(beta), gamma, p)
 
 
@@ -532,30 +515,27 @@ class LimitSpec:
 
 
 def _scalar_grid(spec: LimitSpec, tm: int, x: np.ndarray) -> np.ndarray:
-    """Channel weight phi0^dag M^(j,m)(x) phi0 over a 1-D array of points.
+    """Channel weight phi0^dag M^(j,m)(x) phi0 over a 1-D array of points on
+    the channel support.
 
-    On the support the weight is |v1^dag phi0|^2 + |v2^dag phi0|^2 with the
-    rank-two vectors of ``_support_vectors`` restricted to the nonzero qudit
-    components, evaluated in blocks of ``_BLOCK`` points.  Points that
-    ``_on_support`` rejects (|x| >= _EDGE at very small beta, or rounding
-    just past the support edge) take the wedge route of ``_wedge_block``.
+    The weight is |v1^dag phi0|^2 + |v2^dag phi0|^2 with the rank-two
+    vectors of ``_support_vectors`` restricted to the nonzero qudit
+    components, evaluated in blocks of ``_BLOCK`` points.  Every caller
+    passes support points: density samples with |v| < 2m a, and quadrature
+    nodes a sin(theta).  A point that rounding puts just past the support
+    edge is taken at the edge, where ``_support_vectors`` clamps the
+    discriminant at 0.
     """
     q = spec.qudit.amplitudes
     rows = np.flatnonzero(q)
     qn = q[rows]
-    tj = spec.tj
     tau = _require_beta(spec.beta)
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
-    on = _on_support(x, tau)
-    idx = np.flatnonzero(on)
-    for lo in range(0, idx.size, _BLOCK):
-        blk = idx[lo : lo + _BLOCK]
-        v1, v2 = _support_vectors(tj, tm, x[blk], tau, spec.gamma, rows)
+    for lo in range(0, x.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        v1, v2 = _support_vectors(spec.tj, tm, x[blk], tau, spec.gamma, rows)
         out[blk] = np.abs(np.conj(v1) @ qn) ** 2 + np.abs(np.conj(v2) @ qn) ** 2
-    if not on.all():
-        ent, _ = _wedge_block(tj, tm, x[~on], tau, spec.gamma, rows)
-        out[~on] = np.einsum("i,nij,j->n", np.conj(qn), ent, qn).real
     return out
 
 
@@ -633,9 +613,8 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     ``_BIN_ORDER``-node Gauss-Legendre rule, so the pikes at channel
     boundaries are captured without special casing.  The nodes of all of a
     channel's non-empty slices go to the channel-weight evaluator in one
-    (slices x nodes) batch, which takes them on-support in blocks and any
-    edge points by the wedge route.  The point mass, if any, is added to the
-    bin containing v = 0.
+    (slices x nodes) batch, which takes them in blocks.  The point mass, if
+    any, is added to the bin containing v = 0.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):

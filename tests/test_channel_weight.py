@@ -114,12 +114,9 @@ def _cases():
             for beta in BETAS:
                 for gamma in GAMMAS:
                     yield kind, dim, beta, gamma
-    # 50 components: the dense qudit at every beta but the shallowest, whose
-    # edge points take the wedge route entry by entry (seconds per call at
-    # 1275 entries), and the sparser asymmetric one at every beta
+    # 50 components: the dense and the sparser asymmetric qudit at every beta
     for k, beta in enumerate(BETAS):
-        if beta > 0.002:
-            yield "dense", 50, beta, GAMMAS[k % 3]
+        yield "dense", 50, beta, GAMMAS[k % 3]
         yield "asym", 50, beta, GAMMAS[(k + 1) % 3]
     for beta in BETAS:
         yield "paper-sym", 130, beta, 0.0
@@ -157,12 +154,29 @@ def _scales(numbers):
     return np.maximum(1.0, np.abs(dens)), np.maximum(1.0, absmom), max(1.0, abs(dm))
 
 
-def test_edge_fallback_is_exercised():
-    # at beta = 0.002 the outermost moment nodes sit at |x| >= _EDGE
-    spec = LimitSpec(preset_qudit("up", "1/2"), 0.002)
+@pytest.mark.parametrize("beta", (1e-4, 1e-3, 0.002))
+@pytest.mark.parametrize("kind", ("dense", "asym"))
+@pytest.mark.parametrize("dim", (2, 3, 13, 30))
+def test_edge_nodes_match_the_wedge_polynomials(dim, kind, beta):
+    # below beta ~ 0.003 the outermost moment nodes sit at |x| >= 0.999999,
+    # where arccos(-x) nears 0 or pi; there the wedge polynomials, whose
+    # Horner variable (1-|x|)/(1+|x|) nears 0, are an independent route
+    qudit = _qudit(kind, dim, seed=2000 + dim)
+    q = qudit.amplitudes
     nodes, _ = density._gauss_legendre(density._GL_ORDER)
-    s = spec.a * np.sin(0.5 * math.pi * nodes)
-    assert not density._on_support(s, math.tan(0.5 * spec.beta)).all()
+    tau = math.tan(0.5 * beta)
+    for gamma in GAMMAS:
+        spec = LimitSpec(qudit, beta, gamma)
+        s = spec.a * np.sin(0.5 * math.pi * nodes)
+        edge = s[np.abs(s) >= 0.999999]
+        assert edge.size >= 2
+        for tm in spec.channels:
+            got = density._scalar_grid(spec, tm, edge)
+            want = [
+                (np.conj(q) @ density._wedge_matrix(spec.tj, tm, x, tau, gamma)[0] @ q).real
+                for x in edge
+            ]
+            assert float(np.abs(got - want).max()) < 1e-12, (tm, got - want)
 
 
 def _bin_masses_per_slice(spec, edges):
@@ -188,17 +202,16 @@ def _bin_masses_per_slice(spec, edges):
 
 
 @pytest.mark.parametrize(
-    "qudit, beta, gamma, width, seams, edge",
+    "qudit, beta, gamma, width, seams",
     [
-        (_qudit("dense", 13, 7), 22 * math.pi / 25, 0.4, 0.2, False, False),
-        (_qudit("asym", 6, 8), 0.002, -1.1, 0.5, False, True),
+        (_qudit("dense", 13, 7), 22 * math.pi / 25, 0.4, 0.2, False),
+        # nodes at |x| >= 0.999999
+        (_qudit("asym", 6, 8), 0.002, -1.1, 0.5, False),
         # the top channel spans ~340 slices: one call of over 8000 nodes
-        (preset_qudit("paper-sym", 6), math.pi / 2, 0.0, 0.05, True, False),
+        (preset_qudit("paper-sym", 6), math.pi / 2, 0.0, 0.05, True),
     ],
 )
-def test_bin_masses_match_the_per_slice_loop(
-    monkeypatch, qudit, beta, gamma, width, seams, edge
-):
+def test_bin_masses_match_the_per_slice_loop(monkeypatch, qudit, beta, gamma, width, seams):
     spec = LimitSpec(qudit, beta, gamma)
     reach = qudit.tj * spec.a + width
     edges = np.arange(-reach, reach + width, width)
@@ -215,7 +228,7 @@ def test_bin_masses_match_the_per_slice_loop(
     # one call per channel, plus delta_mass's one per channel
     assert len(calls) == len(spec.channels) * (1 + spec.has_point_mass)
     assert (max(x.size for x in calls) > 2 * density._BLOCK) == seams
-    tau = math.tan(0.5 * beta)
-    assert (not all(density._on_support(x, tau).all() for x in calls)) == edge
+    outermost = max(float(np.abs(x).max()) for x in calls)
+    assert (outermost >= 0.999999) == (beta < 0.01)
     want = _bin_masses_per_slice(spec, edges)
     assert float(np.abs(got - want).max()) < 1e-14

@@ -30,7 +30,7 @@ from quditwalk import (
     weight_scalar,
 )
 from quditwalk.coin import _jy_eig
-from quditwalk.density import _gamma_vec, _gauss_legendre
+from quditwalk.density import _gamma_vec, _gauss_legendre, _wedge_index, _wedge_table
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -232,7 +232,7 @@ def test_grown_matrix_matches_direct_at_fifty_components():
     worst = 0.0
     for tj in (49, 50):
         for beta in (math.pi / 2, 22 * math.pi / 25):
-            for x in (-0.85, -0.3, 0.4, 0.9):
+            for x in (-1.0, -0.9999995, -0.85, -0.3, 0.4, 0.9, 0.9999995, 1.0):
                 direct = weight_matrix_direct(tj / 2, tj / 2, x, beta, 0.6)
                 grown = weight_matrix_top(tj / 2, x, beta, 0.6)
                 gap = np.linalg.norm(direct.entries - grown.entries)
@@ -351,7 +351,8 @@ def test_cached_arrays_are_read_only():
     lam, vec = _jy_eig(5)
     nodes, weights = _gauss_legendre(200)
     _, gam = _gamma_vec(5, 1, 3)
-    for arr in (lam, vec, nodes, weights, gam):
+    tab = _wedge_table(5, 1)
+    for arr in (lam, vec, nodes, weights, gam, _wedge_index(5).sign, tab.coef, tab.up):
         with pytest.raises(ValueError):
             arr *= 2
     assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
