@@ -16,9 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import LimitSpec, continuous_density, weight_matrix_direct, weight_scalar
+from .density import (
+    LimitSpec,
+    _weight_indices,
+    continuous_density,
+    weight_matrix_direct,
+    weight_scalar,
+)
 from .errors import DegenerateSpecError, DomainError
-from .halfint import HalfInt, walk_index
+from .halfint import HalfInt, doubled_channels, walk_index
 from .qudit import preset_qudit
 
 __all__ = [
@@ -46,7 +52,7 @@ def curvature_at_origin(j, beta: float) -> float:
         * math.comb(tj, (tj + tm) // 2)
         * 2.0 ** (1 - tj)
         / tm**3
-        for tm in range(2 - tj % 2, tj + 1, 2)
+        for tm in doubled_channels(tj)
     ]
     return math.sqrt(1.0 - a * a) / (math.pi * a) * math.fsum(terms)
 
@@ -78,9 +84,8 @@ def critical_j(beta: float, j_max) -> ConvexityReport:
 
 
 def _pike_indices(j, m) -> tuple[int, int]:
-    tj = walk_index(j)
-    tm = HalfInt.parse(m).doubled
-    if tm < 1 or tm > tj or (tj - tm) % 2 != 0:
+    tj, tm = _weight_indices(j, m)
+    if tm == 0:
         raise DomainError(f"channel m = {HalfInt(tm)} invalid for j = {HalfInt(tj)}")
     return tj, tm
 
@@ -127,7 +132,7 @@ def pike_zero_region(j, beta: float, threshold: float = 1e-8) -> tuple[HalfInt, 
     """
     tj = walk_index(j)
     run = []
-    for tm in range(2 - tj % 2, tj + 1, 2):
+    for tm in doubled_channels(tj):
         if abs(pike_weight(HalfInt(tj), beta, HalfInt(tm))) < threshold:
             run.append(HalfInt(tm))
         else:
@@ -141,7 +146,7 @@ def pike_weight_scaled(j, beta: float) -> tuple[np.ndarray, np.ndarray]:
     appreciably nonzero stops moving as j grows."""
     tj = walk_index(j)
     sigma = tj / math.sqrt(2.0)
-    tms = np.arange(2 - tj % 2, tj + 1, 2)
+    tms = np.array(doubled_channels(tj))
     h = np.array([pike_weight(HalfInt(tj), beta, HalfInt(int(tm))) for tm in tms])
     return tms / (2.0 * sigma), sigma * h
 

@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     critical_j,
-    curvature_at_origin,
     pike_weight,
     pike_weight_scaled,
     rescaled_density,
@@ -41,7 +40,7 @@ from .density import (
     limit_moment,
 )
 from .errors import DegenerateSpecError, DomainError
-from .halfint import HalfInt, walk_index
+from .halfint import HalfInt, doubled_channels, walk_index
 from .qudit import PRESET_NAMES, Qudit, preset_qudit
 from .walk import binned_density, evolve, position_distribution, pseudovelocity_moment
 
@@ -303,20 +302,20 @@ def _cmd_compare(args) -> int:
     return _emit(args, "compare", tables, params, {"l1_distance": l1})
 
 
+def _curvature_csv(report) -> str:
+    rows = [(jv.doubled, str(jv), d2) for jv, d2 in report.rows]
+    return _csv_text(("j_doubled", "j", "d2_at_origin"), rows)
+
+
 def _cmd_scan_d2(args) -> int:
-    rows = [
-        (tj, str(HalfInt(tj)), curvature_at_origin(HalfInt(tj), args.beta))
-        for tj in range(1, args.jmax.doubled + 1)
-    ]
+    text = _curvature_csv(critical_j(args.beta, args.jmax))
     params = {"beta": args.beta, "jmax_doubled": args.jmax.doubled}
-    text = _csv_text(("j_doubled", "j", "d2_at_origin"), rows)
     return _emit(args, "scan d2", {"": text}, params, {})
 
 
 def _cmd_scan_jc(args) -> int:
     report = critical_j(args.beta, args.jmax)
-    rows = [(jv.doubled, str(jv), d2) for jv, d2 in report.rows]
-    text = _csv_text(("j_doubled", "j", "d2_at_origin"), rows)
+    text = _curvature_csv(report)
     jc = None if report.j_critical is None else str(report.j_critical)
     if args.out is None:
         sys.stdout.write(text)
@@ -330,7 +329,7 @@ def _cmd_scan_hfun(args) -> int:
     tj = args.j.doubled
     rows = [
         (tm, str(HalfInt(tm)), pike_weight(args.j, args.beta, HalfInt(tm)))
-        for tm in range(2 - tj % 2, tj + 1, 2)
+        for tm in doubled_channels(tj)
     ]
     params = {"beta": args.beta, "j_doubled": tj}
     text = _csv_text(("m_doubled", "m", "weight_at_pike"), rows)

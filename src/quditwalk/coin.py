@@ -7,11 +7,18 @@ The coin acting on a (2j+1)-component internal space is the spin-j rotation
 with d the real Wigner small-d matrix.  Rows and columns are ordered by
 descending magnetic number m = j, j-1, ..., -j throughout the package.
 
-Two evaluation paths are provided for d.  For small dimensions the classical
-factorial sum is exact enough and fast.  The sum alternates in sign and loses
-roughly one digit per ten components, so beyond ``_SPECTRAL_DIM`` components
-we instead exponentiate the tridiagonal J_y generator through its
-eigendecomposition, which stays unitary to machine precision at any size.
+d is exp(-i beta J_y) in the z basis.  It is evaluated through the exact
+spectrum of the tridiagonal J_y generator (eigenvalues -j..j, eigenvectors
+from one cached eigendecomposition per size), written as the deviation from
+the identity,
+
+    d = I + Re V diag(e^{-i beta lam} - 1) V^dag,
+    e^{-i beta lam} - 1 = -2 sin^2(beta lam / 2) - i sin(beta lam),
+
+so d stays orthogonal to machine precision at any size and beta = 0 gives
+the identity exactly.  The classical factorial sum survives only in its
+coefficients (``small_d_coeff``), which the off-support weight-matrix
+polynomials are built from.
 """
 
 from __future__ import annotations
@@ -27,11 +34,10 @@ from .halfint import HalfInt, walk_index
 
 __all__ = ["EulerAngles", "small_d_coeff", "small_d", "rotation_matrix"]
 
-# Largest dimension 2j+1 handled by the exact-rational coefficient path and
-# by the direct factorial sum, respectively.  Above these we switch to
-# log-gamma coefficients and to the spectral exponential.
+# Largest dimension 2j+1 whose factorial-sum coefficients (``small_d_coeff``
+# and the off-support weight-matrix tables) are formed in exact rational
+# arithmetic; above it they come from log-gamma.
 _LOG_DIM = 30
-_SPECTRAL_DIM = 20
 
 
 class EulerAngles(NamedTuple):
@@ -112,23 +118,6 @@ def small_d_coeff(j, m, mp, ell: int) -> float:
     return _coeff(tj, tm, tmp, ell)
 
 
-def _small_d_sum(tj: int, beta: float) -> np.ndarray:
-    c = math.cos(0.5 * beta)
-    s = math.sin(0.5 * beta)
-    dim = tj + 1
-    out = np.empty((dim, dim))
-    for i1, tm in enumerate(range(tj, -tj - 1, -2)):
-        for i2, tmp in enumerate(range(tj, -tj - 1, -2)):
-            lo, hi = _ell_range(tj, tm, tmp)
-            out[i1, i2] = math.fsum(
-                _coeff(tj, tm, tmp, ell)
-                * c ** (tj + (tm - tmp) // 2 - 2 * ell)
-                * s ** (2 * ell + (tmp - tm) // 2)
-                for ell in range(lo, hi + 1)
-            )
-    return out
-
-
 @lru_cache(maxsize=None)
 def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the tridiagonal J_y generator at doubled spin tj.
@@ -150,21 +139,19 @@ def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _small_d_spectral(tj: int, beta: float) -> np.ndarray:
-    lam, vec = _jy_eig(tj)
-    phase = np.exp(-1j * beta * lam)
-    return ((vec * phase) @ vec.conj().T).real
-
-
 def small_d(j, beta: float) -> np.ndarray:
     """Wigner small-d matrix d^j(beta), real, rows and columns m-descending."""
     tj = walk_index(j)
     beta = float(beta)
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta!r}")
-    if tj + 1 <= _SPECTRAL_DIM:
-        return _small_d_sum(tj, beta)
-    return _small_d_spectral(tj, beta)
+    lam, vec = _jy_eig(tj)
+    half = np.sin(0.5 * beta * lam)
+    d = ((vec * (-2.0 * half * half - 1j * np.sin(beta * lam))) @ vec.conj().T).real
+    # in place, so the call keeps one matrix-sized result; the sum also
+    # turns any -0.0 off the diagonal into +0.0, so d(0) is I bit for bit
+    d += np.eye(tj + 1)
+    return d
 
 
 def rotation_matrix(j, angles) -> np.ndarray:

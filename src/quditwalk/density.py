@@ -47,7 +47,7 @@ import numpy as np
 
 from .coin import _coeff, _ell_range, _jy_eig
 from .errors import DegenerateSpecError, DomainError
-from .halfint import HalfInt, walk_index
+from .halfint import HalfInt, doubled_channels, walk_index
 from .qudit import Qudit
 
 __all__ = [
@@ -317,9 +317,10 @@ class WeightMatrix:
     ``cancellation`` carries the worst conditioning ratio of the wedge
     polynomials met while assembling entries: the Horner sum of absolute
     coefficients over the net sum.  It stays 1.0 on the recurrence path and
-    on the channel support (1+tau^2) x^2 <= 1, where the rank-two
-    evaluation is cancellation-free.  Off the support, results with ratios
-    beyond ~1e10 should not be trusted to more than a few digits.
+    on the channel support (1+tau^2) x^2 <= 1 (up to a few ulps past it),
+    where the rank-two evaluation is cancellation-free.  Off the support,
+    results with ratios beyond ~1e10 should not be trusted to more than a
+    few digits.
     """
 
     tj: int
@@ -354,18 +355,21 @@ def _weight_indices(j, m) -> tuple[int, int]:
 def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     """Evaluate M^(j,m)(x) from the defining sum, collapsed per regime.
 
-    On the channel support (1+tau^2) x^2 <= 1 the whole matrix is the sum
-    of two outer products of ``_support_vectors``.  Off it the wedge
-    entries are polynomials evaluated in one Horner pass and spread by
-    symmetry (``_wedge_matrix``).  Accepts m = 0 so the m = j-1 recurrence
-    can be cross-checked at j = 1, although the density itself only sums
-    channels with m > 0.
+    On the channel support (1+tau^2) x^2 <= 1, and within a few ulps past
+    it, the whole matrix is the sum of two outer products of
+    ``_support_vectors``.  Off it the wedge entries are polynomials
+    evaluated in one Horner pass and spread by symmetry (``_wedge_matrix``).
+    Accepts m = 0 so the m = j-1 recurrence can be cross-checked at j = 1,
+    although the density itself only sums channels with m > 0.
     """
     tj, tm = _weight_indices(j, m)
     tau = _require_beta(beta)
     gamma = float(gamma)
     x = float(x)
-    if (1.0 + tau * tau) * x * x <= 1.0:
+    # a point a few ulps past the edge (a pike point cos(beta/2) can round
+    # there) takes the rank-two form at the edge, where the wedge
+    # polynomials would cancel catastrophically
+    if (1.0 + tau * tau) * x * x <= 1.0 + 8.0 * np.finfo(float).eps:
         # rank-two assembly: exactly hermitian and PSD
         vecs = _support_vectors(tj, tm, np.array([x]), tau, gamma, np.arange(tj + 1))
         v1, v2 = (v[0] for v in vecs)
@@ -499,7 +503,7 @@ class LimitSpec:
     @property
     def channels(self) -> tuple[int, ...]:
         """Doubled m for every channel with m > 0, largest first."""
-        return tuple(range(self.tj, 0, -2))
+        return tuple(reversed(doubled_channels(self.tj)))
 
     @property
     def has_point_mass(self) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-__all__ = ["HalfInt", "walk_index", "components", "dimension"]
+__all__ = ["HalfInt", "walk_index", "components", "dimension", "doubled_channels"]
 
 
 @dataclass(frozen=True, order=True)
@@ -85,3 +85,8 @@ def components(j) -> tuple[HalfInt, ...]:
 def dimension(j) -> int:
     """Number of internal components, 2j + 1."""
     return walk_index(j) + 1
+
+
+def doubled_channels(tj: int) -> range:
+    """Doubled m of every channel m > 0 at doubled spin tj, smallest first."""
+    return range(2 - tj % 2, tj + 1, 2)

@@ -1,0 +1,46 @@
+"""Independent small-d evaluators that the tests compare the package against.
+
+``small_d_sum`` is the classical factorial sum
+
+    d_{m m'}(beta) = sum_ell Gamma(j, m, m', ell)
+                     cos(beta/2)^(2j + m - m' - 2 ell) sin(beta/2)^(2 ell + m' - m),
+
+term by term in ``math.fsum``.  It alternates in sign and loses roughly one
+digit per ten components, so it is a reference up to about 30 components.
+
+``two_path_small_d`` is the package's earlier two-path evaluator: that sum
+up to 20 components, and above them the plain complex J_y spectral product
+Re(V e^{-i beta lam} V^dag), with no identity split off.  It takes neither
+``small_d`` nor the density module's folded small-d column, so the
+channel-weight cross-checks compare two different evaluations.
+"""
+
+import math
+
+import numpy as np
+
+from quditwalk.coin import _coeff, _ell_range, _jy_eig
+
+
+def small_d_sum(tj: int, beta: float) -> np.ndarray:
+    c = math.cos(0.5 * beta)
+    s = math.sin(0.5 * beta)
+    dim = tj + 1
+    out = np.empty((dim, dim))
+    for i1, tm in enumerate(range(tj, -tj - 1, -2)):
+        for i2, tmp in enumerate(range(tj, -tj - 1, -2)):
+            lo, hi = _ell_range(tj, tm, tmp)
+            out[i1, i2] = math.fsum(
+                _coeff(tj, tm, tmp, ell)
+                * c ** (tj + (tm - tmp) // 2 - 2 * ell)
+                * s ** (2 * ell + (tmp - tm) // 2)
+                for ell in range(lo, hi + 1)
+            )
+    return out
+
+
+def two_path_small_d(tj: int, beta: float) -> np.ndarray:
+    if tj + 1 <= 20:
+        return small_d_sum(tj, beta)
+    lam, vec = _jy_eig(tj)
+    return ((vec * np.exp(-1j * beta * lam)) @ vec.conj().T).real

@@ -8,8 +8,10 @@ from the collapsed formula
     M_{m1 m2}(x) = 2 d_{m1 m}(arccos(-x)) d_{m2 m}(arccos(-x))
                    * cos((m2 - m1) phi) e^{-i (m2 - m1) gamma}
 
-with d taken from the public ``small_d``.  Swapping it in for the package's
-evaluator lets every public limit-law number be compared end to end.
+with d from ``two_path_small_d`` (the factorial sum up to 20 components, the
+plain complex J_y spectral product above), not from the package's own
+small-d code.  Swapping it in for the package's evaluator lets every public
+limit-law number be compared end to end.
 """
 
 import cmath
@@ -30,8 +32,8 @@ from quditwalk import (
     limit_bin_masses,
     limit_moment,
     preset_qudit,
-    small_d,
 )
+from small_d_reference import two_path_small_d
 
 BETAS = (0.002, math.pi / 10, math.pi / 2, 3.0)
 GAMMAS = (0.0, 0.4, -1.1)
@@ -41,7 +43,7 @@ GAMMAS = (0.0, 0.4, -1.1)
 # 130-component matrices (135 kB each) to a few tens of MB
 @lru_cache(maxsize=256)
 def _small_d_at(tj, angle):
-    return small_d(HalfInt(tj), angle)
+    return two_path_small_d(tj, angle)
 
 
 def _reference_grid(spec, tm, x):

@@ -14,13 +14,8 @@ from quditwalk import (
     small_d,
     small_d_coeff,
 )
-from quditwalk.coin import (
-    _coeff_exact,
-    _coeff_log,
-    _ell_range,
-    _small_d_spectral,
-    _small_d_sum,
-)
+from quditwalk.coin import _coeff_exact, _coeff_log, _ell_range
+from small_d_reference import small_d_sum
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -64,9 +59,8 @@ def test_spin_one_center_is_cos():
 
 
 def test_beta_zero_is_identity():
-    for j in ("1/2", 3, "21/2", 15):  # the last two take the spectral path
-        dim = HalfInt.parse(j).doubled + 1
-        np.testing.assert_allclose(small_d(j, 0.0), np.eye(dim), atol=1e-13)
+    for dim in range(2, 131):
+        assert small_d(HalfInt(dim - 1), 0.0).tobytes() == np.eye(dim).tobytes(), dim
 
 
 def test_beta_pi_is_signed_antidiagonal():
@@ -90,7 +84,7 @@ def test_sum_and_spectral_paths_agree():
     rng = np.random.default_rng(5)
     for tj in (1, 4, 9, 14, 19, 25, 29):
         beta = float(rng.uniform(0.0, math.pi))
-        gap = float(np.abs(_small_d_sum(tj, beta) - _small_d_spectral(tj, beta)).max())
+        gap = float(np.abs(small_d_sum(tj, beta) - small_d(HalfInt(tj), beta)).max())
         assert gap < 1e-11, (tj, gap)
 
 

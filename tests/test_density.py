@@ -240,6 +240,38 @@ def test_grown_matrix_matches_direct_at_fifty_components():
     assert worst < 1e-6, worst
 
 
+def test_pike_point_takes_the_rank_two_form():
+    # x = +-cos(beta/2) can round one ulp past (1+tau^2) x^2 <= 1 (it does
+    # at beta = 22pi/25); the wedge polynomials there shed up to 22 digits
+    rng = np.random.default_rng(2025)
+    worst = 0.0
+    for beta in (22 * math.pi / 25, *rng.uniform(0.2, 3.0, size=3)):
+        tau = math.tan(0.5 * beta)
+        for sign in (1.0, -1.0):
+            pike = sign * math.cos(0.5 * beta)
+            xs = [pike]
+            for target in (2.0 * sign, 0.0):  # two ulps outward, two inward
+                x = pike
+                for _ in range(2):
+                    x = float(np.nextafter(x, target))
+                    xs.append(x)
+            # the nearest point on the support, whose matrix is the reference
+            edge = pike
+            while (1.0 + tau * tau) * edge * edge > 1.0:
+                edge = float(np.nextafter(edge, 0.0))
+            for tj in (29, 49, 129):
+                for tm in range(2 - tj % 2, tj + 1, 2):
+                    ref = weight_matrix_direct(tj / 2, tm / 2, edge, beta).entries
+                    scale = float(np.abs(ref).max())
+                    for x in xs:
+                        mat = weight_matrix_direct(tj / 2, tm / 2, x, beta)
+                        assert mat.cancellation == 1.0, (beta, tj, tm, x)
+                        if (1.0 + tau * tau) * x * x > 1.0:
+                            gap = float(np.abs(mat.entries - ref).max()) / scale
+                            worst = max(worst, gap)
+    assert worst <= 1e-10, worst
+
+
 def test_second_channel_rescaling_matches_direct():
     worst = 0.0
     for j, beta, x in (

@@ -81,6 +81,12 @@ def test_identity_coin_translates_channels():
     rest = Qudit(1, (0, 1, 0))  # m = 0 does not move
     dist = position_distribution(evolve(rest, EulerAngles(), 7))
     assert dist.p[dist.x == 0][0] == 1.0
+    # 22 components: each one moves 2m sites left per step, undiminished
+    for i in range(22):
+        amps = np.zeros(22)
+        amps[i] = 1.0
+        dist = position_distribution(evolve(Qudit("21/2", amps), EulerAngles(), 7))
+        assert dist.p[dist.x == -7 * (21 - 2 * i)][0] == 1.0, i
 
 
 def test_single_balanced_step():
