@@ -100,7 +100,10 @@ def pike_weight(j, beta: float, m) -> float:
         C(2j, j+m) 2^(-2j) [(1-c)^(j+m) (1+c)^(j-m) + (1+c)^(j+m) (1-c)^(j-m)]
     """
     tj, tm = _pike_indices(j, m)
-    c = math.cos(0.5 * float(beta))
+    beta = float(beta)
+    if not 0.0 <= beta <= math.pi:
+        raise DomainError(f"pike weights need beta in [0, pi], got {beta!r}")
+    c = math.cos(0.5 * beta)
     p = (tj + tm) // 2
     q = (tj - tm) // 2
     bracket = (1.0 - c) ** p * (1.0 + c) ** q + (1.0 + c) ** p * (1.0 - c) ** q

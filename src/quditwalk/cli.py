@@ -4,12 +4,15 @@ Every command emits CSV (UTF-8, LF, header row, full round-trip floats).
 With --out BASE the tables go to BASE.csv (or BASE_moments.csv plus
 BASE_binned.csv for compare) next to a BASE.manifest.json recording the
 exact inputs; without --out the tables go to stdout and no manifest is
-written.  Identical invocations produce byte-identical files: every sum in
-the package has a fixed order and nothing here looks at clocks or
-environment.
+written.  The manifest's parameters hold every flag of the command by
+name, except --out: a spin as <name>_doubled (the integer 2j), a grid as
+the text it was given, every other flag as parsed.  Identical invocations
+produce byte-identical files: every sum in the package has a fixed order
+and nothing here looks at clocks or environment.
 
 Exit codes: 0 success, 2 malformed flags, 1 domain errors (including
-degenerate parameter sets, for which no representable density exists).
+degenerate parameter sets, with no representable density, and an --out
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ __all__ = ["main", "parse_angle"]
 
 
 def parse_angle(text: str) -> float:
-    """Radians from 'pi/2', '22pi/25', '0.3', '3/4', or '-pi'."""
+    """Radians from 'pi/2', '22pi/25', '0.3', '3/4', or '-pi'; finite only."""
     s = text.strip().lower().replace(" ", "")
     m = re.fullmatch(r"([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)pi(?:/(\d+))?", s)
     if m:
@@ -62,15 +65,18 @@ def parse_angle(text: str) -> float:
         den = float(m.group(2)) if m.group(2) else 1.0
         if den == 0.0:
             raise argparse.ArgumentTypeError(f"zero denominator in angle {text!r}")
-        return coeff * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    try:
-        return float(Fraction(s))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+        val = coeff * math.pi / den
+    else:
+        try:
+            val = float(s)
+        except ValueError:
+            try:
+                val = float(Fraction(s))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return val
 
 
 def _parse_j(text: str) -> HalfInt:
@@ -173,28 +179,42 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, command: str, tables: dict[str, str], params: dict, results: dict) -> int:
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
+
+
+def _emit(args, tables: dict[str, str], results: dict | None = None) -> int:
     if args.out is None:
         sys.stdout.write("\n".join(tables.values()))
         return 0
-    base = args.out
+    params = {}
+    for name, value in vars(args).items():
+        if name in ("command", "target", "func", "parser", "out"):
+            continue  # routing and output, not inputs of the run
+        if isinstance(value, HalfInt):
+            params[f"{name}_doubled"] = value.doubled
+        elif name == "grid":
+            params[name] = value[3]
+        else:
+            params[name] = value
     outputs = []
     for suffix, text in tables.items():
-        path = f"{base}{suffix}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        path = f"{args.out}{suffix}.csv"
+        _write(path, text)
         outputs.append(path)
     manifest = {
         "artifact": f"quditwalk {__version__}",
-        "command": command,
+        "command": args.command if args.command != "scan" else f"scan {args.target}",
         "parameters": params,
         "outputs": outputs,
     }
     if results:
         manifest["results"] = results
-    with open(f"{base}.manifest.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2))
-        fh.write("\n")
+    _write(f"{args.out}.manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -206,77 +226,51 @@ def _require_live(spec: LimitSpec) -> None:
         )
 
 
-def _cmd_simulate(args) -> int:
-    qudit = _resolve_qudit(args)
+def _live_spec(args) -> LimitSpec:
+    spec = LimitSpec(_resolve_qudit(args), args.beta, args.gamma)
+    _require_live(spec)
+    return spec
+
+
+def _distribution(args, qudit: Qudit):
     field = evolve(qudit, EulerAngles(args.alpha, args.beta, args.gamma), args.t)
-    dist = position_distribution(field)
-    rows = list(zip((int(x) for x in dist.x), dist.p))
-    params = {
-        "j_doubled": args.j.doubled,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "t": args.t,
-        "qudit": args.qudit,
-    }
-    return _emit(args, "simulate", {"": _csv_text(("x", "probability"), rows)}, params, {})
+    return position_distribution(field)
+
+
+def _cmd_simulate(args) -> int:
+    dist = _distribution(args, _resolve_qudit(args))
+    rows = zip((int(x) for x in dist.x), dist.p)
+    return _emit(args, {"": _csv_text(("x", "probability"), rows)})
 
 
 def _cmd_density(args) -> int:
-    qudit = _resolve_qudit(args)
-    spec = LimitSpec(qudit, args.beta, args.gamma)
-    _require_live(spec)
-    lo, hi, n, gtext = args.grid
+    spec = _live_spec(args)
+    lo, hi, n, _ = args.grid
     v = np.linspace(lo, hi, n)
     dens = continuous_density(spec, v)
-    params = {
-        "j_doubled": args.j.doubled,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "grid": gtext,
-        "qudit": args.qudit,
-    }
-    results = {}
-    if spec.has_point_mass:
-        results["delta_mass"] = delta_mass(spec)
-    return _emit(args, "density", {"": _csv_text(("v", "density"), zip(v, dens))}, params, results)
+    results = {"delta_mass": delta_mass(spec)} if spec.has_point_mass else None
+    return _emit(args, {"": _csv_text(("v", "density"), zip(v, dens))}, results)
 
 
 def _cmd_moments(args) -> int:
-    qudit = _resolve_qudit(args)
-    spec = LimitSpec(qudit, args.beta, args.gamma)
-    _require_live(spec)
-    limits = [limit_moment(spec, r) for r in range(1, args.rmax + 1)]
-    params = {
-        "j_doubled": args.j.doubled,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "qudit": args.qudit,
-        "rmax": args.rmax,
-        "t": args.t,
-    }
+    spec = _live_spec(args)
+    orders = range(1, args.rmax + 1)
+    limits = [limit_moment(spec, r) for r in orders]
     if args.t is None:
-        text = _csv_text(("r", "limit"), zip(range(1, args.rmax + 1), limits))
+        text = _csv_text(("r", "limit"), zip(orders, limits))
     else:
-        dist = position_distribution(
-            evolve(qudit, EulerAngles(args.alpha, args.beta, args.gamma), args.t)
-        )
+        dist = _distribution(args, spec.qudit)
         rows = []
-        for r, lim in zip(range(1, args.rmax + 1), limits):
+        for r, lim in zip(orders, limits):
             sim = pseudovelocity_moment(dist, args.t, r)
             rows.append((r, lim, sim, abs(sim - lim)))
         text = _csv_text(("r", "limit", "simulated", "abs_error"), rows)
-    return _emit(args, "moments", {"": text}, params, {})
+    return _emit(args, {"": text})
 
 
 def _cmd_compare(args) -> int:
-    qudit = _resolve_qudit(args)
-    spec = LimitSpec(qudit, args.beta, args.gamma)
-    _require_live(spec)
-    dist = position_distribution(
-        evolve(qudit, EulerAngles(args.alpha, args.beta, args.gamma), args.t)
-    )
+    spec = _live_spec(args)
+    dist = _distribution(args, spec.qudit)
     mrows = []
     for r in range(1, 5):
         sim = pseudovelocity_moment(dist, args.t, r)
@@ -286,20 +280,11 @@ def _cmd_compare(args) -> int:
     masses = limit_bin_masses(spec, binned.edges)
     l1 = float(np.sum(np.abs(binned.masses - masses)))
     brows = zip(binned.centers, binned.density, masses / args.bin_width)
-    params = {
-        "j_doubled": args.j.doubled,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "t": args.t,
-        "bin_width": args.bin_width,
-        "qudit": args.qudit,
-    }
     tables = {
         "_moments": _csv_text(("r", "simulated", "limit", "abs_error"), mrows),
         "_binned": _csv_text(("v_center", "simulated_density", "limit_density"), brows),
     }
-    return _emit(args, "compare", tables, params, {"l1_distance": l1})
+    return _emit(args, tables, {"l1_distance": l1})
 
 
 def _curvature_csv(report) -> str:
@@ -308,9 +293,7 @@ def _curvature_csv(report) -> str:
 
 
 def _cmd_scan_d2(args) -> int:
-    text = _curvature_csv(critical_j(args.beta, args.jmax))
-    params = {"beta": args.beta, "jmax_doubled": args.jmax.doubled}
-    return _emit(args, "scan d2", {"": text}, params, {})
+    return _emit(args, {"": _curvature_csv(critical_j(args.beta, args.jmax))})
 
 
 def _cmd_scan_jc(args) -> int:
@@ -321,30 +304,24 @@ def _cmd_scan_jc(args) -> int:
         sys.stdout.write(text)
         sys.stdout.write(f"# j_critical = {jc}\n")
         return 0
-    params = {"beta": args.beta, "jmax_doubled": args.jmax.doubled}
-    return _emit(args, "scan jc", {"": text}, params, {"j_critical": jc})
+    return _emit(args, {"": text}, {"j_critical": jc})
 
 
 def _cmd_scan_hfun(args) -> int:
-    tj = args.j.doubled
     rows = [
         (tm, str(HalfInt(tm)), pike_weight(args.j, args.beta, HalfInt(tm)))
-        for tm in doubled_channels(tj)
+        for tm in doubled_channels(args.j.doubled)
     ]
-    params = {"beta": args.beta, "j_doubled": tj}
-    text = _csv_text(("m_doubled", "m", "weight_at_pike"), rows)
-    return _emit(args, "scan hfun", {"": text}, params, {})
+    return _emit(args, {"": _csv_text(("m_doubled", "m", "weight_at_pike"), rows)})
 
 
 def _cmd_scan_hscaled(args) -> int:
     xs, ys = pike_weight_scaled(args.j, args.beta)
-    params = {"beta": args.beta, "j_doubled": args.j.doubled}
-    text = _csv_text(("m_over_sigma", "sigma_h"), zip(xs, ys))
-    return _emit(args, "scan hscaled", {"": text}, params, {})
+    return _emit(args, {"": _csv_text(("m_over_sigma", "sigma_h"), zip(xs, ys))})
 
 
 def _cmd_scan_rescaled(args) -> int:
-    lo, hi, n, gtext = args.grid
+    lo, hi, n, _ = args.grid
     u = np.linspace(lo, hi, n)
     columns = []
     for states in args.states:
@@ -352,13 +329,18 @@ def _cmd_scan_rescaled(args) -> int:
         _require_live(spec)
         columns.append(rescaled_density(spec, u))
     header = ("u",) + tuple(f"density_{nst}" for nst in args.states)
-    rows = zip(u, *columns)
-    params = {
-        "beta": args.beta,
-        "states": list(args.states),
-        "grid": gtext,
-    }
-    return _emit(args, "scan rescaled", {"": _csv_text(header, rows)}, params, {})
+    return _emit(args, {"": _csv_text(header, zip(u, *columns))})
+
+
+# (target, handler, spin flag, its help, command help); rescaled has no spin
+_SCANS = (
+    ("d2", _cmd_scan_d2, "--jmax", "largest spin to include",
+     "curvature of the density at the origin versus j"),
+    ("jc", _cmd_scan_jc, "--jmax", None, "like d2, plus the critical j where the sign settles"),
+    ("hfun", _cmd_scan_hfun, "--j", None, "channel weight at each pike"),
+    ("hscaled", _cmd_scan_hscaled, "--j", None, "pike weights on the sqrt(2) j scale"),
+    ("rescaled", _cmd_scan_rescaled, None, None, "rescaled limit densities on (-1, 1)"),
+)
 
 
 def _beta_arg(p) -> None:
@@ -371,10 +353,12 @@ def _beta_arg(p) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    # also treat grid values like -1:1:401 as arguments, not option names
+    # also treat grids like -1:1:401 and angles like -pi/2 as values, not options
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+[.:]?[\d.:]*$")
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+[.:]?[\d.:]*|(?:\d+(?:\.\d*)?|\.\d+)?pi(?:/\d+)?)$"
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,19 +368,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, alpha=False, gamma=True, qudit=True, t=None):
+    def common(p, *, alpha=False, t=None):
         p.add_argument("--j", required=True, type=_parse_j, help="spin, like 1/2, 11/2, or 3")
         _beta_arg(p)
         if alpha:
             p.add_argument("--alpha", type=parse_angle, default=0.0, help="first Euler angle (simulation only)")
-        if gamma:
-            p.add_argument("--gamma", type=parse_angle, default=0.0, help="third Euler angle")
-        if qudit:
-            p.add_argument(
-                "--qudit",
-                required=True,
-                help="initial state: preset (up, paper-sym, fig1b) or a file of amplitudes",
-            )
+        p.add_argument("--gamma", type=parse_angle, default=0.0, help="third Euler angle")
+        p.add_argument(
+            "--qudit",
+            required=True,
+            help="initial state: preset (up, paper-sym, fig1b) or a file of amplitudes",
+        )
         if t == "required":
             p.add_argument("--t", required=True, type=_pos_int, help="number of steps")
         elif t == "simulate":
@@ -426,37 +408,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="parameter scans over j or m")
     scan_sub = p.add_subparsers(dest="target", required=True)
-
-    q = scan_sub.add_parser("d2", help="curvature of the density at the origin versus j")
-    _beta_arg(q)
-    q.add_argument("--jmax", required=True, type=_parse_j, help="largest spin to include")
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_scan_d2)
-
-    q = scan_sub.add_parser("jc", help="like d2, plus the critical j where the sign settles")
-    _beta_arg(q)
-    q.add_argument("--jmax", required=True, type=_parse_j)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_scan_jc)
-
-    q = scan_sub.add_parser("hfun", help="channel weight at each pike")
-    _beta_arg(q)
-    q.add_argument("--j", required=True, type=_parse_j)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_scan_hfun)
-
-    q = scan_sub.add_parser("hscaled", help="pike weights on the sqrt(2) j scale")
-    _beta_arg(q)
-    q.add_argument("--j", required=True, type=_parse_j)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_scan_hscaled)
-
-    q = scan_sub.add_parser("rescaled", help="rescaled limit densities on (-1, 1)")
-    _beta_arg(q)
-    q.add_argument("--states", required=True, type=_parse_states, help="component counts, like 10,20,50")
-    q.add_argument("--grid", type=_parse_grid, default=_parse_grid("-0.95:0.95:191"))
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_scan_rescaled)
+    for target, func, spin, spin_help, text in _SCANS:
+        q = scan_sub.add_parser(target, help=text)
+        _beta_arg(q)
+        if spin is None:
+            q.add_argument("--states", required=True, type=_parse_states, help="component counts, like 10,20,50")
+            q.add_argument("--grid", type=_parse_grid, default=_parse_grid("-0.95:0.95:191"))
+        else:
+            q.add_argument(spin, required=True, type=_parse_j, help=spin_help)
+        q.add_argument("--out", default=None)
+        q.set_defaults(func=func)
 
     return parser
 

@@ -582,17 +582,31 @@ def _channel_moment(spec: LimitSpec, tm: int, r: int) -> float:
     return float(tm) ** r * math.sqrt(1.0 - a * a) / math.pi * integral
 
 
+def _continuous_moment(spec: LimitSpec, r: int) -> float:
+    """r-th moment of the continuous part alone (r = 0: its mass)."""
+    if not 0.0 < spec.a < 1.0:
+        return 0.0
+    return math.fsum(_channel_moment(spec, tm, r) for tm in spec.channels)
+
+
+def _point_mass(cont: float) -> float:
+    """The point mass left by a continuous mass ``cont``, checked to lie in
+    [0, 1] up to 1e-8 and then clamped there."""
+    deficit = 1.0 - cont
+    if not -1e-8 <= deficit <= 1.0 + 1e-8:
+        raise DomainError(f"continuous mass {cont} outside [0, 1]: the quadrature failed")
+    return min(max(deficit, 0.0), 1.0)
+
+
 def limit_moment(spec: LimitSpec, r: int) -> float:
     """r-th moment of the limit law (point mass included; it only ever
     contributes to r = 0)."""
     if r != int(r) or r < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {r!r}")
     r = int(r)
-    total = 0.0
-    if 0.0 < spec.a < 1.0:
-        total = math.fsum(_channel_moment(spec, tm, r) for tm in spec.channels)
+    total = _continuous_moment(spec, r)
     if r == 0 and spec.has_point_mass:
-        total += delta_mass(spec)
+        total += _point_mass(total)
     return total
 
 
@@ -601,13 +615,7 @@ def delta_mass(spec: LimitSpec) -> float:
     continuous part.  Zero whenever the component count is even."""
     if not spec.has_point_mass:
         return 0.0
-    cont = 0.0
-    if 0.0 < spec.a < 1.0:
-        cont = math.fsum(_channel_moment(spec, tm, 0) for tm in spec.channels)
-    deficit = 1.0 - cont
-    if not -1e-8 <= deficit <= 1.0 + 1e-8:
-        raise DomainError(f"continuous mass {cont} outside [0, 1]: the quadrature failed")
-    return min(max(deficit, 0.0), 1.0)
+    return _point_mass(_continuous_moment(spec, 0))
 
 
 def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:

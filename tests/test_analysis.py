@@ -99,6 +99,12 @@ def test_pike_weight_rejects_bad_channels():
         pike_weight(1, math.pi / 2, "1/2")
 
 
+def test_pike_weight_rejects_beta_outside_zero_pi():
+    for beta in (math.nan, 7.0):
+        with pytest.raises(DomainError):
+            pike_weight(1, beta, 1)
+
+
 def test_paths_agree_at_steep_angles():
     for beta in (math.pi / 2, 22 * math.pi / 25):
         worst = 0.0

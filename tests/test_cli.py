@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_angle_syntax():
     }
     for text, value in table.items():
         assert parse_angle(text) == pytest.approx(value, abs=1e-15), text
-    for bad in ("pi/0", "grue"):
+    for bad in ("pi/0", "grue", "nan", "inf", "1" * 400 + "/3"):
         with pytest.raises(ArgumentTypeError):
             parse_angle(bad)
 
@@ -70,6 +71,14 @@ def test_simulate_prints_the_distribution():
     )
     _, rows = parse_csv(out)
     assert code == 0 and rows == [[0.0, 1.0]]
+
+    # a negative pi angle is a value, not an option name
+    code, out, _ = run_cli(
+        ["simulate", "--j", "1/2", "--beta", "pi/2", "--alpha", "-pi", "--qudit", "up",
+         "--t", "1"]
+    )
+    _, rows = parse_csv(out)
+    assert code == 0 and [r[0] for r in rows] == [-1.0, 1.0]
 
 
 def test_density_grid_reduces_to_the_base_law():
@@ -116,6 +125,74 @@ def test_compare_writes_tables_and_manifest(tmp_path):
     assert manifest["artifact"].startswith("quditwalk")
     assert manifest["parameters"]["t"] == 20
     assert "l1_distance" in manifest["results"]
+
+
+PI_2 = 1.5707963267948966
+README_PARAMETERS = {
+    "simulate": {"j_doubled": 3, "beta": PI_2, "alpha": 0.0, "gamma": 0.0,
+                 "qudit": "paper-sym", "t": 200},
+    "density": {"j_doubled": 1, "beta": PI_2, "gamma": 0.0, "qudit": "paper-sym",
+                "grid": "-1:1:401"},
+    "moments": {"j_doubled": 2, "beta": PI_2, "alpha": 0.0, "gamma": 0.0,
+                "qudit": "paper-sym", "t": 100, "rmax": 4},
+    "compare": {"j_doubled": 3, "beta": PI_2, "alpha": 0.0, "gamma": 0.0,
+                "qudit": "paper-sym", "t": 100, "bin_width": 0.05},
+    "scan d2": {"beta": PI_2, "jmax_doubled": 50},
+    "scan jc": {"beta": PI_2, "jmax_doubled": 49},
+    "scan hfun": {"beta": PI_2, "j_doubled": 49},
+    "scan hscaled": {"beta": PI_2, "j_doubled": 129},
+    "scan rescaled": {"beta": PI_2, "grid": "-0.95:0.95:191", "states": [10, 20, 50]},
+}
+
+
+def _readme_commands():
+    """The argv of each command in the README's command-line block, without
+    its --out."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = line.split()[1:]
+        if "--out" in argv:
+            k = argv.index("--out")
+            del argv[k:k + 2]
+        commands.append(argv)
+    return commands
+
+
+def _manifest_of(argv, base):
+    code, out, _ = run_cli([*argv, "--out", str(base)])
+    assert code == 0 and out == "", argv
+    return json.loads(Path(f"{base}.manifest.json").read_text(encoding="utf-8"))
+
+
+def test_manifest_records_every_flag(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == len(README_PARAMETERS)
+    for k, argv in enumerate(commands):
+        manifest = _manifest_of(argv, tmp_path / f"run{k}")
+        name = " ".join(argv[:2]) if argv[0] == "scan" else argv[0]
+        assert manifest["command"] == name
+        assert manifest["parameters"] == README_PARAMETERS[name], name
+
+    manifest = _manifest_of(
+        ["moments", "--j", "1", "--beta", "pi/2", "--qudit", "paper-sym"], tmp_path / "nt"
+    )
+    assert manifest["parameters"] == {"j_doubled": 2, "beta": PI_2, "alpha": 0.0,
+                                      "gamma": 0.0, "qudit": "paper-sym", "t": None,
+                                      "rmax": 4}
+
+    path = tmp_path / "state.txt"
+    path.write_text("0.6\n0\n0.8j\n")
+    manifest = _manifest_of(
+        ["density", "--j", "1", "--beta", "22pi/25", "--gamma", "0.4", "--qudit", str(path),
+         "--grid", "-0.8:0.8:5"],
+        tmp_path / "file",
+    )
+    assert manifest["command"] == "density"
+    assert manifest["parameters"] == {"j_doubled": 2, "beta": 2.764601535159018,
+                                      "gamma": 0.4, "qudit": str(path),
+                                      "grid": "-0.8:0.8:5"}
 
 
 def test_qudit_amplitudes_from_file(tmp_path):
@@ -189,11 +266,21 @@ def test_degenerate_spec_is_a_runtime_error():
         ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid", "1:0:5"],
         ["scan", "rescaled", "--beta", "pi/2", "--states", "1,4"],
         ["frobnicate"],
+        ["scan", "hfun", "--beta", "nan", "--j", "1/2"],
+        ["scan", "hscaled", "--beta", "inf", "--j", "1/2"],
     ],
 )
 def test_usage_errors_exit_with_two(argv):
     code, _, _ = run_cli(argv)
     assert code == 2
+
+
+def test_unwritable_out_is_a_runtime_error(tmp_path):
+    code, _, err = run_cli(
+        ["density", "--j", "1/2", "--beta", "pi/2", "--qudit", "up", "--grid", "-1:1:5",
+         "--out", str(tmp_path / "missing" / "x")]
+    )
+    assert code == 1 and "cannot write" in err
 
 
 def test_module_entry_point():
