@@ -11,6 +11,7 @@ rescaling to the fixed support (-1, 1).
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -47,10 +48,10 @@ def curvature_at_origin(j, beta: float) -> float:
         raise DomainError(f"curvature needs beta in (0, pi), got {beta!r}")
     a = math.cos(0.5 * beta)
     inv2 = 1.0 / (a * a)
+    # one integer ratio: the binomial and 2^(2j-1) leave float range alone
     terms = [
         (2.0 + inv2 + (tm * tm - tj))
-        * math.comb(tj, (tj + tm) // 2)
-        * 2.0 ** (1 - tj)
+        * (math.comb(tj, (tj + tm) // 2) / 2 ** (tj - 1))
         / tm**3
         for tm in doubled_channels(tj)
     ]
@@ -95,19 +96,25 @@ def pike_weight(j, beta: float, m) -> float:
 
     The alternating double sum defining it splits under a parity projector
     into two same-sign products, so this form has no cancellation and is
-    safe out to hundreds of components:
+    safe out to thousands of components:
 
         C(2j, j+m) 2^(-2j) [(1-c)^(j+m) (1+c)^(j-m) + (1+c)^(j+m) (1-c)^(j-m)]
+
+    Its factors leave float range from 2j+1 ~ 1030 on, so the product,
+    as ((1-c)(1+c))^(j-m) [(1-c)^2m + (1+c)^2m], is formed in 34-digit
+    decimal and rounded to float once.
     """
     tj, tm = _pike_indices(j, m)
     beta = float(beta)
     if not 0.0 <= beta <= math.pi:
         raise DomainError(f"pike weights need beta in [0, pi], got {beta!r}")
-    c = math.cos(0.5 * beta)
     p = (tj + tm) // 2
     q = (tj - tm) // 2
-    bracket = (1.0 - c) ** p * (1.0 + c) ** q + (1.0 + c) ** p * (1.0 - c) ** q
-    return math.comb(tj, p) * 2.0 ** (-tj) * bracket
+    with decimal.localcontext(decimal.Context(prec=34)):
+        c = decimal.Decimal(math.cos(0.5 * beta))
+        lo, hi = 1 - c, 1 + c
+        pair = (lo * hi) ** q if q else 1  # decimal refuses 0^0 (beta = 0)
+        return float(math.comb(tj, p) * pair * (lo ** (p - q) + hi ** (p - q)) / 2**tj)
 
 
 def pike_weight_paths(j, beta: float, m) -> tuple[float, float]:

@@ -353,12 +353,11 @@ def _beta_arg(p) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    # also treat grids like -1:1:401 and angles like -pi/2 as values, not options
+    # a '-' then a digit, '.digit' or 'pi' starts a value, not an option:
+    # every negative angle (-3/4, -.5, -1e-3, -pi/2) and grid (-1:1:401)
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(?:\d+[.:]?[\d.:]*|(?:\d+(?:\.\d*)?|\.\d+)?pi(?:/\d+)?)$"
-        )
+        self._negative_number_matcher = re.compile(r"^-(?:\.?\d|pi)", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:

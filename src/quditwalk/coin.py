@@ -24,6 +24,7 @@ polynomials are built from.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -33,11 +34,6 @@ from .errors import DomainError
 from .halfint import HalfInt, walk_index
 
 __all__ = ["EulerAngles", "small_d_coeff", "small_d", "rotation_matrix"]
-
-# Largest dimension 2j+1 whose factorial-sum coefficients (``small_d_coeff``
-# and the off-support weight-matrix tables) are formed in exact rational
-# arithmetic; above it they come from log-gamma.
-_LOG_DIM = 30
 
 
 class EulerAngles(NamedTuple):
@@ -54,50 +50,26 @@ def _ell_range(tj: int, tm: int, tmp: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _coeff_exact(tj: int, tm: int, tmp: int, ell: int) -> float:
-    """Summation coefficient via exact integer arithmetic."""
-    from fractions import Fraction
+@lru_cache(maxsize=65536)
+def _coeff_row(tj: int, tm: int, tmp: int) -> tuple[int, np.ndarray]:
+    """(lo, row): the signed factorial-sum coefficients for ell = lo..hi.
 
-    num = (
-        math.factorial((tj + tm) // 2)
-        * math.factorial((tj - tm) // 2)
-        * math.factorial((tj + tmp) // 2)
-        * math.factorial((tj - tmp) // 2)
-    )
-    den = (
-        math.factorial((tj - tmp) // 2 - ell)
-        * math.factorial((tj + tm) // 2 - ell)
-        * math.factorial(ell)
-        * math.factorial(ell + (tmp - tm) // 2)
-    )
-    mag = math.sqrt(float(Fraction(num, den * den)))
-    return -mag if ell % 2 else mag
-
-
-def _coeff_log(tj: int, tm: int, tmp: int, ell: int) -> float:
-    """Summation coefficient via log-gamma, for dimensions past ``_LOG_DIM``."""
-    lg = math.lgamma
-    half_num = 0.5 * (
-        lg((tj + tm) // 2 + 1)
-        + lg((tj - tm) // 2 + 1)
-        + lg((tj + tmp) // 2 + 1)
-        + lg((tj - tmp) // 2 + 1)
-    )
-    log_den = (
-        lg((tj - tmp) // 2 - ell + 1)
-        + lg((tj + tm) // 2 - ell + 1)
-        + lg(ell + 1)
-        + lg(ell + (tmp - tm) // 2 + 1)
-    )
-    mag = math.exp(half_num - log_den)
-    return -mag if ell % 2 else mag
-
-
-@lru_cache(maxsize=None)
-def _coeff(tj: int, tm: int, tmp: int, ell: int) -> float:
-    if tj + 1 <= _LOG_DIM:
-        return _coeff_exact(tj, tm, tmp, ell)
-    return _coeff_log(tj, tm, tmp, ell)
+    The first term comes from one exact rational, each next one from the
+    exact ratio of neighbours -(A - ell)(B - ell) / ((ell + 1)(ell + 1 + C))
+    with A = j - m', B = j + m, C = m' - m: a few ulps at any size.
+    """
+    lo, hi = _ell_range(tj, tm, tmp)
+    big_a, big_b, big_c = (tj - tmp) // 2, (tj + tm) // 2, (tmp - tm) // 2
+    f = math.factorial
+    num = f(big_b) * f(tj - big_b) * f(tj - big_a) * f(big_a)
+    den = f(big_a - lo) * f(big_b - lo) * f(lo) * f(lo + big_c)
+    row = np.empty(hi - lo + 1)
+    row[0] = (-1) ** lo * math.sqrt(float(Fraction(num, den * den)))
+    for k, ell in enumerate(range(lo, hi)):
+        ratio = (big_a - ell) * (big_b - ell) / ((ell + 1) * (ell + 1 + big_c))
+        row[k + 1] = -row[k] * ratio
+    row.setflags(write=False)
+    return lo, row
 
 
 def small_d_coeff(j, m, mp, ell: int) -> float:
@@ -112,10 +84,10 @@ def small_d_coeff(j, m, mp, ell: int) -> float:
     for t in (tm, tmp):
         if abs(t) > tj or (t - tj) % 2 != 0:
             raise DomainError(f"magnetic number {HalfInt(t)} invalid for j = {HalfInt(tj)}")
-    lo, hi = _ell_range(tj, tm, tmp)
-    if not lo <= ell <= hi:
-        raise DomainError(f"ell = {ell} outside [{lo}, {hi}]")
-    return _coeff(tj, tm, tmp, ell)
+    lo, row = _coeff_row(tj, tm, tmp)
+    if not lo <= ell < lo + row.size:
+        raise DomainError(f"ell = {ell} outside [{lo}, {lo + row.size - 1}]")
+    return float(row[ell - lo])
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,12 @@ Horner pass per point evaluates every wedge entry at -|x| and +|x|, in rho
 at the first and in 1/rho at the second, so its variable never exceeds 1
 and x = +-1 needs no route of its own.  The conditioning of that one
 alternating sum is reported via ``cancellation``.
+
+Moments and the point mass use the Gauss rule of Konno's measure itself
+(``_konno_rule``), a Bernstein-Szego weight with a closed-form Jacobi
+matrix.  The channel weight is a polynomial of degree <= 2j on the support,
+so j + O(1) nodes make every moment exact at every beta, down to the
+ballistic law at beta = 0.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coin import _coeff, _ell_range, _jy_eig
+from .coin import _coeff_row, _jy_eig
 from .errors import DegenerateSpecError, DomainError
 from .halfint import HalfInt, doubled_channels, walk_index
 from .qudit import Qudit
@@ -65,9 +71,7 @@ __all__ = [
     "limit_bin_masses",
 ]
 
-# Gauss-Legendre orders: moments use one rule across a channel's support,
-# bin masses use a short rule per (bin, channel) slice.
-_GL_ORDER = 200
+# Gauss-Legendre order of the rule bin masses use per (bin, channel) slice.
 _BIN_ORDER = 24
 
 # Points per batch of the on-support evaluator.  Its work arrays grow as
@@ -145,15 +149,6 @@ def _offdiag(order, tau: float, x: np.ndarray) -> np.ndarray:
     return np.where((order % 2 == 1) & (x < 0.0), -out, out)
 
 
-@lru_cache(maxsize=65536)
-def _gamma_vec(tj: int, tm1: int, tm: int):
-    """Ladder coefficients Gamma(j, m1, m, ell) over the valid ell range."""
-    lo, hi = _ell_range(tj, tm1, tm)
-    vals = np.array([_coeff(tj, tm1, tm, ell) for ell in range(lo, hi + 1)])
-    vals.setflags(write=False)
-    return lo, vals
-
-
 class _WedgeIndex(NamedTuple):
     """Where each lower-triangle entry (m1 <= m2) of a (2j+1)-square matrix
     takes its value from, with rows and columns i counting m = j - i.
@@ -217,7 +212,7 @@ def _wedge_table(tj: int, tm: int) -> _WedgeTable:
     lo = np.empty(tj + 1, dtype=int)
     top = np.empty(tj + 1, dtype=int)
     for i in range(tj + 1):
-        lo[i], g = _gamma_vec(tj, tj - 2 * i, tm)
+        lo[i], g = _coeff_row(tj, tj - 2 * i, tm)
         fwd[i, : g.size] = g
         rev[i, : g.size] = g[::-1]
         top[i] = g.size - 1
@@ -525,10 +520,10 @@ def _scalar_grid(spec: LimitSpec, tm: int, x: np.ndarray) -> np.ndarray:
     The weight is |v1^dag phi0|^2 + |v2^dag phi0|^2 with the rank-two
     vectors of ``_support_vectors`` restricted to the nonzero qudit
     components, evaluated in blocks of ``_BLOCK`` points.  Every caller
-    passes support points: density samples with |v| < 2m a, and quadrature
-    nodes a sin(theta).  A point that rounding puts just past the support
-    edge is taken at the edge, where ``_support_vectors`` clamps the
-    discriminant at 0.
+    passes support points: density samples with |v| < 2m a, moment nodes
+    a t with |t| <= 1, and bin nodes a sin(theta).  A point that rounding
+    puts just past the support edge is taken at the edge, where
+    ``_support_vectors`` clamps the discriminant at 0.
     """
     q = spec.qudit.amplitudes
     rows = np.flatnonzero(q)
@@ -568,25 +563,36 @@ def continuous_density(spec: LimitSpec, v):
     return float(out[0]) if scalar else out
 
 
-def _channel_moment(spec: LimitSpec, tm: int, r: int) -> float:
-    """(2m)^r * integral of x^r mu(x; a) W_m(x) via the x = a sin(theta)
-    substitution, which removes the endpoint singularity."""
-    a = spec.a
-    nodes, weights = _gauss_legendre(_GL_ORDER)
-    theta = 0.5 * math.pi * nodes
-    s = a * np.sin(theta)
-    vals = _scalar_grid(spec, tm, s) / (1.0 - s * s)
-    if r:
-        vals = vals * s**r
-    integral = 0.5 * math.pi * float(np.dot(weights, vals))
-    return float(tm) ** r * math.sqrt(1.0 - a * a) / math.pi * integral
+def _konno_rule(spec: LimitSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule (nodes x, weights) for Konno's measure.
+
+    In t = x/a, with b = sin(beta/2), the measure is the Bernstein-Szego
+    weight (b/pi) dt / ((1 - a^2 t^2) sqrt(1 - t^2)) of mass 1.  Its Jacobi
+    matrix has a zero diagonal and squared off-diagonals 1/(1+b),
+    b/(2(1+b)), then 1/4; by Golub-Welsch its eigenvalues are the nodes and
+    its squared first eigenvector components the weights.  At b = 0 the
+    matrix splits and the rule puts weight 1/2 on t = +-1.
+    """
+    b = math.sin(0.5 * spec.beta)
+    off = np.full(n - 1, 0.5)
+    off[:2] = np.sqrt([1.0 / (1.0 + b), 0.5 * b / (1.0 + b)])[: n - 1]
+    t, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return spec.a * t, vec[0] ** 2
 
 
 def _continuous_moment(spec: LimitSpec, r: int) -> float:
-    """r-th moment of the continuous part alone (r = 0: its mass)."""
-    if not 0.0 < spec.a < 1.0:
+    """r-th moment of the continuous part alone (r = 0: its mass).
+
+    Channel m adds (2m)^r sum_k w_k x_k^r W_m(x_k) over ``_konno_rule``'s
+    n = floor((2j + r)/2) + 1 nodes, exact to degree 2n - 1 >= 2j + r, so
+    exact for the polynomial W_m.  At a = 1 the nodes sit on x = +-1: the
+    ballistic law.
+    """
+    if spec.a == 0.0:
         return 0.0
-    return math.fsum(_channel_moment(spec, tm, r) for tm in spec.channels)
+    x, w = _konno_rule(spec, (spec.tj + r) // 2 + 1)
+    wr = w * x**r
+    return math.fsum(tm**r * float(wr @ _scalar_grid(spec, tm, x)) for tm in spec.channels)
 
 
 def _point_mass(cont: float) -> float:
@@ -600,7 +606,8 @@ def _point_mass(cont: float) -> float:
 
 def limit_moment(spec: LimitSpec, r: int) -> float:
     """r-th moment of the limit law (point mass included; it only ever
-    contributes to r = 0)."""
+    contributes to r = 0), exact to rounding at every beta through the
+    Gauss rule of ``_continuous_moment``."""
     if r != int(r) or r < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {r!r}")
     r = int(r)
@@ -626,14 +633,17 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     boundaries are captured without special casing.  The nodes of all of a
     channel's non-empty slices go to the channel-weight evaluator in one
     (slices x nodes) batch, which takes them in blocks.  The point mass, if
-    any, is added to the bin containing v = 0.
+    any, is added to the bin containing v = 0.  A degenerate spec raises
+    DegenerateSpecError: at a = 1 there is no continuous part to bin.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise DomainError("edges must be a strictly increasing 1-D array")
+    if spec.is_degenerate:
+        raise DegenerateSpecError(f"no limit density to bin at beta = {spec.beta!r}")
     out = np.zeros(edges.size - 1)
     a = spec.a
-    if 0.0 < a < 1.0:
+    if a > 0.0:
         nodes, weights = _gauss_legendre(_BIN_ORDER)
         pref = math.sqrt(1.0 - a * a) / math.pi
         for tm in spec.channels:
@@ -648,9 +658,7 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
             vals = _scalar_grid(spec, tm, s.ravel()).reshape(s.shape) / (1.0 - s * s)
             out[k] += pref * hw * (vals @ weights)
     if spec.has_point_mass:
-        dm = delta_mass(spec)
-        if dm > 0.0:
-            k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
-            if 0 <= k0 < out.size:
-                out[k0] += dm
+        k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
+        if 0 <= k0 < out.size:
+            out[k0] += delta_mass(spec)
     return out

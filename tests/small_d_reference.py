@@ -5,7 +5,8 @@
     d_{m m'}(beta) = sum_ell Gamma(j, m, m', ell)
                      cos(beta/2)^(2j + m - m' - 2 ell) sin(beta/2)^(2 ell + m' - m),
 
-term by term in ``math.fsum``.  It alternates in sign and loses roughly one
+term by term in ``math.fsum``, with each coefficient from exact integer
+arithmetic (``coeff_exact``).  It alternates in sign and loses roughly one
 digit per ten components, so it is a reference up to about 30 components.
 
 ``two_path_small_d`` is the package's earlier two-path evaluator: that sum
@@ -16,10 +17,30 @@ channel-weight cross-checks compare two different evaluations.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from quditwalk.coin import _coeff, _ell_range, _jy_eig
+from quditwalk.coin import _ell_range, _jy_eig
+
+
+def coeff_exact(tj: int, tm: int, tmp: int, ell: int) -> float:
+    """Signed small-d summation coefficient, correctly rounded from the
+    exact rational."""
+    num = (
+        math.factorial((tj + tm) // 2)
+        * math.factorial((tj - tm) // 2)
+        * math.factorial((tj + tmp) // 2)
+        * math.factorial((tj - tmp) // 2)
+    )
+    den = (
+        math.factorial((tj - tmp) // 2 - ell)
+        * math.factorial((tj + tm) // 2 - ell)
+        * math.factorial(ell)
+        * math.factorial(ell + (tmp - tm) // 2)
+    )
+    mag = math.sqrt(float(Fraction(num, den * den)))
+    return -mag if ell % 2 else mag
 
 
 def small_d_sum(tj: int, beta: float) -> np.ndarray:
@@ -31,7 +52,7 @@ def small_d_sum(tj: int, beta: float) -> np.ndarray:
         for i2, tmp in enumerate(range(tj, -tj - 1, -2)):
             lo, hi = _ell_range(tj, tm, tmp)
             out[i1, i2] = math.fsum(
-                _coeff(tj, tm, tmp, ell)
+                coeff_exact(tj, tm, tmp, ell)
                 * c ** (tj + (tm - tmp) // 2 - 2 * ell)
                 * s ** (2 * ell + (tmp - tm) // 2)
                 for ell in range(lo, hi + 1)

@@ -68,6 +68,11 @@ def test_critical_j_table():
     assert critical_j(math.pi / 10, HalfInt(49)).j_critical == HalfInt(7)
     assert critical_j(22 * math.pi / 25, HalfInt(49)).j_critical == HalfInt(37)
     assert critical_j(46 * math.pi / 50, HalfInt(49)).j_critical is None
+    # from 2j+1 ~ 1030 on C(2j, j+m) is past the float range, and 2^(1-2j)
+    # underflows from 2j+1 = 1077 on; their ratio is neither
+    for dim in (1031, 1201, 2001):
+        d2 = curvature_at_origin(HalfInt(dim - 1), math.pi / 2)
+        assert math.isfinite(d2) and d2 < 0.0, (dim, d2)
 
 
 # ----------------------------------------------------------- pike weights
@@ -90,6 +95,13 @@ def test_pike_weights_sum_to_one():
                 pike_weight(HalfInt(tj), beta, HalfInt(tm)) for tm in range(1, tj + 1, 2)
             )
             assert total == pytest.approx(1.0, abs=1e-12), (tj, beta)
+    # past 2j+1 ~ 1030 the binomial, and past ~1330 (1+c)^(j+m), leave the
+    # float range on their own; the weights themselves do not
+    for tj in (1099, 2000):
+        _, h = pike_weight_scaled(HalfInt(tj), math.pi / 2)
+        weights = h / (tj / math.sqrt(2.0))
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12), tj
 
 
 def test_pike_weight_rejects_bad_channels():

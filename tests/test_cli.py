@@ -80,6 +80,14 @@ def test_simulate_prints_the_distribution():
     _, rows = parse_csv(out)
     assert code == 0 and [r[0] for r in rows] == [-1.0, 1.0]
 
+    # so is every other negative angle parse_angle accepts; at 2j+1 = 3 and
+    # t = 3 alpha changes the distribution, so the value must arrive intact
+    run = ["simulate", "--j", "1", "--beta", "pi/2", "--qudit", "paper-sym", "--t", "3"]
+    for alpha in ("-pi", "-3/4", "-.5", "-1e-3"):
+        code, out, err = run_cli(run + ["--alpha", alpha])
+        assert code == 0, (alpha, err)
+        assert (0, out, "") == run_cli(run + [f"--alpha={alpha}"]), alpha
+
 
 def test_density_grid_reduces_to_the_base_law():
     # negative grid endpoints must survive argparse's option detection
@@ -239,6 +247,10 @@ def test_scan_hscaled_half_spin():
     header, rows = parse_csv(out)
     assert code == 0 and header == ["m_over_sigma", "sigma_h"] and len(rows) == 1
     assert rows[0] == pytest.approx([2**-0.5, 2**-0.5], abs=1e-12)
+    # at 1100 components C(2j, j+m) alone is past the float range
+    code, out, err = run_cli(["scan", "hscaled", "--beta", "pi/2", "--j", "1099/2"])
+    _, rows = parse_csv(out)
+    assert code == 0 and len(rows) == 550, err
 
 
 def test_scan_rescaled_default_grid():

@@ -14,8 +14,8 @@ from quditwalk import (
     small_d,
     small_d_coeff,
 )
-from quditwalk.coin import _coeff_exact, _coeff_log, _ell_range
-from small_d_reference import small_d_sum
+from quditwalk.coin import _coeff_row, _ell_range
+from small_d_reference import coeff_exact, small_d_sum
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -35,17 +35,30 @@ def test_coeff_rejects_bad_indices():
         small_d_coeff("1/2", "1/2", "1/2", 1)  # ell past the sum range
 
 
-def test_log_coeffs_match_exact_ones():
+def _row_gap(tj, tm, tmp):
+    lo, row = _coeff_row(tj, tm, tmp)
+    assert (lo, lo + row.size - 1) == _ell_range(tj, tm, tmp)
+    exact = np.array([coeff_exact(tj, tm, tmp, lo + k) for k in range(row.size)])
+    return float(np.max(np.abs(row - exact) / np.abs(exact)))
+
+
+def test_coeff_rows_match_exact_ones():
+    # each row runs from one exact term by exact neighbour ratios, so it
+    # stays within a few ulps of the rational at any size
     worst = 0.0
     for tj in range(1, 20):
         for tm in range(-tj, tj + 1, 2):
             for tmp in range(-tj, tj + 1, 2):
-                lo, hi = _ell_range(tj, tm, tmp)
-                for ell in range(lo, hi + 1):
-                    exact = _coeff_exact(tj, tm, tmp, ell)
-                    approx = _coeff_log(tj, tm, tmp, ell)
-                    worst = max(worst, abs(exact - approx) / abs(exact))
-    assert worst < 1e-10, worst
+                worst = max(worst, _row_gap(tj, tm, tmp))
+    rng = np.random.default_rng(11)
+    for dim in (50, 130, 300):
+        tj = dim - 1
+        for _ in range(12):
+            tm, tmp = (int(t) for t in tj - 2 * rng.integers(0, dim, size=2))
+            worst = max(worst, _row_gap(tj, tm, tmp))
+        # the longest row, where the ratios run furthest
+        worst = max(worst, _row_gap(tj, tj % 2, tj % 2))
+    assert worst < 1e-14, worst
 
 
 def test_half_spin_matrix():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import quditwalk
 from quditwalk import (
+    DegenerateSpecError,
     DomainError,
     HalfInt,
     LimitSpec,
@@ -29,8 +30,9 @@ from quditwalk import (
     weight_matrix_top,
     weight_scalar,
 )
-from quditwalk.coin import _jy_eig
-from quditwalk.density import _gamma_vec, _gauss_legendre, _wedge_index, _wedge_table
+import quditwalk.density as density
+from quditwalk.coin import _coeff_row, _jy_eig
+from quditwalk.density import _gauss_legendre, _wedge_index, _wedge_table
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -59,6 +61,20 @@ def test_konno_normalization_and_second_moment():
         assert float(np.dot(weights, vals)) == pytest.approx(1.0, abs=1e-10)
         second = float(np.dot(weights, vals * x * x))
         assert second == pytest.approx(1.0 - math.sqrt(1.0 - a * a), abs=1e-10)
+    # the moments' n-node Gauss rule for this measure is exact to degree
+    # 2n - 1; dividing x^(2k) (1 - x^2) out of the density leaves an arcsine
+    # law, so m_(2k+2) = m_(2k) - b a^(2k) C(2k, k) / 4^k with b = sin(beta/2)
+    for beta in (1e-6, 0.3, math.pi / 2, 3.0):
+        spec = LimitSpec(preset_qudit("up", "1/2"), beta)
+        a, b = spec.a, math.sin(0.5 * beta)
+        for n in range(1, 9):
+            x, w = density._konno_rule(spec, n)
+            assert np.all(np.abs(x) < a) and np.all(w > 0.0)
+            mom = 1.0
+            for k in range(n):
+                assert float(w @ x ** (2 * k)) == pytest.approx(mom, abs=1e-14), (beta, n, k)
+                assert abs(float(w @ x ** (2 * k + 1))) < 1e-14
+                mom -= b * a ** (2 * k) * math.comb(2 * k, k) / 4**k
 
 
 # ------------------------------------------------------- entry polynomials
@@ -332,6 +348,12 @@ def test_channel_up_reduction():
     assert float(np.abs(continuous_density(spec, v) - expect).max()) < 1e-12
     assert limit_moment(spec, 2) == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-10)
     assert limit_moment(spec, 0) == pytest.approx(1.0, abs=1e-12)
+    # the closed forms m2 = 1 - sin(beta/2) and mass 1 over the whole domain,
+    # where the law's peak near +-a is only sin(beta/2) wide
+    for beta in (0.0, 1e-9, 1e-6, 1e-3, 0.002, 0.05, math.pi / 2, 3.0, math.pi - 1e-9):
+        spec = LimitSpec(preset_qudit("up", "1/2"), beta)
+        assert limit_moment(spec, 2) == pytest.approx(1.0 - math.sin(0.5 * beta), abs=1e-14)
+        assert limit_moment(spec, 0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_density_vanishes_outside_the_widest_channel():
@@ -359,6 +381,12 @@ def test_point_mass_values():
     assert delta_mass(LimitSpec(preset_qudit("paper-sym", "1/2"), math.pi / 2)) == 0.0
     rest = LimitSpec(Qudit(1, (0, 1, 0)), 0.0)
     assert delta_mass(rest) == 1.0  # a = 1: nothing ever spreads
+    # a = 1 in float, though b = 5e-9: the law is within O(b) of the
+    # ballistic one, +-2 with no mass at the origin
+    shallow = LimitSpec(preset_qudit("up", 1), 1e-8)
+    assert shallow.a == 1.0
+    assert delta_mass(shallow) < 1e-8
+    assert limit_moment(shallow, 2) == pytest.approx(4.0, abs=1e-7)
     spread = LimitSpec(preset_qudit("paper-sym", 1), math.pi / 2)
     assert delta_mass(spread) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-12)
 
@@ -373,6 +401,62 @@ def test_bin_masses_sum_to_total_mass():
         limit_bin_masses(spec, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(DomainError):
         limit_bin_masses(spec, np.array([1.0]))
+    # a = 1 has no continuous part to bin, and an even size at a = 0 no law
+    for degenerate in (
+        LimitSpec(Qudit(1, (1, 0, 0)), 0.0),
+        LimitSpec(preset_qudit("paper-sym", "1/2"), math.pi),
+    ):
+        with pytest.raises(DegenerateSpecError):
+            limit_bin_masses(degenerate, edges)
+
+
+def _dense(dim, seed):
+    rng = np.random.default_rng(seed)
+    return Qudit(HalfInt(dim - 1), rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+@pytest.mark.parametrize("dim", (2, 13, 50, 130))
+def test_moments_reach_the_ballistic_law(dim):
+    # at beta = 0 component m moves ballistically at -2m: the law is
+    # sum_m |q_m|^2 delta(v + 2m), with the m = 0 mass at the origin
+    qudit = _dense(dim, 3000 + dim)
+    prob = np.abs(qudit.amplitudes) ** 2
+    vel = -np.arange(dim - 1, -dim, -2.0)
+    for beta, tol in ((0.0, 1e-13), (1e-9, 1e-8)):
+        spec = LimitSpec(qudit, beta, 0.4)
+        for r in (0, 1, 2, 4):
+            want = float(np.sum(prob * vel**r))
+            got = limit_moment(spec, r)
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (beta, r, got, want)
+        if spec.has_point_mass:
+            assert delta_mass(spec) == pytest.approx(prob[dim // 2], abs=tol)
+
+
+_ALL_BETAS = (1e-9, 1e-6, 1e-3, 0.05, math.pi / 2, 3.0, math.pi - 1e-6)
+
+
+@pytest.mark.parametrize(
+    "dim, betas, orders",
+    [
+        (3, _ALL_BETAS, (0, 1, 2, 4)),
+        (13, _ALL_BETAS, (0, 1, 2, 4)),
+        (50, _ALL_BETAS, (0, 1, 2, 4)),
+        # about 0.1 s per moment here, so the two ends of the range only
+        (130, (1e-9, math.pi - 1e-6), (0, 1, 4)),
+    ],
+)
+def test_moment_rule_needs_no_more_nodes(monkeypatch, dim, betas, orders):
+    # the rule is exact at n nodes, so eleven more change nothing but rounding
+    rule = density._konno_rule
+    qudit = _dense(dim, 4000 + dim)
+    for beta in betas:
+        spec = LimitSpec(qudit, beta, 0.4)
+        for r in orders:
+            got = limit_moment(spec, r)
+            with monkeypatch.context() as mp:
+                mp.setattr(density, "_konno_rule", lambda spec, n: rule(spec, n + 11))
+                more = limit_moment(spec, r)
+            assert abs(got - more) <= 1e-13 * max(1.0, abs(more)), (beta, r, got, more)
 
 
 # ------------------------------------------------------ guards and caches
@@ -382,7 +466,7 @@ def test_cached_arrays_are_read_only():
     before = limit_moment(spec, 2)
     lam, vec = _jy_eig(5)
     nodes, weights = _gauss_legendre(200)
-    _, gam = _gamma_vec(5, 1, 3)
+    _, gam = _coeff_row(5, 1, 3)
     tab = _wedge_table(5, 1)
     for arr in (lam, vec, nodes, weights, gam, _wedge_index(5).sign, tab.coef, tab.up):
         with pytest.raises(ValueError):
@@ -403,7 +487,7 @@ def test_runtime_checks_survive_optimized_mode():
             print("weight_scalar returned", weight_scalar(skew, Qudit("1/2", (1, 1))))
         except DomainError:
             print("weight_scalar raised")
-        density._channel_moment = lambda spec, tm, r: 2.0
+        density._scalar_grid = lambda spec, tm, x: np.full(np.shape(x), 4.0)
         try:
             print("delta_mass returned", density.delta_mass(LimitSpec(preset_qudit("up", 1), 1.0)))
         except DomainError:
