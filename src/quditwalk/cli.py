@@ -96,7 +96,8 @@ def _parse_grid(text: str):
         raise argparse.ArgumentTypeError(
             f"grid must look like lo:hi:n, got {text!r}"
         ) from None
-    if len(parts) != 3 or not (lo < hi and n >= 2):
+    # a finite hi - lo refuses an infinite end and a span that overflows
+    if len(parts) != 3 or not (lo < hi and hi - lo < math.inf and n >= 2):
         raise argparse.ArgumentTypeError(f"grid must look like lo:hi:n, got {text!r}")
     return lo, hi, n, text.strip()
 

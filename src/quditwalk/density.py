@@ -53,7 +53,7 @@ import numpy as np
 
 from .coin import _coeff_row, _jy_eig
 from .errors import DegenerateSpecError, DomainError
-from .halfint import HalfInt, doubled_channels, walk_index
+from .halfint import HalfInt, _require_nonneg_int, doubled_channels, walk_index
 from .qudit import Qudit
 
 __all__ = [
@@ -116,13 +116,12 @@ def offdiag_poly(order: int, tau: float, x):
     the expanded coefficients would cancel catastrophically by order ~ 30.
     Odd orders give odd functions of x and even orders even ones, exactly.
     """
-    if order != int(order) or order < 0:
-        raise DomainError(f"order must be a nonnegative integer, got {order!r}")
+    order = _require_nonneg_int(order, "order")
     tau = float(tau)
     if not math.isfinite(tau):
         raise DomainError(f"tau must be finite, got {tau!r}")
     arr = np.asarray(x, dtype=float)
-    out = _offdiag(int(order), tau, np.atleast_1d(arr))
+    out = _offdiag(order, tau, np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -299,10 +298,18 @@ def _wedge_matrix(tj, tm, x: float, tau, gamma):
 def _require_beta(beta: float) -> float:
     beta = float(beta)
     if not 0.0 <= beta < math.pi:
-        raise DomainError(
-            f"weight matrices need beta in [0, pi), got {beta!r}"
-        )
+        raise DomainError(f"weight matrices need beta in [0, pi), got {beta!r}")
     return math.tan(0.5 * beta)
+
+
+def _weight_args(x, beta, gamma) -> tuple[float, float, float]:
+    """(x, tau, gamma) of a weight-matrix request, checked: beta in
+    [0, pi), x and gamma finite."""
+    tau = _require_beta(beta)
+    x, gamma = float(x), float(gamma)
+    if not (math.isfinite(x) and math.isfinite(gamma)):
+        raise DomainError(f"weight matrices need a finite x and gamma, got {x!r} and {gamma!r}")
+    return x, tau, gamma
 
 
 @dataclass(frozen=True)
@@ -311,11 +318,11 @@ class WeightMatrix:
 
     ``cancellation`` carries the worst conditioning ratio of the wedge
     polynomials met while assembling entries: the Horner sum of absolute
-    coefficients over the net sum.  It stays 1.0 on the recurrence path and
-    on the channel support (1+tau^2) x^2 <= 1 (up to a few ulps past it),
-    where the rank-two evaluation is cancellation-free.  Off the support,
-    results with ratios beyond ~1e10 should not be trusted to more than a
-    few digits.
+    coefficients over the net sum.  It stays 1.0 on the channel support
+    (1+tau^2) x^2 <= 1 (up to a few ulps past it), where the rank-two
+    evaluation is cancellation-free, and for m = j everywhere, whose wedge
+    polynomials have one term each.  Off the support, results with ratios
+    beyond ~1e10 should not be trusted to more than a few digits.
     """
 
     tj: int
@@ -354,13 +361,11 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     it, the whole matrix is the sum of two outer products of
     ``_support_vectors``.  Off it the wedge entries are polynomials
     evaluated in one Horner pass and spread by symmetry (``_wedge_matrix``).
-    Accepts m = 0 so the m = j-1 recurrence can be cross-checked at j = 1,
-    although the density itself only sums channels with m > 0.
+    Accepts m = 0 so that ``weight_matrix_second`` can be checked against
+    it at j = 1, although the density itself only sums channels with m > 0.
     """
     tj, tm = _weight_indices(j, m)
-    tau = _require_beta(beta)
-    gamma = float(gamma)
-    x = float(x)
+    x, tau, gamma = _weight_args(x, beta, gamma)
     # a point a few ulps past the edge (a pike point cos(beta/2) can round
     # there) takes the rank-two form at the edge, where the wedge
     # polynomials would cancel catastrophically
@@ -374,78 +379,33 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     return WeightMatrix(tj, tm, x, float(beta), gamma, ent, worst)
 
 
-def _base_matrix(x: float, tau: float, gamma: float) -> np.ndarray:
-    ph = complex(np.exp(1j * gamma))
-    return np.array(
-        [[1.0 - x, tau * x * ph], [tau * x * ph.conjugate(), 1.0 + x]],
-        dtype=complex,
-    )
-
-
-def _lift_top(tjj: int, prev: np.ndarray, x: float, tau: float, gamma: float) -> np.ndarray:
-    """Wedge of M^(j,j) at doubled spin tjj from the full matrix one half
-    step down, evaluated at the same point."""
-    idx = _wedge_index(tjj)
-    # the wedge entries but the corner: m1 = -j there forces m2 = j
-    keep = ~idx.mirror & (idx.rows < tjj)
-    r, c = idx.rows[keep], idx.cols[keep]
-    top = np.zeros((tjj + 1, tjj + 1), dtype=complex)
-    fac = tjj / np.sqrt(4 * (tjj - r) * (tjj - c))
-    top[r, c] = fac * (1.0 - x) * prev[r, c]
-    top[tjj, 0] = 2.0 ** (1 - tjj) * offdiag_poly(tjj, tau, x) * complex(np.exp(-1j * tjj * gamma))
-    return top
-
-
-def _complete(tjj: int, top_x: np.ndarray, top_mx: np.ndarray) -> np.ndarray:
-    """Fill a full matrix from its wedge at x and the wedge at -x."""
-    idx = _wedge_index(tjj)
-    m = idx.mirror
-    ent = top_x.copy()
-    ent[idx.rows[m], idx.cols[m]] = idx.sign[m] * top_mx[tjj - idx.cols[m], tjj - idx.rows[m]]
-    iu = np.triu_indices(tjj + 1, 1)
-    ent[iu] = np.conj(ent.T[iu])
-    return ent
-
-
 def weight_matrix_top(j, x, beta, gamma=0.0) -> WeightMatrix:
-    """M^(j,j)(x) grown half a spin at a time from the j = 1/2 seed.
-
-    Each half step scales wedge entries by (1-x) times a ladder factor and
-    injects the closing corner; symmetry completion needs the mirrored
-    point, so the recursion carries matrices at x and -x together.
-    """
-    tj = walk_index(j)
-    tau = _require_beta(beta)
-    gamma = float(gamma)
-    x = float(x)
-    p = _base_matrix(x, tau, gamma)
-    q = _base_matrix(-x, tau, gamma)
-    for tjj in range(2, tj + 1):
-        tp = _lift_top(tjj, p, x, tau, gamma)
-        tq = _lift_top(tjj, q, -x, tau, gamma)
-        p = _complete(tjj, tp, tq)
-        q = _complete(tjj, tq, tp)
-    return WeightMatrix(tj, tj, x, float(beta), gamma, p)
+    """M^(j,j)(x), the top channel's matrix: ``weight_matrix_direct`` at
+    m = j, where every wedge polynomial is a single term."""
+    return weight_matrix_direct(j, j, x, beta, gamma)
 
 
 def weight_matrix_second(j, x, beta, gamma=0.0, top: WeightMatrix | None = None) -> WeightMatrix:
-    """M^(j,j-1)(x), an entrywise rational rescaling of M^(j,j)(x)."""
+    """M^(j,j-1)(x), an entrywise rational rescaling of M^(j,j)(x).
+
+    ``top`` may pass an M^(j,j) already evaluated at the same (x, beta,
+    gamma); by default it comes from ``weight_matrix_top``.  The rescaling
+    divides by 1 - x^2, so x = +-1 is refused.
+    """
     tj = walk_index(j)
     if tj < 2:
         raise DomainError("the m = j-1 matrix needs j >= 1")
-    x = float(x)
+    x, _, gamma = _weight_args(x, beta, gamma)
     if x in (1.0, -1.0):
         raise DomainError("the m = j-1 rescaling is singular at x = +-1")
     if top is None:
         top = weight_matrix_top(j, x, beta, gamma)
-    elif (top.tj, top.tm) != (tj, tj) or top.x != x:
-        raise DomainError("supplied top matrix does not match (j, x)")
+    elif (top.tj, top.tm, top.x, top.beta, top.gamma) != (tj, tj, x, float(beta), gamma):
+        raise DomainError("supplied top matrix does not match (j, x, beta, gamma)")
     tms = np.arange(tj, -tj - 1, -2, dtype=float)
     g = tj * x + tms
     fac = np.outer(g, g) / (tj * (1.0 - x) * (1.0 + x))
-    return WeightMatrix(
-        tj, tj - 2, x, float(beta), float(gamma), fac * top.entries, top.cancellation
-    )
+    return WeightMatrix(tj, tj - 2, x, float(beta), gamma, fac * top.entries, top.cancellation)
 
 
 def weight_scalar(mat: WeightMatrix, qudit: Qudit) -> float:
@@ -608,9 +568,7 @@ def limit_moment(spec: LimitSpec, r: int) -> float:
     """r-th moment of the limit law (point mass included; it only ever
     contributes to r = 0), exact to rounding at every beta through the
     Gauss rule of ``_continuous_moment``."""
-    if r != int(r) or r < 0:
-        raise DomainError(f"moment order must be a nonnegative integer, got {r!r}")
-    r = int(r)
+    r = _require_nonneg_int(r, "moment order")
     total = _continuous_moment(spec, r)
     if r == 0 and spec.has_point_mass:
         total += _point_mass(total)

@@ -76,6 +76,18 @@ def walk_index(value) -> int:
     return j.doubled
 
 
+def _require_nonneg_int(value, name: str) -> int:
+    """``value`` as an int, if it is a real number equal to a nonnegative
+    integer; any other real, inf and nan included, raises DomainError."""
+    try:
+        ok = value == int(value) and value >= 0
+    except (ValueError, OverflowError):  # int(nan), int(inf)
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def components(j) -> tuple[HalfInt, ...]:
     """Magnetic quantum numbers m = j, j-1, ..., -j in descending order."""
     tj = walk_index(j)

