@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from quditwalk import (
     pseudovelocity_moment,
     step,
 )
+from quditwalk import walk
 from quditwalk.coin import rotation_matrix
+from walk_reference import reference_distribution, reference_evolve
 
 HADAMARD_LIKE = EulerAngles(0.0, math.pi / 2, 0.0)
 
@@ -120,6 +123,65 @@ def test_step_validates_coin_shape():
         step(field, rotation_matrix("1/2", HADAMARD_LIKE))
 
 
+def _dense_qudit(dim: int) -> Qudit:
+    rng = np.random.default_rng(dim)
+    return Qudit(HalfInt(dim - 1), rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+# alpha = gamma = 0 gives a real-valued coin; beta = 1e-9 is nearly the identity
+SWEEP_ANGLES = (
+    EulerAngles(0.0, math.pi / 2, 0.0),
+    EulerAngles(0.3, 1e-9, -0.5),
+    EulerAngles(1.1, 22 * math.pi / 25, math.pi),
+)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 12, 13, 50, 64])
+def test_evolve_matches_the_position_major_reference(dim):
+    q = _dense_qudit(dim)
+    for angles in SWEEP_ANGLES:
+        for t in (0, 1, 2, 7, 40):
+            field = evolve(q, angles, t)
+            amps, x = reference_evolve(q, angles, t)
+            assert field.amps.shape == amps.shape == (1 + (dim - 1) * t, dim)
+            assert np.array_equal(field.positions, x)
+            assert np.array_equal(field.amps, amps), (dim, angles, t)
+            dist = position_distribution(field)
+            assert np.array_equal(dist.x, x)
+            assert np.array_equal(dist.p, reference_distribution(amps)), (dim, angles, t)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12, 31])
+def test_public_step_repeats_evolve_exactly(dim):
+    q = _dense_qudit(dim)
+    for angles in SWEEP_ANGLES:
+        coin = rotation_matrix(q.j, angles)
+        field = initial_state(q)
+        for t in range(9):
+            whole = evolve(q, angles, t)
+            assert (field.t, field.lo) == (whole.t, whole.lo)
+            assert np.array_equal(field.amps, whole.amps), (dim, angles, t)
+            assert np.array_equal(field.positions, whole.positions)
+            field = step(field, coin)
+
+
+def test_evolve_refuses_a_field_over_the_memory_budget():
+    # two complex buffers of (1 + 129 t) x 130 amplitudes each
+    per_site = 2 * 130 * 16
+    t_max = (walk.FIELD_BUDGET_BYTES // per_site - 1) // 129
+    assert t_max >= 1000  # the budget admits 130 components at t = 1000
+    walk._require_field_budget(129, t_max)  # just under: accepted, nothing run
+    q = Qudit(HalfInt(129), np.ones(130))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            evolve(q, HADAMARD_LIKE, t_max + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before any buffer was allocated
+
+
 def test_evolve_validates_t():
     q = preset_qudit("up", "1/2")
     for bad in (-1, 2.5, math.inf, math.nan):
@@ -144,8 +206,9 @@ def test_moment_basics():
     assert pseudovelocity_moment(dist, 1, 2) == pytest.approx(1.0, abs=1e-15)
     sym = position_distribution(evolve(preset_qudit("paper-sym", "1/2"), HADAMARD_LIKE, 30))
     assert pseudovelocity_moment(sym, 30, 1) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(DomainError):
-        pseudovelocity_moment(dist, 0, 2)
+    for bad_t in (0, -1, 2.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            pseudovelocity_moment(dist, bad_t, 2)
     for bad_order in (-1, 0.5, math.inf, math.nan):
         with pytest.raises(DomainError):
             pseudovelocity_moment(dist, 1, bad_order)
@@ -186,8 +249,9 @@ def test_binning_v_max_pads_the_range():
 
 def test_binning_validates_arguments():
     dist = Distribution(np.array([0]), np.array([1.0]))
-    with pytest.raises(DomainError):
-        binned_density(dist, 0, 0.05)
+    for bad_t in (0, -1, 2.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            binned_density(dist, bad_t, 0.05)
     for bad_width in (0.0, -0.1, math.inf):
         with pytest.raises(DomainError):
             binned_density(dist, 10, bad_width)
