@@ -81,8 +81,8 @@ def _advance(field: np.ndarray, n: int, coin: np.ndarray, scratch: np.ndarray) -
     """
     dim = coin.shape[0]
     mixed = scratch[:n]
-    # amps @ coin.T, the position-major view on the left, adds in the same
-    # order as on a position-major array; coin @ field[:, :n] would not
+    # a position-major product amps @ coin.T adds in the same order as on a
+    # position-major array; a channel-major coin @ field[:, :n] does not
     np.matmul(field[:, :n].T, coin.T, out=mixed)
     for i in range(dim):
         # channel i carries m = j - i and shifts by -(tj - 2i) sites
@@ -144,7 +144,7 @@ class Distribution:
 def position_distribution(field: WaveField) -> Distribution:
     # |amps|^2 in position-major order: summing over the channel axis of the
     # channel-major layout adds in another order and changes the last bits
-    # of p from 12 components up
+    # of p from 8 components up
     p = np.abs(field.amps, order="C") ** 2
     return Distribution(field.positions, p.sum(axis=1))
 
