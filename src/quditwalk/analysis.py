@@ -14,19 +14,19 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .density import (
-    LimitSpec,
-    _weight_indices,
-    continuous_density,
-    weight_matrix_direct,
-    weight_scalar,
-)
 from .errors import DegenerateSpecError, DomainError
-from .halfint import HalfInt, doubled_channels, walk_index
-from .qudit import preset_qudit
+from .halfint import HalfInt, _weight_indices, doubled_channels, walk_index
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .density import LimitSpec
+
+# The closed forms (curvature, critical j, pike weights, zero region) need
+# only math and decimal; numpy and the density code are imported by the
+# functions that use them, so the CLI's closed-form scans never load them.
 
 __all__ = [
     "curvature_at_origin",
@@ -124,6 +124,9 @@ def pike_weight_paths(j, beta: float, m) -> tuple[float, float]:
     contracts it with the symmetric endpoint state; the gap between the two
     numbers is a live accuracy estimate for the matrix machinery.
     """
+    from .density import weight_matrix_direct, weight_scalar
+    from .qudit import preset_qudit
+
     tj, tm = _pike_indices(j, m)
     closed = pike_weight(j, beta, m)
     qudit = preset_qudit("paper-sym", HalfInt(tj))
@@ -138,9 +141,12 @@ def pike_zero_region(j, beta: float, threshold: float = 1e-8) -> tuple[HalfInt, 
 
     Scans m upward from the smallest channel and stops at the first weight
     at or above threshold; an empty tuple means even the innermost pike
-    survives.
+    survives.  A nan threshold raises DomainError: no weight compares
+    below it, so it would report an empty region.
     """
     tj = walk_index(j)
+    if math.isnan(threshold):
+        raise DomainError("the zero-region threshold must not be nan")
     run = []
     for tm in doubled_channels(tj):
         if abs(pike_weight(HalfInt(tj), beta, HalfInt(tm))) < threshold:
@@ -154,6 +160,8 @@ def pike_weight_scaled(j, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Pike weights on the j-independent axis: (m / sigma, sigma * H(m))
     with sigma = sqrt(2) j.  On this scale the region where the weights are
     appreciably nonzero stops moving as j grows."""
+    import numpy as np
+
     tj = walk_index(j)
     sigma = tj / math.sqrt(2.0)
     tms = np.array(doubled_channels(tj))
@@ -163,7 +171,11 @@ def pike_weight_scaled(j, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def rescaled_density(spec: LimitSpec, u):
     """Continuous limit density of the rescaled pseudovelocity
-    X_t / (2 j a t), supported in (-1, 1)."""
+    X_t / (2 j a t), supported in (-1, 1); a nan u raises DomainError."""
+    import numpy as np
+
+    from .density import continuous_density
+
     a = spec.a
     if a == 0.0:
         raise DegenerateSpecError("support collapses at a = 0; nothing to rescale")

@@ -20,12 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .analysis import (
@@ -34,18 +34,15 @@ from .analysis import (
     pike_weight_scaled,
     rescaled_density,
 )
-from .coin import EulerAngles
-from .density import (
-    LimitSpec,
-    continuous_density,
-    delta_mass,
-    limit_bin_masses,
-    limit_moment,
-)
 from .errors import DegenerateSpecError, DomainError
 from .halfint import HalfInt, doubled_channels, walk_index
-from .qudit import PRESET_NAMES, Qudit, preset_qudit
-from .walk import binned_density, evolve, position_distribution, pseudovelocity_moment
+
+if TYPE_CHECKING:
+    from .density import LimitSpec
+    from .qudit import Qudit
+
+# Each handler imports the modules it uses, so a command loads only those:
+# the closed-form scans (d2, jc, hfun) run without numpy.
 
 __all__ = ["main", "parse_angle"]
 
@@ -142,6 +139,8 @@ def _pos_float(text: str) -> float:
 
 
 def _qudit_from_file(path: Path, j: HalfInt) -> Qudit:
+    from .qudit import Qudit
+
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -158,6 +157,8 @@ def _qudit_from_file(path: Path, j: HalfInt) -> Qudit:
 
 
 def _resolve_qudit(args) -> Qudit:
+    from .qudit import PRESET_NAMES, preset_qudit
+
     name = args.qudit
     if name in PRESET_NAMES:
         return preset_qudit(name, args.j)
@@ -168,7 +169,7 @@ def _resolve_qudit(args) -> Qudit:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return repr(float(value))
 
@@ -228,12 +229,17 @@ def _require_live(spec: LimitSpec) -> None:
 
 
 def _live_spec(args) -> LimitSpec:
+    from .density import LimitSpec
+
     spec = LimitSpec(_resolve_qudit(args), args.beta, args.gamma)
     _require_live(spec)
     return spec
 
 
 def _distribution(args, qudit: Qudit):
+    from .coin import EulerAngles
+    from .walk import evolve, position_distribution
+
     field = evolve(qudit, EulerAngles(args.alpha, args.beta, args.gamma), args.t)
     return position_distribution(field)
 
@@ -245,6 +251,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    import numpy as np
+
+    from .density import continuous_density, delta_mass
+
     spec = _live_spec(args)
     lo, hi, n, _ = args.grid
     v = np.linspace(lo, hi, n)
@@ -254,6 +264,9 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from .density import limit_moment
+    from .walk import pseudovelocity_moment
+
     spec = _live_spec(args)
     orders = range(1, args.rmax + 1)
     limits = [limit_moment(spec, r) for r in orders]
@@ -270,6 +283,11 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    import numpy as np
+
+    from .density import limit_bin_masses, limit_moment
+    from .walk import binned_density, pseudovelocity_moment
+
     spec = _live_spec(args)
     dist = _distribution(args, spec.qudit)
     mrows = []
@@ -322,6 +340,11 @@ def _cmd_scan_hscaled(args) -> int:
 
 
 def _cmd_scan_rescaled(args) -> int:
+    import numpy as np
+
+    from .density import LimitSpec
+    from .qudit import preset_qudit
+
     lo, hi, n, _ = args.grid
     u = np.linspace(lo, hi, n)
     columns = []

@@ -53,7 +53,7 @@ import numpy as np
 
 from .coin import _coeff_row, _jy_eig
 from .errors import DegenerateSpecError, DomainError
-from .halfint import HalfInt, _require_nonneg_int, doubled_channels, walk_index
+from .halfint import HalfInt, _require_nonneg_int, _weight_indices, doubled_channels, walk_index
 from .qudit import Qudit
 
 __all__ = [
@@ -80,17 +80,26 @@ _BIN_ORDER = 24
 _BLOCK = 1024
 
 
+def _sample_points(v) -> tuple[np.ndarray, bool]:
+    """(v as a 1-d float array, whether v was a scalar).  A nan sample
+    raises DomainError: it has no density, and 0.0 would read as one.  An
+    infinite sample lies outside every support."""
+    arr = np.asarray(v, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError("density samples must not be nan")
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
 def konno_density(x, a: float):
     """Konno's density sqrt(1-a^2) / [pi (1-x^2) sqrt(a^2-x^2)] on |x| < |a|.
 
-    Zero outside the open support, including at the (divergent) endpoints.
+    Zero outside the open support, including at the (divergent) endpoints
+    and at +-inf; a nan x raises DomainError.
     """
     a = float(a)
     if not abs(a) <= 1.0:
         raise DomainError(f"need |a| <= 1, got {a!r}")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    x1 = np.atleast_1d(arr)
+    x1, scalar = _sample_points(x)
     out = np.zeros(x1.shape)
     inside = np.abs(x1) < abs(a)
     if inside.any():
@@ -346,14 +355,6 @@ class WeightMatrix:
         return self.tj + 1
 
 
-def _weight_indices(j, m) -> tuple[int, int]:
-    tj = walk_index(j)
-    tm = HalfInt.parse(m).doubled
-    if tm < 0 or tm > tj or (tj - tm) % 2 != 0:
-        raise DomainError(f"channel m = {HalfInt(tm)} invalid for j = {HalfInt(tj)}")
-    return tj, tm
-
-
 def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     """Evaluate M^(j,m)(x) from the defining sum, collapsed per regime.
 
@@ -507,10 +508,9 @@ def _gauss_legendre(n: int):
 
 
 def continuous_density(spec: LimitSpec, v):
-    """The continuous part of the limit density at pseudovelocity v."""
-    arr = np.asarray(v, dtype=float)
-    scalar = arr.ndim == 0
-    v1 = np.atleast_1d(arr)
+    """The continuous part of the limit density at pseudovelocity v; a nan
+    v raises DomainError."""
+    v1, scalar = _sample_points(v)
     out = np.zeros(v1.shape)
     a = spec.a
     if 0.0 < a < 1.0:

@@ -8,6 +8,7 @@ exact; floats only appear at the boundary when a caller asks for one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,22 +25,25 @@ class HalfInt:
 
     @staticmethod
     def parse(value) -> "HalfInt":
-        """Coerce ints, floats, strings like ``"3/2"``, or HalfInt to HalfInt.
+        """Coerce integers, reals, strings like ``"3/2"``, or HalfInt to HalfInt.
 
-        Floats and fraction strings must land exactly on the half-integer
-        lattice; anything else raises DomainError.
+        Any ``numbers.Integral`` or ``numbers.Real`` counts, numpy scalars
+        included; bools do not.  Reals and fraction strings must land
+        exactly on the half-integer lattice; anything else raises
+        DomainError.
         """
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, bool):
             raise DomainError(f"not a half-integer: {value!r}")
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        if isinstance(value, float):
-            if not math.isfinite(value):
+        if isinstance(value, numbers.Integral):
+            return HalfInt(2 * int(value))
+        if isinstance(value, numbers.Real):
+            x = float(value)
+            if not math.isfinite(x):
                 raise DomainError(f"not a half-integer: {value!r}")
-            doubled = round(2.0 * value)
-            if 2.0 * value != doubled:
+            doubled = round(2.0 * x)
+            if 2.0 * x != doubled:
                 raise DomainError(f"not a half-integer: {value!r}")
             return HalfInt(doubled)
         if isinstance(value, str):
@@ -86,6 +90,16 @@ def _require_nonneg_int(value, name: str) -> int:
     if not ok:
         raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
+
+
+def _weight_indices(j, m) -> tuple[int, int]:
+    """Doubled (j, m) of a channel weight: 0 <= m <= j with j - m an
+    integer; any other m raises DomainError."""
+    tj = walk_index(j)
+    tm = HalfInt.parse(m).doubled
+    if tm < 0 or tm > tj or (tj - tm) % 2 != 0:
+        raise DomainError(f"channel m = {HalfInt(tm)} invalid for j = {HalfInt(tj)}")
+    return tj, tm
 
 
 def components(j) -> tuple[HalfInt, ...]:

@@ -157,6 +157,8 @@ def test_zero_region_growth():
     z130 = pike_zero_region(HalfInt(129), math.pi / 2)
     assert len(z96) == 11 and z96[-1] == HalfInt(21)
     assert len(z130) == 20 and z130[-1] == HalfInt(39)
+    with pytest.raises(DomainError):
+        pike_zero_region(HalfInt(49), math.pi / 2, math.nan)
 
 
 # ------------------------------------------------------- rescaled structure
@@ -199,7 +201,10 @@ def _integral_between_pikes(f, knots, order=80):
 def test_rescaled_density_mass_balances_the_point_mass():
     tj = 10
     spec = LimitSpec(preset_qudit("paper-sym", HalfInt(tj)), math.pi / 2, 0.0)
-    assert np.all(rescaled_density(spec, np.array([-2.0, -1.0, 1.0, 3.0])) == 0.0)
+    assert np.all(rescaled_density(spec, np.array([-math.inf, -2.0, -1.0, 1.0, 3.0, math.inf])) == 0.0)
+    for bad in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(DomainError):
+            rescaled_density(spec, bad)
     knots = [tm / tj for tm in range(-tj, tj + 1, 2)]
     total = _integral_between_pikes(lambda u: rescaled_density(spec, u), knots)
     assert total == pytest.approx(1.0 - delta_mass(spec), abs=1e-6)

@@ -46,10 +46,14 @@ def test_konno_support_and_values():
     assert konno_density(0.0, a) == pytest.approx(math.sqrt(1 - a * a) / (math.pi * a), abs=1e-15)
     assert konno_density(a, a) == 0.0  # divergent endpoint clipped to zero
     assert konno_density(-1.0, a) == 0.0
+    assert konno_density(-math.inf, a) == 0.0
     arr = konno_density(np.array([-0.9, 0.1, 0.9]), a)
     assert arr[0] == 0.0 and arr[1] > 0.0 and arr[2] == 0.0
     with pytest.raises(DomainError):
         konno_density(0.0, 1.5)
+    for bad in (math.nan, np.array([0.1, math.nan])):
+        with pytest.raises(DomainError):
+            konno_density(bad, a)
 
 
 def test_konno_normalization_and_second_moment():
@@ -397,6 +401,10 @@ def test_density_vanishes_outside_the_widest_channel():
     vmax = 5 * spec.a
     assert isinstance(continuous_density(spec, 0.0), float)
     assert np.all(continuous_density(spec, np.array([-vmax - 0.1, vmax, vmax + 2.0])) == 0.0)
+    assert continuous_density(spec, math.inf) == 0.0
+    for bad in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(DomainError):
+            continuous_density(spec, bad)
 
 
 def test_moment_and_mass_bookkeeping():

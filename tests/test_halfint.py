@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,10 +15,14 @@ def test_parse_forms():
     assert HalfInt.parse(" 3 ") == HalfInt(6)
     assert HalfInt.parse("-3/2") == HalfInt(-3)
     assert HalfInt.parse(HalfInt(5)) == HalfInt(5)
+    assert HalfInt.parse(np.int64(3)) == HalfInt(6)
+    assert HalfInt.parse(np.int32(2)) == HalfInt(4)
+    assert HalfInt.parse(np.float32(1.5)) == HalfInt(3)
 
 
 def test_parse_rejects_off_lattice():
-    for bad in (0.3, "2/3", "x", float("nan"), float("inf"), True, None, 1 + 2j):
+    for bad in (0.3, "2/3", "x", float("nan"), float("inf"), True, None, 1 + 2j,
+                np.float64(0.3), np.float32("nan"), np.bool_(True)):
         with pytest.raises(DomainError):
             HalfInt.parse(bad)
 
