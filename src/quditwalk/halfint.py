@@ -7,7 +7,6 @@ exact; floats only appear at the boundary when a caller asks for one.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,13 +38,14 @@ class HalfInt:
         if isinstance(value, numbers.Integral):
             return HalfInt(2 * int(value))
         if isinstance(value, numbers.Real):
-            x = float(value)
-            if not math.isfinite(x):
+            # doubled in the value's own type, so a Fraction stays exact
+            try:
+                doubled = round(2 * value)
+            except (ValueError, OverflowError):  # nan, inf
+                raise DomainError(f"not a half-integer: {value!r}") from None
+            if 2 * value != doubled:
                 raise DomainError(f"not a half-integer: {value!r}")
-            doubled = round(2.0 * x)
-            if 2.0 * x != doubled:
-                raise DomainError(f"not a half-integer: {value!r}")
-            return HalfInt(doubled)
+            return HalfInt(int(doubled))
         if isinstance(value, str):
             try:
                 frac = Fraction(value.strip())

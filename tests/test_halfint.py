@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,11 +20,13 @@ def test_parse_forms():
     assert HalfInt.parse(np.int64(3)) == HalfInt(6)
     assert HalfInt.parse(np.int32(2)) == HalfInt(4)
     assert HalfInt.parse(np.float32(1.5)) == HalfInt(3)
+    assert HalfInt.parse(Fraction(-5, 2)) == HalfInt(-5)
 
 
 def test_parse_rejects_off_lattice():
     for bad in (0.3, "2/3", "x", float("nan"), float("inf"), True, None, 1 + 2j,
-                np.float64(0.3), np.float32("nan"), np.bool_(True)):
+                np.float64(0.3), np.float32("nan"), np.bool_(True),
+                Fraction(3, 2) + Fraction(1, 10**30), 1e308):
         with pytest.raises(DomainError):
             HalfInt.parse(bad)
 
