@@ -85,6 +85,10 @@ def _parse_j(text: str) -> HalfInt:
     return j
 
 
+# Largest grid point count; a density on 10^6 points takes about 200 MiB.
+_MAX_GRID = 10**6
+
+
 def _parse_grid(text: str):
     parts = text.strip().split(":")
     try:
@@ -96,6 +100,8 @@ def _parse_grid(text: str):
     # a finite hi - lo refuses an infinite end and a span that overflows
     if len(parts) != 3 or not (lo < hi and hi - lo < math.inf and n >= 2):
         raise argparse.ArgumentTypeError(f"grid must look like lo:hi:n, got {text!r}")
+    if n > _MAX_GRID:
+        raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID} points: {text!r}")
     return lo, hi, n, text.strip()
 
 

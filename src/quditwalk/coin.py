@@ -17,8 +17,8 @@ the identity,
 
 so d stays orthogonal to machine precision at any size and beta = 0 gives
 the identity exactly.  The classical factorial sum survives only in its
-coefficients (``small_d_coeff``), which the off-support weight-matrix
-polynomials are built from.
+coefficient rows (``_coeff_row``, one entry of which ``small_d_coeff``
+returns), which the off-support weight-matrix polynomials are built from.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def _ell_range(tj: int, tm: int, tmp: int) -> tuple[int, int]:
     return lo, hi
 
 
-@lru_cache(maxsize=65536)
 def _coeff_row(tj: int, tm: int, tmp: int) -> tuple[int, np.ndarray]:
     """(lo, row): the signed factorial-sum coefficients for ell = lo..hi.
 
@@ -68,7 +67,6 @@ def _coeff_row(tj: int, tm: int, tmp: int) -> tuple[int, np.ndarray]:
     for k, ell in enumerate(range(lo, hi)):
         ratio = (big_a - ell) * (big_b - ell) / ((ell + 1) * (ell + 1 + big_c))
         row[k + 1] = -row[k] * ratio
-    row.setflags(write=False)
     return lo, row
 
 

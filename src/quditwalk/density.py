@@ -27,13 +27,13 @@ Off the support, which only the public weight-matrix API visits, the same
 collapse holds with cos turned into a growing exponential that amplifies
 the small-d rounding floor at large j.  There entries instead go through a
 factored polynomial in rho = (1+x)/(1-x) whose coefficients never cancel
-when formed.  Only the wedge m1 <= m2, m1 >= -m2 is evaluated; the other
-entries follow by hermiticity and the reflection symmetry
-M_{-m2,-m1}(x) = (-1)^{m1+m2+2m} M_{m1,m2}(-x).  One extended-precision
-Horner pass per point evaluates every wedge entry at -|x| and +|x|, in rho
-at the first and in 1/rho at the second, so its variable never exceeds 1
-and x = +-1 needs no route of its own.  The conditioning of that one
-alternating sum is reported via ``cancellation``.
+when formed.  One extended-precision Horner pass per point evaluates every
+lower-triangle entry m1 <= m2 at x = -|x|, where rho never exceeds 1 in
+magnitude, so x = +-1 needs no route of its own.  The upper triangle
+follows by hermiticity, and x > 0 by the reflection symmetry
+M_{m1 m2}(x) = (-1)^{m1+m2+2m} M_{-m2,-m1}(-x), which therefore holds
+exactly.  The conditioning of that one alternating sum is reported via
+``cancellation``.
 
 Moments and the point mass use the Gauss rule of Konno's measure itself
 (``_konno_rule``), a Bernstein-Szego weight with a closed-form Jacobi
@@ -157,82 +157,43 @@ def _offdiag(order, tau: float, x: np.ndarray) -> np.ndarray:
     return np.where((order % 2 == 1) & (x < 0.0), -out, out)
 
 
-class _WedgeIndex(NamedTuple):
-    """Where each lower-triangle entry (m1 <= m2) of a (2j+1)-square matrix
-    takes its value from, with rows and columns i counting m = j - i.
+class _WedgeTable(NamedTuple):
+    """Every lower-triangle entry (m1 <= m2) of M^(j,m) as a polynomial at
+    x = -|x|, for points off the support.
 
-    An entry with m1 >= -m2 lies on the wedge and is read as it is; any
-    other is the reflection (-1)^(m1+m2+2m) M_{-m2,-m1}(-x) of a wedge
-    entry.  2m has the parity of 2j, so the sign, and the map, serve every
-    channel.
+    Entry M_{m1 m2}(x) is 2^(1-2j) f_{m2-m1}(x) e^{-i (m2-m1) gamma} times
+    (1-x)^p1 (1+x)^p2 P(rho), rho = (1+x)/(1-x), where P convolves two
+    ladder rows whose terms at equal total ell share one sign, so its
+    coefficients never cancel when formed.  With r = (1-|x|)/(1+|x|) <= 1,
+    the entry at x = -|x| is (1+|x|)^p1 (1-|x|)^p2 P(r); rows and columns
+    count m = j - i.
     """
 
     rows: np.ndarray  # lower-triangle positions, rows >= cols
     cols: np.ndarray
-    mirror: np.ndarray  # True where the wedge entry is read at -x
-    wedge: np.ndarray  # that wedge entry, numbered along rows/cols
-    sign: np.ndarray  # the reflection sign; 1 on the wedge
-
-
-@lru_cache(maxsize=256)
-def _wedge_index(tj: int) -> _WedgeIndex:
-    rows, cols = np.tril_indices(tj + 1)
-    mirror = rows + cols > tj  # m1 < -m2
-    num = np.cumsum(~mirror) - 1
-    pos = np.zeros((tj + 1, tj + 1), dtype=int)
-    pos[rows, cols] = num
-    wedge = np.where(mirror, pos[tj - cols, tj - rows], num)
-    sign = np.where(mirror & ((rows + cols) % 2 == 1), -1.0, 1.0)
-    for arr in (rows, cols, mirror, wedge, sign):
-        arr.setflags(write=False)
-    return _WedgeIndex(rows, cols, mirror, wedge, sign)
-
-
-class _WedgeTable(NamedTuple):
-    """The wedge entries of M^(j,m) as polynomials, for points off the
-    support.
-
-    Wedge entry M_{m1 m2}(x) is 2^(1-2j) f_{m2-m1}(x) e^{-i (m2-m1) gamma}
-    times (1-x)^p1 (1+x)^p2 P(rho), rho = (1+x)/(1-x), where P convolves
-    two ladder rows whose terms at equal total ell share one sign, so its
-    coefficients never cancel when formed.  P has degree D <= p1, because
-    its two ladder indices stop at ell1 <= j + m1 and ell2 <= j - m.  With
-    r = (1-|x|)/(1+|x|) <= 1, the entry at x = -|x| is
-    (1+|x|)^p1 (1-|x|)^p2 P(r) and the entry at x = +|x| is
-    (1+|x|)^(p2+D) (1-|x|)^(p1-D) r^D P(1/r): both polynomials in r, held in
-    the middle axis as side 0 and side 1.
-    """
-
-    order: np.ndarray  # m2 - m1 per wedge entry
-    coef: np.ndarray  # (width, side, entry), ascending in r, zero-padded
-    up: np.ndarray  # (side, entry) powers of 1 + |x|
-    down: np.ndarray  # (side, entry) powers of 1 - |x|
+    coef: np.ndarray  # (width, entry), ascending in r, zero-padded
+    up: np.ndarray  # p1, the power of 1 + |x|
+    down: np.ndarray  # p2, the power of 1 - |x|
 
 
 @lru_cache(maxsize=16)
 def _wedge_table(tj: int, tm: int) -> _WedgeTable:
-    idx = _wedge_index(tj)
-    r, c = idx.rows[~idx.mirror], idx.cols[~idx.mirror]
-    # each component's ladder row from its lowest ell, forwards and reversed
+    r, c = np.tril_indices(tj + 1)
+    # each component's ladder row from its lowest ell
     h = (tj - tm) // 2
     fwd = np.zeros((tj + 1, h + 1))
-    rev = np.zeros((tj + 1, h + 1))
     lo = np.empty(tj + 1, dtype=int)
     top = np.empty(tj + 1, dtype=int)
     for i in range(tj + 1):
         lo[i], g = _coeff_row(tj, tj - 2 * i, tm)
         fwd[i, : g.size] = g
-        rev[i, : g.size] = g[::-1]
         top[i] = g.size - 1
-    conv = np.zeros((r.size, 2, 2 * h + 1))
+    conv = np.zeros((r.size, 2 * h + 1))
     for u in range(h + 1):
-        conv[:, 0, u : u + h + 1] += fwd[r, u, None] * fwd[c]
-        conv[:, 1, u : u + h + 1] += rev[r, u, None] * rev[c]
+        conv[:, u : u + h + 1] += fwd[r, u, None] * fwd[c]
     deg = top[r] + top[c]
-    p1 = tj + h - r - lo[r] - lo[c]
-    p2 = c - h + lo[r] + lo[c]
-    coef = np.ascontiguousarray(conv[:, :, : deg.max() + 1].transpose(2, 1, 0))
-    tab = _WedgeTable(r - c, coef, np.stack([p1, p2 + deg]), np.stack([p2, p1 - deg]))
+    coef = np.ascontiguousarray(conv[:, : deg.max() + 1].T)
+    tab = _WedgeTable(r, c, coef, tj + h - r - lo[r] - lo[c], c - h + lo[r] + lo[c])
     for arr in tab:
         arr.setflags(write=False)
     return tab
@@ -274,34 +235,43 @@ def _support_vectors(tj, tm, x, tau, gamma, rows):
 
 
 def _wedge_matrix(tj, tm, x: float, tau, gamma):
-    """M^(j,m) at one point x from the wedge polynomials of
-    ``_wedge_table``, spread over the matrix by ``_wedge_index``.
+    """M^(j,m) at one point x off the support from the polynomials of
+    ``_wedge_table``, at -|x| in one Horner pass.
 
-    Returns (entries, worst): worst is the largest ratio, over the entries
-    used, between the Horner sum of absolute coefficients and the net sum;
-    a value near 10^10 or above means an entry has shed that many digits.
+    The upper triangle follows by hermiticity, and x > 0 by the reflection
+    M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x): a flip on the
+    anti-diagonal, negated where i1 + i2 is odd (2m has the parity of 2j).
+    Returns (entries, worst): worst is the largest ratio, over the
+    entries, between the Horner sum of absolute coefficients and the net
+    sum; a value near 10^10 or above means an entry has shed that many
+    digits.  An entry past the float range raises DomainError.
     """
-    idx = _wedge_index(tj)
     tab = _wedge_table(tj, tm)
     t = np.longdouble(abs(x))
     r = (1.0 - t) / (1.0 + t)
-    acc = np.zeros(tab.coef.shape[1:], dtype=np.longdouble)
+    acc = np.zeros(tab.coef.shape[1], dtype=np.longdouble)
     aac = np.zeros_like(acc)
     for col in tab.coef[::-1]:
         acc = acc * r + col
         aac = aac * r + np.abs(col)
-    pref = (1.0 + t) ** tab.up * (1.0 - t) ** tab.down
-    side = np.array([[-abs(x)], [abs(x)]])
-    vals = (pref * acc).astype(float) * (2.0 ** (1 - tj) * _offdiag(tab.order, tau, side))
-    vals = vals * np.exp(-1j * tab.order * gamma)
+    order = tab.rows - tab.cols
+    # f_n(x) overflows first, and inf times a zero entry would read as nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = (1.0 + t) ** tab.up * (1.0 - t) ** tab.down
+        low = (pref * acc).astype(float) * (2.0 ** (1 - tj) * _offdiag(order, tau, -abs(x)))
+        low = low * np.exp(-1j * order * gamma)
+    if not np.isfinite(low).all():
+        raise DomainError(f"weight matrix at x = {x!r} overflows floats at 2j+1 = {tj + 1}")
     denom = np.maximum(np.abs(acc), aac * np.longdouble(1e-30))
     ratio = np.where(aac > 0, aac / np.maximum(denom, np.longdouble(1e-300)), 1.0)
-    at = (idx.mirror != (x > 0)).astype(int)  # the side each entry reads
-    low = idx.sign * vals[at, idx.wedge]
     ent = np.empty((tj + 1, tj + 1), dtype=complex)
-    ent[idx.cols, idx.rows] = np.conj(low)
-    ent[idx.rows, idx.cols] = low
-    return ent, max(1.0, float(ratio[at, idx.wedge].max()))
+    ent[tab.cols, tab.rows] = np.conj(low)
+    ent[tab.rows, tab.cols] = low
+    if x > 0:
+        ent = ent[::-1, ::-1].T.copy()
+        ent[1::2, ::2] *= -1
+        ent[::2, 1::2] *= -1
+    return ent, max(1.0, float(ratio.max()))
 
 
 def _require_beta(beta: float) -> float:
@@ -325,13 +295,13 @@ def _weight_args(x, beta, gamma) -> tuple[float, float, float]:
 class WeightMatrix:
     """Hermitian channel-weight matrix M^(j,m) evaluated at one point x.
 
-    ``cancellation`` carries the worst conditioning ratio of the wedge
-    polynomials met while assembling entries: the Horner sum of absolute
-    coefficients over the net sum.  It stays 1.0 on the channel support
-    (1+tau^2) x^2 <= 1 (up to a few ulps past it), where the rank-two
-    evaluation is cancellation-free, and for m = j everywhere, whose wedge
-    polynomials have one term each.  Off the support, results with ratios
-    beyond ~1e10 should not be trusted to more than a few digits.
+    ``cancellation`` carries the worst conditioning ratio of the off-support
+    polynomials, over every lower-triangle entry at -|x|: the Horner sum of
+    absolute coefficients over the net sum.  It stays 1.0 on the channel
+    support (1+tau^2) x^2 <= 1 (up to a few ulps past it), where the
+    rank-two evaluation is cancellation-free, and for m = j everywhere,
+    whose polynomials have one term each.  Off the support, results with
+    ratios beyond ~1e10 should not be trusted to more than a few digits.
     """
 
     tj: int
@@ -360,8 +330,10 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
 
     On the channel support (1+tau^2) x^2 <= 1, and within a few ulps past
     it, the whole matrix is the sum of two outer products of
-    ``_support_vectors``.  Off it the wedge entries are polynomials
-    evaluated in one Horner pass and spread by symmetry (``_wedge_matrix``).
+    ``_support_vectors``.  Off it the lower-triangle entries at -|x| are
+    polynomials evaluated in one Horner pass, and hermiticity and the
+    reflection give the rest (``_wedge_matrix``); entries past the float
+    range raise DomainError.
     Accepts m = 0 so that ``weight_matrix_second`` can be checked against
     it at j = 1, although the density itself only sums channels with m > 0.
     """
@@ -382,7 +354,7 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
 
 def weight_matrix_top(j, x, beta, gamma=0.0) -> WeightMatrix:
     """M^(j,j)(x), the top channel's matrix: ``weight_matrix_direct`` at
-    m = j, where every wedge polynomial is a single term."""
+    m = j, where every off-support polynomial is a single term."""
     return weight_matrix_direct(j, j, x, beta, gamma)
 
 

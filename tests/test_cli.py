@@ -279,6 +279,8 @@ def test_degenerate_spec_is_a_runtime_error():
         ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=0:inf:3"],
         ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=-inf:0:3"],
         ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=-1e308:1e308:3"],
+        ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=-1:1:1000001"],
+        ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=-1:1:1000000000000000"],
         ["scan", "rescaled", "--beta", "pi/2", "--states", "1,4"],
         ["frobnicate"],
         ["scan", "hfun", "--beta", "nan", "--j", "1/2"],

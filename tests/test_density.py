@@ -32,8 +32,8 @@ from quditwalk import (
     weight_scalar,
 )
 import quditwalk.density as density
-from quditwalk.coin import _coeff_row, _jy_eig
-from quditwalk.density import _gauss_legendre, _wedge_index, _wedge_table
+from quditwalk.coin import _jy_eig
+from quditwalk.density import _gauss_legendre, _wedge_table
 from weight_reference import grown_top
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
@@ -188,20 +188,34 @@ def _entry_by_brute_force(tj, tm, tm1, tm2, x, beta, gamma):
     )
 
 
+def _any_entry_by_brute_force(tj, tm, tm1, tm2, x, beta, gamma):
+    # hermiticity and the reflection M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x)
+    # carry every entry to a wedge entry
+    if tm1 > tm2:
+        return _any_entry_by_brute_force(tj, tm, tm2, tm1, x, beta, gamma).conjugate()
+    if tm1 < -tm2:
+        sign = (-1) ** (((tm1 + tm2) // 2 + tm) % 2)
+        return sign * _entry_by_brute_force(tj, tm, -tm2, -tm1, -x, beta, gamma)
+    return _entry_by_brute_force(tj, tm, tm1, tm2, x, beta, gamma)
+
+
 def test_entries_match_the_literal_sum_at_small_sizes():
+    # every entry at both signs of x, on the support and off it; off it the
+    # package builds x > 0 from -x, so the literal sum is its independent
+    # check.  Entries reach 3e7 at 22pi/25, so past 100 the bound is relative.
     worst = 0.0
     for tj in (3, 5, 8):
         for tm in range(tj % 2, tj + 1, 2):
-            for beta in (math.pi / 10, math.pi / 2):
-                for x in (-0.9, -0.35, 0.2, 0.97):
+            for beta in BETAS:
+                for x in (-0.97, -0.9, -0.35, 0.2, 0.9, 0.97):
                     full = weight_matrix_direct(tj / 2, tm / 2, x, beta, 0.3).entries
                     for i1 in range(tj + 1):
-                        tm1 = tj - 2 * i1
                         for i2 in range(tj + 1):
-                            tm2 = tj - 2 * i2
-                            if tm1 <= tm2 and tm1 >= -tm2:
-                                brute = _entry_by_brute_force(tj, tm, tm1, tm2, x, beta, 0.3)
-                                worst = max(worst, abs(full[i1, i2] - brute))
+                            brute = _any_entry_by_brute_force(
+                                tj, tm, tj - 2 * i1, tj - 2 * i2, x, beta, 0.3
+                            )
+                            gap = abs(full[i1, i2] - brute)
+                            worst = max(worst, gap / max(1.0, 1e-2 * abs(brute)))
     assert worst < 1e-10, worst
 
 
@@ -255,6 +269,13 @@ def test_matrix_argument_validation():
         ):
             with pytest.raises(DomainError):
                 call()
+    # far off the support f_n(x) overflows: an error, not nan entries
+    for call in (
+        lambda: weight_matrix_top(45, 50.0, 3.1),
+        lambda: weight_matrix_direct(60, 1, 4.0, 3.1),
+    ):
+        with pytest.raises(DomainError, match="overflows"):
+            call()
 
 
 def test_grown_matrix_matches_direct_at_small_sizes():
@@ -511,9 +532,8 @@ def test_cached_arrays_are_read_only():
     before = limit_moment(spec, 2)
     lam, vec = _jy_eig(5)
     nodes, weights = _gauss_legendre(200)
-    _, gam = _coeff_row(5, 1, 3)
     tab = _wedge_table(5, 1)
-    for arr in (lam, vec, nodes, weights, gam, _wedge_index(5).sign, tab.coef, tab.up):
+    for arr in (lam, vec, nodes, weights, tab.rows, tab.coef, tab.up):
         with pytest.raises(ValueError):
             arr *= 2
     assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
