@@ -88,14 +88,33 @@ def small_d_coeff(j, m, mp, ell: int) -> float:
     return float(row[ell - lo])
 
 
+# Largest dense matrix the package builds, in bytes: the complex J_y
+# generator of 2j+1 components takes 16 (2j+1)^2, so 256 MiB admits 4096
+# components (eigh needs a few times that again).
+DENSE_BUDGET_BYTES = 2**28
+
+
+def _require_dense(dim: int, itemsize: int, what: str) -> None:
+    """Raise DomainError if a dim x dim matrix of ``itemsize``-byte entries
+    would exceed DENSE_BUDGET_BYTES."""
+    need = dim * dim * itemsize
+    if need > DENSE_BUDGET_BYTES:
+        raise DomainError(
+            f"{what} of size {dim} needs {need} bytes, "
+            f"above the dense-matrix budget of {DENSE_BUDGET_BYTES}"
+        )
+
+
 @lru_cache(maxsize=None)
 def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the tridiagonal J_y generator at doubled spin tj.
 
     Returns (eigenvalues, eigenvector matrix); the eigenvalues are replaced
     by their exact ascending values -j ... j, which eigh only approximates.
+    A generator above DENSE_BUDGET_BYTES raises DomainError.
     """
     dim = tj + 1
+    _require_dense(dim, np.dtype(complex).itemsize, "the J_y generator")
     m = np.arange(tj, -tj - 1, -2) / 2.0
     lad = np.sqrt((tj / 2.0 - m[1:]) * (tj / 2.0 + m[1:] + 1.0))
     jy = np.zeros((dim, dim), dtype=complex)

@@ -25,15 +25,15 @@ serves both the density quadratures and ``weight_matrix_direct``.
 
 Off the support, which only the public weight-matrix API visits, the same
 collapse holds with cos turned into a growing exponential that amplifies
-the small-d rounding floor at large j.  There entries instead go through a
-factored polynomial in rho = (1+x)/(1-x) whose coefficients never cancel
-when formed.  One extended-precision Horner pass per point evaluates every
-lower-triangle entry m1 <= m2 at x = -|x|, where rho never exceeds 1 in
-magnitude, so x = +-1 needs no route of its own.  The upper triangle
-follows by hermiticity, and x > 0 by the reflection symmetry
-M_{m1 m2}(x) = (-1)^{m1+m2+2m} M_{-m2,-m1}(-x), which therefore holds
-exactly.  The conditioning of that one alternating sum is reported via
-``cancellation``.
+the small-d rounding floor at large j.  There each small-d factor is
+instead its ladder row, a polynomial in rho = (1+x)/(1-x), evaluated in
+one extended-precision Horner pass per component at x = -|x|, where rho
+never exceeds 1 in magnitude; a lower-triangle entry m1 <= m2 is the
+product of two rows.  The upper triangle follows by hermiticity, and
+x > 0 by the reflection M_{m1 m2}(x) = (-1)^{m1+m2+2m} M_{-m2,-m1}(-x),
+which therefore holds exactly.  ``cancellation`` reports max kappa^2 over
+the rows, kappa a row's cancellation ratio: an upper bound on the digits
+an entry loses.
 
 Moments and the point mass use the Gauss rule of Konno's measure itself
 (``_konno_rule``), a Bernstein-Szego weight with a closed-form Jacobi
@@ -47,11 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .coin import _coeff_row, _jy_eig
+from .coin import _coeff_row, _jy_eig, _require_dense
 from .errors import DegenerateSpecError, DomainError
 from .halfint import HalfInt, _require_nonneg_int, _weight_indices, doubled_channels, walk_index
 from .qudit import Qudit
@@ -124,12 +123,15 @@ def offdiag_poly(order: int, tau: float, x):
     phi = atan2(sqrt(1 - (1+tau^2) x^2), tau x).  Both branches are stable;
     the expanded coefficients would cancel catastrophically by order ~ 30.
     Odd orders give odd functions of x and even orders even ones, exactly.
+    A non-finite x raises DomainError.
     """
     order = _require_nonneg_int(order, "order")
     tau = float(tau)
     if not math.isfinite(tau):
         raise DomainError(f"tau must be finite, got {tau!r}")
     arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError("offdiag_poly needs finite x")
     out = _offdiag(order, tau, np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out
 
@@ -157,43 +159,23 @@ def _offdiag(order, tau: float, x: np.ndarray) -> np.ndarray:
     return np.where((order % 2 == 1) & (x < 0.0), -out, out)
 
 
-class _WedgeTable(NamedTuple):
-    """Every lower-triangle entry (m1 <= m2) of M^(j,m) as a polynomial at
-    x = -|x|, for points off the support.
-
-    Entry M_{m1 m2}(x) is 2^(1-2j) f_{m2-m1}(x) e^{-i (m2-m1) gamma} times
-    (1-x)^p1 (1+x)^p2 P(rho), rho = (1+x)/(1-x), where P convolves two
-    ladder rows whose terms at equal total ell share one sign, so its
-    coefficients never cancel when formed.  With r = (1-|x|)/(1+|x|) <= 1,
-    the entry at x = -|x| is (1+|x|)^p1 (1-|x|)^p2 P(r); rows and columns
-    count m = j - i.
-    """
-
-    rows: np.ndarray  # lower-triangle positions, rows >= cols
-    cols: np.ndarray
-    coef: np.ndarray  # (width, entry), ascending in r, zero-padded
-    up: np.ndarray  # p1, the power of 1 + |x|
-    down: np.ndarray  # p2, the power of 1 - |x|
-
-
 @lru_cache(maxsize=16)
-def _wedge_table(tj: int, tm: int) -> _WedgeTable:
-    r, c = np.tril_indices(tj + 1)
-    # each component's ladder row from its lowest ell
+def _ladder_rows(tj: int, tm: int):
+    """(coef, rows, cols, up, down) of M^(j,m) off the support.
+
+    Lower-triangle entry (rows >= cols, m = j - i) at x = -|x| is
+    2^(1-2j) f_{m2-m1}(x) e^{-i (m2-m1) gamma} (1+|x|)^up (1-|x|)^down
+    g_rows(r) g_cols(r), r = (1-|x|)/(1+|x|) <= 1, with g_i component i's
+    ladder row (``_coeff_row``), column i of coef, ascending in r.
+    """
     h = (tj - tm) // 2
-    fwd = np.zeros((tj + 1, h + 1))
+    coef = np.zeros((h + 1, tj + 1))
     lo = np.empty(tj + 1, dtype=int)
-    top = np.empty(tj + 1, dtype=int)
     for i in range(tj + 1):
         lo[i], g = _coeff_row(tj, tj - 2 * i, tm)
-        fwd[i, : g.size] = g
-        top[i] = g.size - 1
-    conv = np.zeros((r.size, 2 * h + 1))
-    for u in range(h + 1):
-        conv[:, u : u + h + 1] += fwd[r, u, None] * fwd[c]
-    deg = top[r] + top[c]
-    coef = np.ascontiguousarray(conv[:, : deg.max() + 1].T)
-    tab = _WedgeTable(r, c, coef, tj + h - r - lo[r] - lo[c], c - h + lo[r] + lo[c])
+        coef[: g.size, i] = g
+    r, c = np.tril_indices(tj + 1)
+    tab = (coef, r, c, tj + h - r - lo[r] - lo[c], c - h + lo[r] + lo[c])
     for arr in tab:
         arr.setflags(write=False)
     return tab
@@ -235,43 +217,37 @@ def _support_vectors(tj, tm, x, tau, gamma, rows):
 
 
 def _wedge_matrix(tj, tm, x: float, tau, gamma):
-    """M^(j,m) at one point x off the support from the polynomials of
-    ``_wedge_table``, at -|x| in one Horner pass.
-
-    The upper triangle follows by hermiticity, and x > 0 by the reflection
-    M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x): a flip on the
-    anti-diagonal, negated where i1 + i2 is odd (2m has the parity of 2j).
-    Returns (entries, worst): worst is the largest ratio, over the
-    entries, between the Horner sum of absolute coefficients and the net
-    sum; a value near 10^10 or above means an entry has shed that many
-    digits.  An entry past the float range raises DomainError.
+    """M^(j,m) at one point x off the support: one extended-precision
+    Horner pass per component of ``_ladder_rows`` at -|x|, each entry the
+    product of two rows.  The upper triangle follows by hermiticity, and
+    x > 0 by the reflection M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x):
+    a flip on the anti-diagonal, negated where i1 + i2 is odd (2m has the
+    parity of 2j).  Returns (entries, ``WeightMatrix.cancellation``); an
+    entry past the float range raises DomainError.
     """
-    tab = _wedge_table(tj, tm)
+    coef, rows, cols, up, down = _ladder_rows(tj, tm)
     t = np.longdouble(abs(x))
     r = (1.0 - t) / (1.0 + t)
-    acc = np.zeros(tab.coef.shape[1], dtype=np.longdouble)
-    aac = np.zeros_like(acc)
-    for col in tab.coef[::-1]:
-        acc = acc * r + col
-        aac = aac * r + np.abs(col)
-    order = tab.rows - tab.cols
+    g = np.polynomial.polynomial.polyval(r, coef)
+    ga = np.polynomial.polynomial.polyval(r, np.abs(coef))
+    order = rows - cols
     # f_n(x) overflows first, and inf times a zero entry would read as nan
     with np.errstate(over="ignore", invalid="ignore"):
-        pref = (1.0 + t) ** tab.up * (1.0 - t) ** tab.down
-        low = (pref * acc).astype(float) * (2.0 ** (1 - tj) * _offdiag(order, tau, -abs(x)))
+        pref = (1.0 + t) ** up * (1.0 - t) ** down
+        low = (pref * g[rows] * g[cols]).astype(float) * (2.0 ** (1 - tj) * _offdiag(order, tau, -abs(x)))
         low = low * np.exp(-1j * order * gamma)
     if not np.isfinite(low).all():
         raise DomainError(f"weight matrix at x = {x!r} overflows floats at 2j+1 = {tj + 1}")
-    denom = np.maximum(np.abs(acc), aac * np.longdouble(1e-30))
-    ratio = np.where(aac > 0, aac / np.maximum(denom, np.longdouble(1e-300)), 1.0)
+    # every row has a nonzero lowest coefficient, so ga > 0; kappa <= 1e15
+    kappa = ga / np.maximum(np.abs(g), ga * np.longdouble(1e-15))
     ent = np.empty((tj + 1, tj + 1), dtype=complex)
-    ent[tab.cols, tab.rows] = np.conj(low)
-    ent[tab.rows, tab.cols] = low
+    ent[cols, rows] = np.conj(low)
+    ent[rows, cols] = low
     if x > 0:
         ent = ent[::-1, ::-1].T.copy()
         ent[1::2, ::2] *= -1
         ent[::2, 1::2] *= -1
-    return ent, max(1.0, float(ratio.max()))
+    return ent, max(1.0, float(kappa.max()) ** 2)
 
 
 def _require_beta(beta: float) -> float:
@@ -295,13 +271,14 @@ def _weight_args(x, beta, gamma) -> tuple[float, float, float]:
 class WeightMatrix:
     """Hermitian channel-weight matrix M^(j,m) evaluated at one point x.
 
-    ``cancellation`` carries the worst conditioning ratio of the off-support
-    polynomials, over every lower-triangle entry at -|x|: the Horner sum of
-    absolute coefficients over the net sum.  It stays 1.0 on the channel
-    support (1+tau^2) x^2 <= 1 (up to a few ulps past it), where the
-    rank-two evaluation is cancellation-free, and for m = j everywhere,
-    whose polynomials have one term each.  Off the support, results with
-    ratios beyond ~1e10 should not be trusted to more than a few digits.
+    ``cancellation`` is, off the support, the largest ratio over the
+    entries of the sum of absolute terms to the net sum.  An entry is the
+    product of two ladder rows, so that is max kappa_i^2, kappa_i row i's
+    ratio: an upper bound on the digits an entry loses (rounding costs it
+    about kappa_1 + kappa_2 ulps).  It stays 1.0 on the channel support
+    (1+tau^2) x^2 <= 1 (up to a few ulps past it), where the rank-two
+    form cannot cancel, and for m = j everywhere, whose rows have one term
+    each.  Past ~1e10, an off-support result may keep only a few digits.
     """
 
     tj: int
@@ -503,8 +480,10 @@ def _konno_rule(spec: LimitSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     matrix has a zero diagonal and squared off-diagonals 1/(1+b),
     b/(2(1+b)), then 1/4; by Golub-Welsch its eigenvalues are the nodes and
     its squared first eigenvector components the weights.  At b = 0 the
-    matrix splits and the rule puts weight 1/2 on t = +-1.
+    matrix splits and the rule puts weight 1/2 on t = +-1.  A matrix above
+    ``coin.DENSE_BUDGET_BYTES`` raises DomainError.
     """
+    _require_dense(n, np.dtype(float).itemsize, "the Konno Jacobi matrix")
     b = math.sin(0.5 * spec.beta)
     off = np.full(n - 1, 0.5)
     off[:2] = np.sqrt([1.0 / (1.0 + b), 0.5 * b / (1.0 + b)])[: n - 1]
@@ -524,7 +503,13 @@ def _continuous_moment(spec: LimitSpec, r: int) -> float:
         return 0.0
     x, w = _konno_rule(spec, (spec.tj + r) // 2 + 1)
     wr = w * x**r
-    return math.fsum(tm**r * float(wr @ _scalar_grid(spec, tm, x)) for tm in spec.channels)
+    sums = [float(wr @ _scalar_grid(spec, tm, x)).as_integer_ratio() for tm in spec.channels]
+    try:
+        # (2m)^r times each sum in integers, rounded once by the division:
+        # (2m)^r alone passes the float range long before the moment does
+        return math.fsum(tm**r * num / den for tm, (num, den) in zip(spec.channels, sums))
+    except OverflowError:
+        raise DomainError(f"moment of order {r} overflows floats at 2j+1 = {spec.tj + 1}") from None
 
 
 def _point_mass(cont: float) -> float:
@@ -539,7 +524,8 @@ def _point_mass(cont: float) -> float:
 def limit_moment(spec: LimitSpec, r: int) -> float:
     """r-th moment of the limit law (point mass included; it only ever
     contributes to r = 0), exact to rounding at every beta through the
-    Gauss rule of ``_continuous_moment``."""
+    Gauss rule of ``_continuous_moment``.  A moment past the float range
+    raises DomainError."""
     r = _require_nonneg_int(r, "moment order")
     total = _continuous_moment(spec, r)
     if r == 0 and spec.has_point_mass:

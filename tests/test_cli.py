@@ -282,6 +282,7 @@ def test_degenerate_spec_is_a_runtime_error():
         ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=-1:1:1000001"],
         ["density", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--grid=-1:1:1000000000000000"],
         ["scan", "rescaled", "--beta", "pi/2", "--states", "1,4"],
+        ["moments", "--j", "1", "--beta", "pi/2", "--qudit", "up", "--rmax", "1001"],
         ["frobnicate"],
         ["scan", "hfun", "--beta", "nan", "--j", "1/2"],
         ["scan", "hscaled", "--beta", "inf", "--j", "1/2"],
@@ -290,6 +291,24 @@ def test_degenerate_spec_is_a_runtime_error():
 def test_usage_errors_exit_with_two(argv):
     code, _, _ = run_cli(argv)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 4097 components: the J_y generator is over the dense-matrix budget
+        ["density", "--j", "2048", "--beta", "pi/2", "--qudit", "up", "--grid", "-1:1:3"],
+        ["scan", "rescaled", "--beta", "pi/2", "--states", "10,4097"],
+    ],
+)
+def test_spins_over_the_dense_budget_are_runtime_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == "" and "budget" in err
+
+
+def test_closed_form_scans_run_past_the_dense_budget():
+    code, out, _ = run_cli(["scan", "hfun", "--beta", "pi/2", "--j", "4097/2"])
+    assert code == 0 and len(parse_csv(out)[1]) == 2049
 
 
 def test_unwritable_out_is_a_runtime_error(tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from quditwalk import (
     small_d,
     small_d_coeff,
 )
-from quditwalk.coin import _coeff_row, _ell_range
+from quditwalk import coin
+from quditwalk.coin import _coeff_row, _ell_range, _jy_eig
 from small_d_reference import coeff_exact, small_d_sum
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
@@ -127,6 +129,21 @@ def test_rejects_nonfinite_angles():
         small_d(1, math.nan)
     with pytest.raises(DomainError):
         rotation_matrix(1, (0.0, math.inf, 0.0))
+
+
+def test_generator_over_the_dense_budget_is_refused():
+    # 4096 components fill the budget exactly; one more is refused unbuilt
+    assert 16 * 4096**2 == coin.DENSE_BUDGET_BYTES
+    coin._require_dense(4096, 16, "the J_y generator")  # accepted, nothing built
+    tracemalloc.start()
+    try:
+        for call in (lambda: _jy_eig(4096), lambda: small_d(2048, 0.3)):
+            with pytest.raises(DomainError, match="budget"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(deadline=None, max_examples=25)

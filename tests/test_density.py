@@ -33,8 +33,8 @@ from quditwalk import (
 )
 import quditwalk.density as density
 from quditwalk.coin import _jy_eig
-from quditwalk.density import _gauss_legendre, _wedge_table
-from weight_reference import grown_top
+from quditwalk.density import _gauss_legendre, _ladder_rows
+from weight_reference import decimal_matrix, grown_top
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -123,6 +123,9 @@ def test_offdiag_poly_validates_arguments():
     for bad in (math.inf, math.nan, 1.5):
         with pytest.raises(DomainError):
             offdiag_poly(bad, 0.5, 0.2)
+    for bad in (math.nan, math.inf, -math.inf, [0.3, math.nan]):
+        with pytest.raises(DomainError):
+            offdiag_poly(3, 0.5, bad)
 
 
 # -------------------------------------- the defining sum, summed literally
@@ -317,6 +320,21 @@ def test_top_matrix_matches_the_grown_oracle():
     assert worst < 1e-13, worst
 
 
+def test_off_support_entries_match_the_decimal_oracle():
+    # every entry of channels below the top one, where the ladder rows
+    # cancel (cancellation 2e9 to 2e11 here), against the 60-digit
+    # factorial-sum oracle
+    for dim, tm, x, beta, gamma in (
+        (50, 1, 0.85, math.pi / 2, 0.7),
+        (65, 2, 0.9, 22 * math.pi / 25, 0.0),
+        (40, 5, 0.6, 3.1, 0.0),
+    ):
+        ref = decimal_matrix(dim - 1, tm, x, beta, gamma)
+        got = weight_matrix_direct((dim - 1) / 2, tm / 2, x, beta, gamma).entries
+        gap = float((np.abs(got - ref) / np.abs(ref)).max())
+        assert gap <= 1e-9, (dim, tm, gap)
+
+
 def test_pike_point_takes_the_rank_two_form():
     # x = +-cos(beta/2) can round one ulp past (1+tau^2) x^2 <= 1 (it does
     # at beta = 22pi/25); the wedge polynomials there shed up to 22 digits
@@ -443,6 +461,24 @@ def test_moment_and_mass_bookkeeping():
             assert abs(limit_moment(spec, r)) < 1e-10
 
 
+def test_moments_past_the_float_range_of_the_scale():
+    # (2m)^r passes 1.8e308 from r = 150 at 130 components, the moment
+    # itself only at r = 162; as long as it is a float it is returned
+    spec = LimitSpec(preset_qudit("up", "129/2"), math.pi / 2)
+    m146, m148, m150 = (limit_moment(spec, r) for r in (146, 148, 150))
+    assert 1e284 < m150 <= (129 * spec.a) ** 4 * m146  # a law on |v| <= 129 a
+    assert m148 * m148 <= m146 * m150 * (1.0 + 1e-12)  # Cauchy-Schwarz
+    with pytest.raises(DomainError, match="overflows"):
+        limit_moment(spec, 170)
+
+
+def test_dense_matrices_over_the_budget_are_refused():
+    # a Jacobi matrix of 6000 x 6000 floats is 288 MB; refused unbuilt
+    spec = LimitSpec(preset_qudit("up", "1/2"), math.pi / 2)
+    with pytest.raises(DomainError, match="budget"):
+        density._konno_rule(spec, 6000)
+
+
 def test_point_mass_values():
     assert delta_mass(LimitSpec(preset_qudit("paper-sym", "1/2"), math.pi / 2)) == 0.0
     rest = LimitSpec(Qudit(1, (0, 1, 0)), 0.0)
@@ -532,8 +568,8 @@ def test_cached_arrays_are_read_only():
     before = limit_moment(spec, 2)
     lam, vec = _jy_eig(5)
     nodes, weights = _gauss_legendre(200)
-    tab = _wedge_table(5, 1)
-    for arr in (lam, vec, nodes, weights, tab.rows, tab.coef, tab.up):
+    coef, rows, _, up, _ = _ladder_rows(5, 1)
+    for arr in (lam, vec, nodes, weights, coef, rows, up):
         with pytest.raises(ValueError):
             arr *= 2
     assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)

@@ -1,4 +1,4 @@
-"""Independent evaluator of the top-channel weight matrix M^(j,j)(x).
+"""Independent evaluators of the weight matrices M^(j,m)(x).
 
 ``grown_top`` grows the matrix half a spin at a time from the two-by-two
 j = 1/2 seed
@@ -13,10 +13,25 @@ M_{-m2,-m1}(x) = (-1)^(m1+m2+2m) M_{m1,m2}(-x), so the recurrence carries
 the matrices at x and -x together.  It uses neither the rank-two support
 vectors nor the wedge polynomial tables of the package's evaluator, so the
 tests that compare the two compare different constructions.
+
+``decimal_matrix`` evaluates any channel's matrix for |x| < 1 from the
+collapsed entry
+
+    M_{m1 m2}(x) = 2 d_{m1 m}(theta) d_{m2 m}(theta) f_n(x) / (1 - x^2)^(n/2)
+                   * e^{-i (m2 - m1) gamma},   n = |m2 - m1|,
+
+with cos(theta) = -x, so cos^2(theta/2) = (1 - x)/2, each small-d the
+literal factorial sum and f_n = (1/2)[(tau x + w)^n + (tau x - w)^n],
+w^2 = (1 + tau^2) x^2 - 1, all in 60-digit ``decimal``.  Off the support
+f_n grows like an exponential and the factorial sums cancel, which 60
+digits absorb at the sizes the tests use; the package's ladder rows take
+no part.
 """
 
 import cmath
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -70,3 +85,42 @@ def grown_top(tj: int, x: float, beta: float, gamma: float = 0.0) -> np.ndarray:
         tq = _lift(tjj, q, -x, tau, gamma)
         p, q = _complete(tjj, tp, tq), _complete(tjj, tq, tp)
     return p
+
+
+def _small_d_decimal(tj: int, tm: int, tmp: int, c: Decimal, s: Decimal) -> Decimal:
+    """d_{m m'} as the factorial sum, term by term, given c = cos(theta/2)
+    and s = sin(theta/2)."""
+    f = math.factorial
+    jm, jmm = (tj + tm) // 2, (tj - tm) // 2
+    jp, jmp = (tj + tmp) // 2, (tj - tmp) // 2
+    root = Decimal(f(jm) * f(jmm) * f(jp) * f(jmp)).sqrt()
+    total = Decimal(0)
+    for ell in range(tj + 1):
+        facs = (jmp - ell, jm - ell, ell, ell + (tmp - tm) // 2)
+        if min(facs) < 0:
+            continue
+        den = f(facs[0]) * f(facs[1]) * f(facs[2]) * f(facs[3])
+        term = root / den * c ** (tj + (tm - tmp) // 2 - 2 * ell) * s ** (2 * ell + (tmp - tm) // 2)
+        total += -term if ell % 2 else term
+    return total
+
+
+def decimal_matrix(tj: int, tm: int, x: float, beta: float, gamma: float = 0.0) -> np.ndarray:
+    """M^(j,m)(x) at doubled spin tj and doubled channel tm, for |x| < 1,
+    with tau = tan(beta/2) rounded to a float as the package rounds it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dx, tau = Decimal(x), Decimal(math.tan(0.5 * beta))
+        c, s = ((1 - dx) / 2).sqrt(), ((1 + dx) / 2).sqrt()
+        d = [_small_d_decimal(tj, tj - 2 * i, tm, c, s) for i in range(tj + 1)]
+        u, q = tau * dx, (1 + tau * tau) * dx * dx - 1
+        # odd powers of w cancel, so f_n is a sum over even ones; q < 0 on
+        # the support, where w is imaginary
+        fn = [
+            sum(math.comb(n, 2 * k) * u ** (n - 2 * k) * q**k for k in range(n // 2 + 1))
+            / (1 - dx * dx).sqrt() ** n
+            for n in range(tj + 1)
+        ]
+        mag = [[float(2 * d[i1] * d[i2] * fn[abs(i1 - i2)]) for i2 in range(tj + 1)] for i1 in range(tj + 1)]
+    n = np.subtract.outer(np.arange(tj + 1), np.arange(tj + 1))  # m2 - m1 = i1 - i2
+    return np.array(mag) * np.exp(-1j * n * gamma)
