@@ -143,13 +143,19 @@ def small_d(j, beta: float) -> np.ndarray:
     return d
 
 
-def rotation_matrix(j, angles) -> np.ndarray:
-    """Full coin R(alpha, beta, gamma) = e^{-i alpha J_z} d(beta) e^{-i gamma J_z}."""
-    tj = walk_index(j)
+def _euler(angles) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) as floats; a non-finite angle raises DomainError."""
     alpha, beta, gamma = (float(a) for a in angles)
     for name, a in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(a):
             raise DomainError(f"{name} must be finite, got {a!r}")
+    return alpha, beta, gamma
+
+
+def rotation_matrix(j, angles) -> np.ndarray:
+    """Full coin R(alpha, beta, gamma) = e^{-i alpha J_z} d(beta) e^{-i gamma J_z}."""
+    tj = walk_index(j)
+    alpha, beta, gamma = _euler(angles)
     m = np.arange(tj, -tj - 1, -2) / 2.0
     d = small_d(tj / 2.0, beta)
     return np.exp(-1j * alpha * m)[:, None] * d * np.exp(-1j * gamma * m)[None, :]

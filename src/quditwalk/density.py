@@ -36,10 +36,10 @@ the rows, kappa a row's cancellation ratio: an upper bound on the digits
 an entry loses.
 
 Moments and the point mass use the Gauss rule of Konno's measure itself
-(``_konno_rule``), a Bernstein-Szego weight with a closed-form Jacobi
-matrix.  The channel weight is a polynomial of degree <= 2j on the support,
-so j + O(1) nodes make every moment exact at every beta, down to the
-ballistic law at beta = 0.
+(``_konno_rule``, built once per (beta, n)), a Bernstein-Szego weight with
+a closed-form Jacobi matrix.  The channel weight is a polynomial of degree
+<= 2j on the support, so j + O(1) nodes make every moment exact at every
+beta, down to the ballistic law at beta = 0.
 """
 
 from __future__ import annotations
@@ -472,8 +472,10 @@ def continuous_density(spec: LimitSpec, v):
     return float(out[0]) if scalar else out
 
 
-def _konno_rule(spec: LimitSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss rule (nodes x, weights) for Konno's measure.
+@lru_cache(maxsize=32)
+def _konno_rule(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule (nodes t = x/a, weights) for Konno's measure,
+    cached per (beta, n) as read-only arrays.
 
     In t = x/a, with b = sin(beta/2), the measure is the Bernstein-Szego
     weight (b/pi) dt / ((1 - a^2 t^2) sqrt(1 - t^2)) of mass 1.  Its Jacobi
@@ -484,11 +486,14 @@ def _konno_rule(spec: LimitSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``coin.DENSE_BUDGET_BYTES`` raises DomainError.
     """
     _require_dense(n, np.dtype(float).itemsize, "the Konno Jacobi matrix")
-    b = math.sin(0.5 * spec.beta)
+    b = math.sin(0.5 * beta)
     off = np.full(n - 1, 0.5)
     off[:2] = np.sqrt([1.0 / (1.0 + b), 0.5 * b / (1.0 + b)])[: n - 1]
     t, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return spec.a * t, vec[0] ** 2
+    weights = vec[0] ** 2
+    t.setflags(write=False)
+    weights.setflags(write=False)
+    return t, weights
 
 
 def _continuous_moment(spec: LimitSpec, r: int) -> float:
@@ -501,7 +506,11 @@ def _continuous_moment(spec: LimitSpec, r: int) -> float:
     """
     if spec.a == 0.0:
         return 0.0
-    x, w = _konno_rule(spec, (spec.tj + r) // 2 + 1)
+    # the channel weights need the J_y spectrum: refuse an oversized one
+    # before the Gauss rule's own eigh
+    _require_dense(spec.tj + 1, np.dtype(complex).itemsize, "the J_y generator")
+    t, w = _konno_rule(spec.beta, (spec.tj + r) // 2 + 1)
+    x = spec.a * t
     wr = w * x**r
     sums = [float(wr @ _scalar_grid(spec, tm, x)).as_integer_ratio() for tm in spec.channels]
     try:

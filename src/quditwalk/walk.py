@@ -3,25 +3,43 @@
 One step applies the coin to the internal state and then shifts channel m by
 -2m sites.  All shifts are even multiples of the lattice spacing relative to
 each other, so the support after t steps lives on x = -2jt, -2jt+2, ..., 2jt
-and is stored densely with stride 2.
+and is stored densely with stride 2: N = 1 + 2jt sites, index s at
+x = -2jt + 2s.
 
-``evolve`` keeps the walk channel-major, in one (2j+1) x (1 + 2jt) complex
-buffer allocated before the first step and reused at every step, so each
-channel's shift is a copy into one contiguous row.  A position-major scratch
-of the same size takes the coin product.  Both buffers together need
-2 (1 + 2jt)(2j+1) 16 bytes; a request above ``FIELD_BUDGET_BYTES`` raises
-DomainError before anything is allocated.  The public ``step`` runs the same
-kernel once on freshly sized buffers.
+``evolve`` takes the walk at time t in closed form in momentum space (the
+Fourier picture of Grimmett, Janson & Scudo, Phys. Rev. E 69, 026119, 2004).
+In the stored index one step multiplies channel i (m = j - i) by z^i after
+the coin; at z = e^{-2ik} that is e^{-2ijk} D^j(h(k)), the spin-j image of
+
+    h(k) = e^{-i(alpha - 2k) sigma_z/2} e^{-i beta sigma_y/2} e^{-i gamma sigma_z/2}
+
+in SU(2).  So the walk at time t and momentum k is e^{-2ijkt} D^j(h(k)^t)
+psi_0.  ``evolve`` takes M momenta k_n = pi n/M, with M the smallest
+2^a 3^b 5^c >= N (``_fft_length``), raises each h(k_n) to the power t by
+binary powering, reads the Euler angles of h^t off its first column,
+applies D^j(h^t) through the cached J_y eigenvectors of ``coin._jy_eig`` and
+returns to positions with one inverse FFT of length M.  The support has
+N <= M sites, so that transform is exact: the M - N sites past the support
+come out as rounding and are dropped.  Nothing steps, and the cost is
+O((2j+1)^2 M) plus the FFT, against O((2j+1)^2 j t^2) for t steps.
+
+The momenta go in chunks of ``_CHUNK``.  ``evolve`` holds one (2j+1) x M
+complex field, which the FFT overwrites in place, plus two (2j+1) x _CHUNK
+complex work arrays and some chunk-length vectors (``_field_bytes``); a
+request over ``FIELD_BUDGET_BYTES`` raises DomainError before anything is
+allocated.  The public ``step`` applies one coin product and shift, on a
+fresh array.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import rotation_matrix
+from .coin import _euler, _jy_eig
 from .errors import DomainError
 from .halfint import HalfInt, _require_nonneg_int
 from .qudit import Qudit
@@ -38,10 +56,17 @@ __all__ = [
     "binned_density",
 ]
 
-# Most memory evolve may ask for, in bytes, for its field and scratch buffers
-# together: 2 GiB admits 130 components at t = 1000 (0.54 GB) and 130
-# components up to t = 4001.
+# Most memory evolve may ask for, in bytes (``_field_bytes``): 2 GiB admits
+# 130 components at t = 1000 (0.27 GB) and 130 components up to t = 7937.
 FIELD_BUDGET_BYTES = 2 * 2**30
+
+# Momenta per chunk of evolve's Fourier pass.
+_CHUNK = 1024
+# Complex vectors of _CHUNK entries that evolve's count allows beside its
+# arrays: the SU(2) powers, the angles and their temporaries, plus numpy's
+# ufunc buffers, which do not shrink with a short chunk (32.5 measured at
+# 50 components).
+_CHUNK_VECTORS = 48
 
 
 @dataclass(frozen=True)
@@ -49,9 +74,9 @@ class WaveField:
     """Amplitudes over position and channel after t steps.
 
     Row s of ``amps`` holds position x = lo + 2s; column i holds channel
-    m = j - i.  The walk stores each channel as one contiguous row, so
-    ``amps`` is the transposed view of that channel-major buffer: indexing
-    and shape are position-major, the memory layout is not.
+    m = j - i.  ``evolve`` stores each channel as one contiguous row, so its
+    ``amps`` is a transposed view of that channel-major array: indexing and
+    shape are position-major, the memory layout is not.
     """
 
     tj: int
@@ -73,40 +98,45 @@ def initial_state(qudit: Qudit) -> WaveField:
     return WaveField(qudit.tj, 0, 0, qudit.amplitudes[None, :].copy())
 
 
-def _advance(field: np.ndarray, n: int, coin: np.ndarray, scratch: np.ndarray) -> None:
-    """One step in place on channel-major storage.
-
-    ``field[:, :n]`` holds the walk on entry and ``field[:, :n + 2j]`` on
-    return; ``scratch`` is position-major with at least n rows.
-    """
-    dim = coin.shape[0]
-    mixed = scratch[:n]
-    # a position-major product amps @ coin.T adds in the same order as on a
-    # position-major array; a channel-major coin @ field[:, :n] does not
-    np.matmul(field[:, :n].T, coin.T, out=mixed)
-    for i in range(dim):
-        # channel i carries m = j - i and shifts by -(tj - 2i) sites
-        row = field[i]
-        row[:i] = 0.0
-        row[i : i + n] = mixed[:, i]
-        row[i + n : n + dim - 1] = 0.0
-
-
 def step(field: WaveField, coin: np.ndarray) -> WaveField:
     """Advance one time step under the given coin matrix."""
     n, dim = field.amps.shape
     if coin.shape != (dim, dim):
         raise DomainError(f"coin shape {coin.shape} does not match {dim} channels")
-    out = np.empty((dim, n + field.tj), dtype=complex)
-    out[:, :n] = field.amps.T
-    _advance(out, n, coin, np.empty((n, dim), dtype=complex))
-    return WaveField(field.tj, field.t + 1, field.lo - field.tj, out.T)
+    mixed = field.amps @ coin.T
+    out = np.zeros((n + field.tj, dim), dtype=complex)
+    for i in range(dim):
+        # channel i carries m = j - i and shifts by -(tj - 2i) sites
+        out[i : i + n, i] = mixed[:, i]
+    return WaveField(field.tj, field.t + 1, field.lo - field.tj, out)
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length the FFT takes fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _field_bytes(tj: int, t: int) -> int:
+    """Bytes evolve holds for t steps at doubled spin tj: the (tj+1) x M
+    field, M = ``_fft_length(1 + tj t)``, two (tj+1) x chunk work arrays
+    and the chunk-length vectors."""
+    modes = _fft_length(1 + tj * t)
+    chunk = min(_CHUNK, modes)
+    return np.dtype(complex).itemsize * ((tj + 1) * (modes + 2 * chunk) + _CHUNK_VECTORS * _CHUNK)
 
 
 def _require_field_budget(tj: int, t: int) -> None:
-    """Raise DomainError if evolve's two buffers for t steps at doubled spin
-    tj would exceed FIELD_BUDGET_BYTES."""
-    need = 2 * (1 + tj * t) * (tj + 1) * np.dtype(complex).itemsize
+    """Raise DomainError if evolve would hold more than FIELD_BUDGET_BYTES
+    for t steps at doubled spin tj."""
+    need = _field_bytes(tj, t)
     if need > FIELD_BUDGET_BYTES:
         raise DomainError(
             f"{tj + 1} components for t = {t} steps need {need} bytes, "
@@ -114,23 +144,95 @@ def _require_field_budget(tj: int, t: int) -> None:
         )
 
 
-def evolve(qudit: Qudit, angles, t: int) -> WaveField:
-    """Run t steps from the origin with the coin R(alpha, beta, gamma).
+def _su2_power(p: np.ndarray, q: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """First column (p, q) of h^t for the SU(2) elements h = [[p, -q*], [q, p*]].
 
-    Raises DomainError, before allocating, when the field and its scratch
-    would need more than FIELD_BUDGET_BYTES.
+    Binary powering needs only products, (p1, q1)(p2, q2) =
+    (p1 p2 - q1* q2, q1 p2 + p1* q2), so no rotation angle is divided by and
+    h = I is no special case.
+    """
+    rp, rq = p, q
+    t -= 1
+    while t:
+        if t & 1:
+            rp, rq = rp * p - np.conj(rq) * q, rq * p + np.conj(rp) * q
+        t >>= 1
+        if t:
+            p, q = p * p - np.conj(q) * q, q * p + np.conj(p) * q
+    return rp, rq
+
+
+def _jz_phases(out: np.ndarray, theta: np.ndarray, first: np.ndarray) -> None:
+    """Fill row r of out with first e^{i r theta}, column by column.
+
+    With first = e^{-i j theta}, row r is e^{-i m theta} at m = j - r.  Rows
+    [f, 2f) are rows [0, f) times e^{i f theta}, so each entry is a product
+    of at most log2(rows) + 1 exponentials, and those few chunk-length
+    exponentials are all the transcendental work.
+    """
+    out[0] = first
+    filled = 1
+    while filled < out.shape[0]:
+        n = min(filled, out.shape[0] - filled)
+        np.multiply(out[:n], np.exp(1j * filled * theta), out=out[filled : filled + n])
+        filled += n
+
+
+def evolve(qudit: Qudit, angles, t: int) -> WaveField:
+    """The walk after t steps from the origin with the coin R(alpha, beta,
+    gamma), in closed form (see the module docstring); t = 0 returns the
+    initial state.
+
+    Raises DomainError, before allocating, when the field and its work
+    arrays would need more than FIELD_BUDGET_BYTES.
     """
     t = _require_nonneg_int(t, "t")
+    alpha, beta, gamma = _euler(angles)
+    if t == 0:
+        return initial_state(qudit)
     tj, dim = qudit.tj, qudit.dim
     _require_field_budget(tj, t)
-    coin = rotation_matrix(qudit.j, angles)
+    j = tj / 2.0
+    _, vec = _jy_eig(tj)
+    # V^dag diag(psi_0): the initial state rides on the first product
+    vec_h = vec.conj().T * qudit.amplitudes
     width = 1 + tj * t
-    field = np.empty((dim, width), dtype=complex)
-    scratch = np.empty((width, dim), dtype=complex)
-    field[:, 0] = qudit.amplitudes
-    for n in range(1, width, tj):  # n positions before each step
-        _advance(field, n, coin, scratch)
-    return WaveField(tj, t, -tj * t, field.T)
+    modes = _fft_length(width)
+    field = np.empty((dim, modes), dtype=complex)
+    work = np.empty((2, dim, min(_CHUNK, modes)), dtype=complex)
+    # h(k) = [[p0 e^{ik}, -q*], [q0 e^{-ik}, p*]]
+    p0 = math.cos(0.5 * beta) * cmath.exp(-0.5j * (alpha + gamma))
+    q0 = math.sin(0.5 * beta) * cmath.exp(0.5j * (alpha - gamma))
+    for lo in range(0, modes, _CHUNK):
+        n = np.arange(lo, min(lo + _CHUNK, modes))
+        k = np.pi * n / modes
+        turn = np.exp(1j * k)
+        p, q = _su2_power(p0 * turn, q0 * np.conj(turn), t)
+        # h^t = e^{-i a sigma_z/2} e^{-i b sigma_y/2} e^{-i c sigma_z/2} has
+        # p = e^{-i(a+c)/2} cos(b/2) and q = e^{i(a-c)/2} sin(b/2).  The
+        # phases a m + c m' = (a+c)/2 (m+m') + (a-c)/2 (m-m') need only
+        # those half-angles, whose 2 pi ambiguity drops out of e^{-i...}
+        # since m +- m' are integers: half-integer j needs no sign fix
+        half_sum, half_diff = -np.angle(p), np.angle(q)
+        b = 2.0 * np.arctan2(np.abs(q), np.abs(p))
+        phase, mixed = work[0, :, : n.size], work[1, :, : n.size]
+        out = field[:, lo : lo + n.size]
+        # e^{-i c m'} psi_0, then d^j(b) = V diag(e^{-i b lam}) V^dag with
+        # lam = -j..j ascending
+        c = half_sum - half_diff
+        _jz_phases(phase, c, np.exp(-1j * j * c))
+        np.matmul(vec_h, phase, out=mixed)
+        _jz_phases(phase, -b, np.exp(1j * j * b))
+        mixed *= phase
+        np.matmul(vec, mixed, out=out)
+        # e^{-i a m}, and e^{-2ijkt} puts x = -2jt at s = 0; its angle
+        # pi n (N - 1)/M is reduced mod 2 pi in integers
+        a = half_sum + half_diff
+        shift = np.pi / modes * (n * (width - 1) % (2 * modes))
+        _jz_phases(phase, a, np.exp(-1j * (shift + j * a)))
+        out *= phase
+    np.fft.ifft(field, axis=1, out=field)
+    return WaveField(tj, t, -tj * t, field[:, :width].T)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,8 @@ def test_konno_normalization_and_second_moment():
         spec = LimitSpec(preset_qudit("up", "1/2"), beta)
         a, b = spec.a, math.sin(0.5 * beta)
         for n in range(1, 9):
-            x, w = density._konno_rule(spec, n)
+            t, w = density._konno_rule(beta, n)
+            x = a * t
             assert np.all(np.abs(x) < a) and np.all(w > 0.0)
             mom = 1.0
             for k in range(n):
@@ -474,9 +476,8 @@ def test_moments_past_the_float_range_of_the_scale():
 
 def test_dense_matrices_over_the_budget_are_refused():
     # a Jacobi matrix of 6000 x 6000 floats is 288 MB; refused unbuilt
-    spec = LimitSpec(preset_qudit("up", "1/2"), math.pi / 2)
     with pytest.raises(DomainError, match="budget"):
-        density._konno_rule(spec, 6000)
+        density._konno_rule(math.pi / 2, 6000)
 
 
 def test_point_mass_values():
@@ -556,7 +557,7 @@ def test_moment_rule_needs_no_more_nodes(monkeypatch, dim, betas, orders):
         for r in orders:
             got = limit_moment(spec, r)
             with monkeypatch.context() as mp:
-                mp.setattr(density, "_konno_rule", lambda spec, n: rule(spec, n + 11))
+                mp.setattr(density, "_konno_rule", lambda beta, n: rule(beta, n + 11))
                 more = limit_moment(spec, r)
             assert abs(got - more) <= 1e-13 * max(1.0, abs(more)), (beta, r, got, more)
 
@@ -569,10 +570,38 @@ def test_cached_arrays_are_read_only():
     lam, vec = _jy_eig(5)
     nodes, weights = _gauss_legendre(200)
     coef, rows, _, up, _ = _ladder_rows(5, 1)
-    for arr in (lam, vec, nodes, weights, coef, rows, up):
+    konno_t, konno_w = density._konno_rule(math.pi / 2, 2)
+    for arr in (lam, vec, nodes, weights, coef, rows, up, konno_t, konno_w):
         with pytest.raises(ValueError):
             arr *= 2
     assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
+
+
+def test_a_cached_gauss_rule_gives_the_same_moments():
+    # orders r and r + 1 share a rule whenever 2j + r is even
+    spec = LimitSpec(_dense(13, 4013), 22 * math.pi / 25, 0.4)
+    density._konno_rule.cache_clear()
+    cold = [limit_moment(spec, r) for r in range(7)]
+    assert density._konno_rule.cache_info().hits == 3  # r = 1, 3, 5 reuse r - 1's
+    warm = [limit_moment(spec, r) for r in range(7)]
+    assert density._konno_rule.cache_info().misses == 4
+    assert warm == cold
+
+
+def test_an_oversized_moment_is_refused_before_any_eigh():
+    # 4097 components: the J_y generator is over the dense budget, so the
+    # 2049-node Gauss rule must not be built first
+    spec = LimitSpec(preset_qudit("up", 2048), math.pi / 2)
+    density._konno_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="J_y generator"):
+            limit_moment(spec, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert density._konno_rule.cache_info().misses == 0
 
 
 def test_runtime_checks_survive_optimized_mode():
