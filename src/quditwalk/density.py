@@ -506,9 +506,9 @@ def _continuous_moment(spec: LimitSpec, r: int) -> float:
     """
     if spec.a == 0.0:
         return 0.0
-    # the channel weights need the J_y spectrum: refuse an oversized one
-    # before the Gauss rule's own eigh
-    _require_dense(spec.tj + 1, np.dtype(complex).itemsize, "the J_y generator")
+    # the channel weights need the (cached) J_y spectrum: building it first
+    # refuses an oversized one before the Gauss rule's own eigh
+    _jy_eig(spec.tj)
     t, w = _konno_rule(spec.beta, (spec.tj + r) // 2 + 1)
     x = spec.a * t
     wr = w * x**r
