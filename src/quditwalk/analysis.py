@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,22 +41,35 @@ __all__ = [
 ]
 
 
-def curvature_at_origin(j, beta: float) -> float:
-    """Second derivative of the limit density at v = 0, in closed form."""
-    tj = walk_index(j)
+def _require_curvature_beta(beta: float) -> float:
     beta = float(beta)
     if not 0.0 < beta < math.pi:
         raise DomainError(f"curvature needs beta in (0, pi), got {beta!r}")
+    return beta
+
+
+def _curvature(tj: int, beta: float, row: list[int]) -> float:
+    """``curvature_at_origin`` at doubled spin tj, with ``row`` the exact
+    binomial row C(tj, k), k = 0..tj."""
     a = math.cos(0.5 * beta)
     inv2 = 1.0 / (a * a)
+    den = 2 ** (tj - 1)
     # one integer ratio: the binomial and 2^(2j-1) leave float range alone
     terms = [
-        (2.0 + inv2 + (tm * tm - tj))
-        * (math.comb(tj, (tj + tm) // 2) / 2 ** (tj - 1))
-        / tm**3
+        (2.0 + inv2 + (tm * tm - tj)) * (row[(tj + tm) // 2] / den) / tm**3
         for tm in doubled_channels(tj)
     ]
     return math.sqrt(1.0 - a * a) / (math.pi * a) * math.fsum(terms)
+
+
+def curvature_at_origin(j, beta: float) -> float:
+    """Second derivative of the limit density at v = 0, in closed form."""
+    tj = walk_index(j)
+    beta = _require_curvature_beta(beta)
+    row = [1]
+    for k in range(tj):
+        row.append(row[-1] * (tj - k) // (k + 1))
+    return _curvature(tj, beta, row)
 
 
 @dataclass(frozen=True)
@@ -73,8 +87,19 @@ class ConvexityReport:
 
 
 def critical_j(beta: float, j_max) -> ConvexityReport:
+    """``curvature_at_origin`` at every j from 1/2 to ``j_max``.
+
+    Each spin's binomial row is the previous one's Pascal sum, exact in
+    integers, so the rows cost O(j_max^2) big-integer additions and every
+    curvature equals ``curvature_at_origin``'s bit for bit.
+    """
     tmax = walk_index(j_max)
-    rows = [(HalfInt(tj), curvature_at_origin(HalfInt(tj), beta)) for tj in range(1, tmax + 1)]
+    beta = _require_curvature_beta(beta)
+    rows = []
+    row = [1]
+    for tj in range(1, tmax + 1):
+        row = [1, *map(operator.add, row[:-1], row[1:]), 1]
+        rows.append((HalfInt(tj), _curvature(tj, beta, row)))
     jc = None
     for jv, d2 in reversed(rows):
         if d2 < 0.0:

@@ -23,6 +23,18 @@ holds to rounding.  The channel weight there is |v1^dag phi0|^2 +
 vectors for a whole block of points in one (points x 2j+1) product, and
 serves both the density quadratures and ``weight_matrix_direct``.
 
+The small-d column there is a spectral sum over the J_y eigenvalues
+lam = -j..j, which needs e^{i lam alpha} at alpha = arccos(-x).  No
+trigonometric call is made for it: cos(alpha) = -x and
+sin(alpha) = sqrt(1 - x^2), and the half angle has the closed forms
+cos(alpha/2) = sqrt((1 - x)/2) and sin(alpha/2) = sqrt((1 + x)/2), so the
+values for lam = 1/2 or 1 upward are one running product by
+z = e^{i alpha}, a complex multiply per point and eigenvalue (taken n
+eigenvalues at a time with the factor z^n).  Its rounding grows about
+linearly in j, as that of the angle lam * alpha does.
+The phase phi needs 1 - (1+tau^2) x^2, which cancels near the pikes
+|x| = cos(beta/2); it is formed in extended precision.
+
 Off the support, which only the public weight-matrix API visits, the same
 collapse holds with cos turned into a growing exponential that amplifies
 the small-d rounding floor at large j.  There each small-d factor is
@@ -195,25 +207,52 @@ def _support_vectors(tj, tm, x, tau, gamma, rows):
     This reproduces the collapsed entry 2 d1 d2 cos((m2-m1) phi)
     e^{-i (m2-m1) gamma}.  The small-d column comes from the J_y spectrum,
 
-        d_{m_i m}(angle) = Re sum_k e^{-i angle lam_k} vec[i, k] conj(vec[col, k]),
+        d_{m_i m}(alpha) = Re sum_k e^{-i alpha lam_k} vec[i, k] conj(vec[col, k]),
 
     whose eigenvalues lam = -j..j pair up as +-lam (columns k and 2j-k), so
-    each pair's real part is cos(angle lam) (Re c+ + Re c-) + sin(angle lam)
-    (Im c+ - Im c-): one real product over the lam > 0 half.
+    each pair's real part is Re[e^{i alpha lam} (conj(c+) + c-)]: one
+    complex product over the lam > 0 half, of which only the real part is
+    kept.  With alpha = arccos(-x), the half angle is
+    e^{i alpha/2} = sqrt((1 - x)/2) + i sqrt((1 + x)/2) and its square is
+    z = e^{i alpha} = -x + i sqrt(1 - x^2); e^{i lam alpha} starts at one
+    of them (lam = 1/2 or 1), and each next eigenvalue is one factor z
+    further (the first n values times z^n give the next n), so no point or
+    eigenvalue costs a cos or sin.  The rounding of the product grows about
+    linearly in j.  A point that rounding puts past |x| = 1 (at beta = 0)
+    is taken at the edge.
     """
-    lam, vec = _jy_eig(tj)
+    _, vec = _jy_eig(tj)
     coef = vec[rows] * np.conj(vec[(tj - tm) // 2])
     npos = (tj + 1) // 2  # eigenvalues above zero; an odd dimension adds lam = 0
     plus = coef[:, tj + 1 - npos :]
     minus = coef[:, npos - 1 :: -1]
-    ang = np.multiply.outer(np.arccos(-x), lam[tj + 1 - npos :])
-    dd = np.cos(ang) @ (plus.real + minus.real).T + np.sin(ang) @ (plus.imag - minus.imag).T
+    # rot[k] = e^{i lam alpha} for the k-th eigenvalue above zero
+    rot = np.empty((npos, x.size), dtype=complex)
+    rot[0].real, rot[0].imag = np.sqrt(np.maximum(0.5 + np.multiply.outer((-0.5, 0.5), x), 0.0))
+    z = rot[0] * rot[0]
+    if tj % 2 == 0:
+        rot[0] = z
+    # rot[n:2n] = rot[:n] z^n, so a block and a single point alike take
+    # log2(j) numpy calls
+    n = 1
+    while n < npos:
+        dst = rot[n : 2 * n]
+        np.multiply(rot[: len(dst)], z, out=dst)
+        n *= 2
+        if n < npos:
+            z = z * z
+    dd = (rot.T @ (np.conj(plus) + minus).T).real
     if tj % 2 == 0:
         dd += coef[:, tj // 2].real
-    phi = np.arctan2(np.sqrt(np.maximum(1.0 - (1.0 + tau * tau) * x * x, 0.0)), tau * x)
+    # 1 - (1+tau^2) x^2 cancels near the pike points, where phi is small and
+    # its rounding grows n-fold in e^{i n phi}: extended precision keeps the
+    # discriminant's relative error near one ulp
+    xl = x.astype(np.longdouble)
+    disc = (1.0 - (1.0 + np.longdouble(tau) ** 2) * xl * xl).astype(float)
+    phi = np.arctan2(np.sqrt(np.maximum(disc, 0.0)), tau * x)
     turn = np.exp(1j * np.multiply.outer(phi, rows))
-    tilt = np.exp(-1j * gamma * np.asarray(rows))
-    return dd * turn * tilt, dd * np.conj(turn) * tilt
+    tilted = dd * np.exp(-1j * gamma * np.asarray(rows))
+    return tilted * turn, tilted * np.conj(turn)
 
 
 def _wedge_matrix(tj, tm, x: float, tau, gamma):

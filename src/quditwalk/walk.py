@@ -244,11 +244,14 @@ class Distribution:
 
 
 def position_distribution(field: WaveField) -> Distribution:
-    # |amps|^2 in position-major order: summing over the channel axis of the
-    # channel-major layout adds in another order and changes the last bits
-    # of p from 8 components up
-    p = np.abs(field.amps, order="C") ** 2
-    return Distribution(field.positions, p.sum(axis=1))
+    # one contiguous channel at a time into one float vector, with no
+    # position-major copy of the field; the channels add left to right, as
+    # numpy's row sum does below 8 terms
+    amps = field.amps
+    p = np.abs(amps[:, 0]) ** 2
+    for col in range(1, amps.shape[1]):
+        p += np.abs(amps[:, col]) ** 2
+    return Distribution(field.positions, p)
 
 
 def pseudovelocity_moment(dist: Distribution, t: int, r: int) -> float:

@@ -11,7 +11,8 @@ digit per ten components, so it is a reference up to about 30 components.
 
 ``two_path_small_d`` is the package's earlier two-path evaluator: that sum
 up to 20 components, and above them the plain complex J_y spectral product
-Re(V e^{-i beta lam} V^dag), with no identity split off.  It takes neither
+Re(V e^{-i beta lam} V^dag), with no identity split off;
+``two_path_small_d_column`` forms one column of it.  It takes neither
 ``small_d`` nor the density module's folded small-d column, so the
 channel-weight cross-checks compare two different evaluations.
 """
@@ -65,3 +66,12 @@ def two_path_small_d(tj: int, beta: float) -> np.ndarray:
         return small_d_sum(tj, beta)
     lam, vec = _jy_eig(tj)
     return ((vec * np.exp(-1j * beta * lam)) @ vec.conj().T).real
+
+
+def two_path_small_d_column(tj: int, beta: float, col: int) -> np.ndarray:
+    """Column ``col`` of ``two_path_small_d``; above 20 components one
+    matrix-vector product, so no (2j+1)^2 matrix is formed."""
+    if tj + 1 <= 20:
+        return small_d_sum(tj, beta)[:, col]
+    lam, vec = _jy_eig(tj)
+    return (vec @ (np.exp(-1j * beta * lam) * vec[col].conj())).real

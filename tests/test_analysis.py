@@ -75,6 +75,16 @@ def test_critical_j_table():
         assert math.isfinite(d2) and d2 < 0.0, (dim, d2)
 
 
+@pytest.mark.parametrize("beta", BETAS)
+def test_critical_j_rows_equal_the_single_curvatures(beta):
+    # Pascal rows in the scan, one multiplicative row per single call: both
+    # exact, so every float must agree bit for bit
+    report = critical_j(beta, HalfInt(300))
+    assert len(report.rows) == 300
+    for jv, d2 in report.rows:
+        assert d2 == curvature_at_origin(jv, beta), jv
+
+
 # ----------------------------------------------------------- pike weights
 
 def test_pike_weight_half_spin_is_one():

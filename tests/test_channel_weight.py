@@ -31,17 +31,24 @@ from quditwalk import (
     limit_moment,
     preset_qudit,
 )
-from small_d_reference import two_path_small_d
+from small_d_reference import two_path_small_d, two_path_small_d_column
 
 BETAS = (0.002, math.pi / 10, math.pi / 2, 3.0)
 GAMMAS = (0.0, 0.4, -1.1)
 
 
-# moments visit the same few nodes in every channel; the bound keeps the
-# 130-component matrices (135 kB each) to a few tens of MB
+# moments visit the same few nodes in every channel: up to 20 components
+# the factorial-sum matrix is shared by them, and above that each column is
+# one matrix-vector product (a 520-component matrix would take 2 MB)
 @lru_cache(maxsize=256)
 def _small_d_at(tj, angle):
     return two_path_small_d(tj, angle)
+
+
+def _small_d_column(tj, angle, col):
+    if tj + 1 <= 20:
+        return _small_d_at(tj, angle)[:, col]
+    return two_path_small_d_column(tj, angle, col)
 
 
 def _reference_grid(spec, tm, x):
@@ -49,7 +56,7 @@ def _reference_grid(spec, tm, x):
     tj = spec.tj
     tau = math.tan(0.5 * spec.beta)
     x = np.asarray(x, dtype=float)
-    col = np.array([_small_d_at(tj, math.acos(-xk))[:, (tj - tm) // 2] for xk in x])
+    col = np.array([_small_d_column(tj, math.acos(-xk), (tj - tm) // 2) for xk in x])
     phi = np.arctan2(np.sqrt(np.maximum(1.0 - (1.0 + tau * tau) * x * x, 0.0)), tau * x)
     out = np.zeros(x.shape)
     nz = np.flatnonzero(q)
@@ -130,6 +137,20 @@ def test_limit_law_matches_the_pairwise_reference(monkeypatch, kind, dim, beta, 
     for g, w, scale in zip(got, want, _scales(want)):
         gap = np.abs(np.asarray(g) - np.asarray(w)) / scale
         assert float(np.max(gap)) < 1e-12, (gap, g, w)
+
+
+def test_density_at_520_components_matches_the_pairwise_reference(monkeypatch):
+    # the small-d column's running rotation reaches lam = 519/2 here; the
+    # reference takes every e^{-i angle lam} from exp
+    spec = LimitSpec(preset_qudit("paper-sym", HalfInt(519)), math.pi / 2, 0.0)
+    v = np.linspace(-0.95, 0.95, 11) * 519 * spec.a
+    got = continuous_density(spec, v)
+    with monkeypatch.context() as mp:
+        _use_reference(mp)
+        want = continuous_density(spec, v)
+    # the density stays below 0.05 here, so the scale is its peak, not 1
+    gap = np.abs(got - want) / np.abs(want).max()
+    assert float(gap.max()) < 1e-12, (gap, got, want)
 
 
 def _scales(numbers):

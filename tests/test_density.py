@@ -337,6 +337,26 @@ def test_off_support_entries_match_the_decimal_oracle():
         assert gap <= 1e-9, (dim, tm, gap)
 
 
+@pytest.mark.parametrize("dim", (130, 260))
+def test_on_support_entries_match_the_decimal_oracle(dim):
+    # the small-d column's running rotation and the phase, on the support
+    # at large j: a relative 1e-9 inside either pike, at 0 and between, for
+    # beta near 0, at pi/2 and near pi; channels m = j, j-1 and the smallest
+    tj = dim - 1
+    worst = (0.0,)
+    for beta in (1e-3, math.pi / 2, math.pi - 1e-3):
+        a = math.cos(0.5 * beta)
+        for x in (-(1.0 - 1e-9) * a, -0.55 * a, 0.0, 0.3 * a, (1.0 - 1e-9) * a):
+            for tm in (tj, tj - 2, 2 - tj % 2):
+                for gamma in (0.0, 0.4):
+                    ref = decimal_matrix(tj, tm, x, beta, gamma)
+                    mat = weight_matrix_direct(tj / 2, tm / 2, x, beta, gamma)
+                    assert mat.cancellation == 1.0, (beta, x, tm)
+                    gap = float(np.abs(mat.entries - ref).max()) / max(1.0, float(np.abs(ref).max()))
+                    worst = max(worst, (gap, beta, x, tm, gamma))
+    assert worst[0] <= 1e-13, worst
+
+
 def test_pike_point_takes_the_rank_two_form():
     # x = +-cos(beta/2) can round one ulp past (1+tau^2) x^2 <= 1 (it does
     # at beta = 22pi/25); the wedge polynomials there shed up to 22 digits

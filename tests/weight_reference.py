@@ -22,16 +22,18 @@ collapsed entry
 
 with cos(theta) = -x, so cos^2(theta/2) = (1 - x)/2, each small-d the
 literal factorial sum and f_n = (1/2)[(tau x + w)^n + (tau x - w)^n],
-w^2 = (1 + tau^2) x^2 - 1, all in 60-digit ``decimal``.  Off the support
-f_n grows like an exponential and the factorial sums cancel, which 60
-digits absorb at the sizes the tests use; the package's ladder rows take
-no part.
+w^2 = (1 + tau^2) x^2 - 1, each factor in 60-digit ``decimal`` and
+rounded to a float once; the three factors of an entry multiply in floats.
+Off the support f_n grows like an exponential and the factorial sums
+cancel, which 60 digits absorb at the sizes the tests use; the package's
+ladder rows take no part.
 """
 
 import cmath
 import decimal
 import math
 from decimal import Decimal
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,40 +89,78 @@ def grown_top(tj: int, x: float, beta: float, gamma: float = 0.0) -> np.ndarray:
     return p
 
 
-def _small_d_decimal(tj: int, tm: int, tmp: int, c: Decimal, s: Decimal) -> Decimal:
-    """d_{m m'} as the factorial sum, term by term, given c = cos(theta/2)
-    and s = sin(theta/2)."""
+def _powers(base: Decimal, top: int) -> list[Decimal]:
+    """[base^0, ..., base^top] by repeated products (Decimal refuses 0^0)."""
+    out = [Decimal(1)]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
+def _small_d_decimal(tj: int, tm: int, tmp: int, cp: list[Decimal], sp: list[Decimal]) -> Decimal:
+    """d_{m m'} as the factorial sum, term by term, given the powers
+    cp[k] = cos(theta/2)^k and sp[k] = sin(theta/2)^k.  Each term's
+    factorial ratio is the previous one's times a ratio of small integers."""
     f = math.factorial
     jm, jmm = (tj + tm) // 2, (tj - tm) // 2
     jp, jmp = (tj + tmp) // 2, (tj - tmp) // 2
-    root = Decimal(f(jm) * f(jmm) * f(jp) * f(jmp)).sqrt()
+    shift = (tmp - tm) // 2
+    lo, hi = max(0, -shift), min(jmp, jm)
+    # sqrt((j+m)! (j-m)! (j+m')! (j-m')!) / [(j-m'-l)! (j+m-l)! l! (l+m'-m)!] at l = lo
+    ratio = Decimal(f(jm) * f(jmm) * f(jp) * f(jmp)).sqrt() / (
+        f(jmp - lo) * f(jm - lo) * f(lo) * f(lo + shift)
+    )
     total = Decimal(0)
-    for ell in range(tj + 1):
-        facs = (jmp - ell, jm - ell, ell, ell + (tmp - tm) // 2)
-        if min(facs) < 0:
-            continue
-        den = f(facs[0]) * f(facs[1]) * f(facs[2]) * f(facs[3])
-        term = root / den * c ** (tj + (tm - tmp) // 2 - 2 * ell) * s ** (2 * ell + (tmp - tm) // 2)
+    for ell in range(lo, hi + 1):
+        term = ratio * cp[tj - shift - 2 * ell] * sp[2 * ell + shift]
         total += -term if ell % 2 else term
+        ratio = ratio * ((jmp - ell) * (jm - ell)) / ((ell + 1) * (ell + 1 + shift))
     return total
+
+
+@lru_cache(maxsize=64)
+def _decimal_column(tj: int, tm: int, x: float) -> np.ndarray:
+    """d_{m_i m}(theta), cos(theta) = -x, for every component i, each
+    rounded once from 60 digits; read-only, since the cache shares it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dx = Decimal(x)
+        cp = _powers(((1 - dx) / 2).sqrt(), tj)
+        sp = _powers(((1 + dx) / 2).sqrt(), tj)
+        col = np.array([float(_small_d_decimal(tj, tj - 2 * i, tm, cp, sp)) for i in range(tj + 1)])
+    col.setflags(write=False)
+    return col
+
+
+@lru_cache(maxsize=64)
+def _decimal_offdiag(tj: int, x: float, beta: float) -> np.ndarray:
+    """f_n(x) / (1 - x^2)^(n/2) for n = 0..tj, each rounded once from 60
+    digits; read-only, since the cache shares it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dx, tau = Decimal(x), Decimal(math.tan(0.5 * beta))
+        # odd powers of w cancel, so f_n is a sum over even ones; q < 0 on
+        # the support, where w is imaginary
+        up = _powers(tau * dx, tj)
+        qp = _powers((1 + tau * tau) * dx * dx - 1, tj // 2)
+        rp = _powers((1 - dx * dx).sqrt(), tj)
+        fn = np.array(
+            [
+                float(sum(math.comb(n, 2 * k) * up[n - 2 * k] * qp[k] for k in range(n // 2 + 1)) / rp[n])
+                for n in range(tj + 1)
+            ]
+        )
+    fn.setflags(write=False)
+    return fn
 
 
 def decimal_matrix(tj: int, tm: int, x: float, beta: float, gamma: float = 0.0) -> np.ndarray:
     """M^(j,m)(x) at doubled spin tj and doubled channel tm, for |x| < 1,
-    with tau = tan(beta/2) rounded to a float as the package rounds it."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        dx, tau = Decimal(x), Decimal(math.tan(0.5 * beta))
-        c, s = ((1 - dx) / 2).sqrt(), ((1 + dx) / 2).sqrt()
-        d = [_small_d_decimal(tj, tj - 2 * i, tm, c, s) for i in range(tj + 1)]
-        u, q = tau * dx, (1 + tau * tau) * dx * dx - 1
-        # odd powers of w cancel, so f_n is a sum over even ones; q < 0 on
-        # the support, where w is imaginary
-        fn = [
-            sum(math.comb(n, 2 * k) * u ** (n - 2 * k) * q**k for k in range(n // 2 + 1))
-            / (1 - dx * dx).sqrt() ** n
-            for n in range(tj + 1)
-        ]
-        mag = [[float(2 * d[i1] * d[i2] * fn[abs(i1 - i2)]) for i2 in range(tj + 1)] for i1 in range(tj + 1)]
+    with tau = tan(beta/2) rounded to a float as the package rounds it.
+    The small-d column and the f_n are cached per point, so other channels
+    or gammas at the same point reuse them; their products are taken in
+    floats, a few ulps from the 60-digit entries."""
+    x, beta = float(x), float(beta)
+    d = _decimal_column(tj, tm, x)
     n = np.subtract.outer(np.arange(tj + 1), np.arange(tj + 1))  # m2 - m1 = i1 - i2
-    return np.array(mag) * np.exp(-1j * n * gamma)
+    return 2.0 * np.outer(d, d) * _decimal_offdiag(tj, x, beta)[np.abs(n)] * np.exp(-1j * n * gamma)
