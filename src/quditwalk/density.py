@@ -19,19 +19,26 @@ with phi the phase of tau*x + i*sqrt(1 - (1+tau^2) x^2).  Every factor is
 bounded, nothing cancels at any j, and the full matrix is a rank-two sum
 M = v1 v1^dag + v2 v2^dag of outer products -- so positive semidefiniteness
 holds to rounding.  The channel weight there is |v1^dag phi0|^2 +
-|v2^dag phi0|^2: one batched evaluator (``_support_vectors``) forms the two
-vectors for a whole block of points in one (points x 2j+1) product, and
-serves both the density quadratures and ``weight_matrix_direct``.
+|v2^dag phi0|^2, and v^dag phi0 is a component of d^T psi for the qudit
+psi twisted by the phase: one evaluator (``_scalar_grid``) takes a block
+of points and any number of channels at once.  For one channel (a density
+sample set, a bin-mass batch) or one nonzero component it forms the
+small-d block of the nonzero components (``_small_d_block``, which also
+gives ``weight_matrix_direct`` its column); for several channels on shared
+points (the moments' nodes) it goes through the J_y eigenbasis, one
+product in and one product back out, so its work grows as components plus
+channels, not as their product.
 
-The small-d column there is a spectral sum over the J_y eigenvalues
+The small-d entries there are a spectral sum over the J_y eigenvalues
 lam = -j..j, which needs e^{i lam alpha} at alpha = arccos(-x).  No
-trigonometric call is made for it: cos(alpha) = -x and
+trigonometric call is made for it (``_rotation``): cos(alpha) = -x and
 sin(alpha) = sqrt(1 - x^2), and the half angle has the closed forms
 cos(alpha/2) = sqrt((1 - x)/2) and sin(alpha/2) = sqrt((1 + x)/2), so the
 values for lam = 1/2 or 1 upward are one running product by
 z = e^{i alpha}, a complex multiply per point and eigenvalue (taken n
-eigenvalues at a time with the factor z^n).  Its rounding grows about
-linearly in j, as that of the angle lam * alpha does.
+eigenvalues at a time with the factor z^n), and -lam takes the conjugate.
+Its rounding grows about linearly in j, as that of the angle lam * alpha
+does.
 The phase phi needs 1 - (1+tau^2) x^2, which cancels near the pikes
 |x| = cos(beta/2); it is formed in extended precision.
 
@@ -51,7 +58,18 @@ Moments and the point mass use the Gauss rule of Konno's measure itself
 (``_konno_rule``, built once per (beta, n)), a Bernstein-Szego weight with
 a closed-form Jacobi matrix.  The channel weight is a polynomial of degree
 <= 2j on the support, so j + O(1) nodes make every moment exact at every
-beta, down to the ballistic law at beta = 0.
+beta, down to the ballistic law at beta = 0.  Every channel shares those
+nodes, so a moment is one evaluator pass over all channels.
+
+Bin masses integrate each (channel, bin) slice in theta, x = a sin(theta),
+with a Gauss-Legendre rule whose order the slice earns
+(``_slice_orders``): W(a sin theta) is a trigonometric polynomial of
+degree <= 2j, and 1/(1 - a^2 sin^2 theta) has poles at theta = +-pi/2 +-
+i arccosh(1/a).  From both, a Bernstein-ellipse bound on the rule's error
+picks a quarter, a third, a half or two thirds of the cap ``_BIN_ORDER``
+where it stays within 1e-16 of the slice's scale.  Wide slices, slices the
+poles crowd, and slices where 1 - a^2 sin^2 theta loses digits keep the
+cap.
 """
 
 from __future__ import annotations
@@ -82,12 +100,13 @@ __all__ = [
     "limit_bin_masses",
 ]
 
-# Gauss-Legendre order of the rule bin masses use per (bin, channel) slice.
+# Cap on the Gauss-Legendre order of a bin-mass (bin, channel) slice; the
+# orders below it are fixed fractions of it (``_slice_orders``).
 _BIN_ORDER = 24
 
 # Points per batch of the on-support evaluator.  Its work arrays grow as
 # points x 2j+1, so a fixed block keeps memory flat when bin masses send a
-# channel's whole (slices x _BIN_ORDER) node set in one call.
+# channel's whole node set in one call.
 _BLOCK = 1024
 
 
@@ -193,40 +212,33 @@ def _ladder_rows(tj: int, tm: int):
     return tab
 
 
-def _support_vectors(tj, tm, x, tau, gamma, rows):
-    """The two vectors of M^(j,m)(x) = v1 v1^dag + v2 v2^dag at each point.
+def _phase(x: np.ndarray, tau: float) -> np.ndarray:
+    """phi at each point of a 1-D array on the support: the phase of
+    tau x + i sqrt(1 - (1+tau^2) x^2), clamped to 0 just past the edge.
 
-    For a 1-D array of points on the channel support, returns v1 and v2 as
-    (points, len(rows)) arrays holding only the components ``rows`` (indices
-    i in m-descending order, m_i = j - i):
-
-        v1_i = d_{m_i m}(arccos(-x)) e^{-i m_i (phi - gamma)},
-        v2_i = d_{m_i m}(arccos(-x)) e^{+i m_i (phi + gamma)},
-
-    each up to a phase common to the whole vector, which v v^dag drops.
-    This reproduces the collapsed entry 2 d1 d2 cos((m2-m1) phi)
-    e^{-i (m2-m1) gamma}.  The small-d column comes from the J_y spectrum,
-
-        d_{m_i m}(alpha) = Re sum_k e^{-i alpha lam_k} vec[i, k] conj(vec[col, k]),
-
-    whose eigenvalues lam = -j..j pair up as +-lam (columns k and 2j-k), so
-    each pair's real part is Re[e^{i alpha lam} (conj(c+) + c-)]: one
-    complex product over the lam > 0 half, of which only the real part is
-    kept.  With alpha = arccos(-x), the half angle is
-    e^{i alpha/2} = sqrt((1 - x)/2) + i sqrt((1 + x)/2) and its square is
-    z = e^{i alpha} = -x + i sqrt(1 - x^2); e^{i lam alpha} starts at one
-    of them (lam = 1/2 or 1), and each next eigenvalue is one factor z
-    further (the first n values times z^n give the next n), so no point or
-    eigenvalue costs a cos or sin.  The rounding of the product grows about
-    linearly in j.  A point that rounding puts past |x| = 1 (at beta = 0)
-    is taken at the edge.
+    1 - (1+tau^2) x^2 cancels near the pike points, where phi is small and
+    its rounding grows n-fold in e^{i n phi}: extended precision keeps the
+    discriminant's relative error near one ulp.
     """
-    _, vec = _jy_eig(tj)
-    coef = vec[rows] * np.conj(vec[(tj - tm) // 2])
+    xl = x.astype(np.longdouble)
+    disc = (1.0 - (1.0 + np.longdouble(tau) ** 2) * xl * xl).astype(float)
+    return np.arctan2(np.sqrt(np.maximum(disc, 0.0)), tau * x)
+
+
+def _rotation(tj: int, x: np.ndarray) -> np.ndarray:
+    """e^{i lam alpha} at alpha = arccos(-x) for the J_y eigenvalues
+    lam > 0, ascending (lam = 1/2 or 1 upward), as an (eigenvalues, points)
+    array.
+
+    The half angle is e^{i alpha/2} = sqrt((1 - x)/2) + i sqrt((1 + x)/2)
+    and its square is z = e^{i alpha} = -x + i sqrt(1 - x^2); the table
+    starts at one of them, and each next eigenvalue is one factor z further
+    (the first n values times z^n give the next n), so no point or
+    eigenvalue costs a cos or sin.  Its rounding grows about linearly in j,
+    as that of the angle lam * alpha does.  A point that rounding puts past
+    |x| = 1 (at beta = 0) is taken at the edge.
+    """
     npos = (tj + 1) // 2  # eigenvalues above zero; an odd dimension adds lam = 0
-    plus = coef[:, tj + 1 - npos :]
-    minus = coef[:, npos - 1 :: -1]
-    # rot[k] = e^{i lam alpha} for the k-th eigenvalue above zero
     rot = np.empty((npos, x.size), dtype=complex)
     rot[0].real, rot[0].imag = np.sqrt(np.maximum(0.5 + np.multiply.outer((-0.5, 0.5), x), 0.0))
     z = rot[0] * rot[0]
@@ -241,18 +253,28 @@ def _support_vectors(tj, tm, x, tau, gamma, rows):
         n *= 2
         if n < npos:
             z = z * z
-    dd = (rot.T @ (np.conj(plus) + minus).T).real
+    return rot
+
+
+def _small_d_block(tj, x, rows, cols) -> np.ndarray:
+    """d_{i c}(arccos(-x)) for the components i in ``rows`` and c in
+    ``cols`` (indices in m-descending order) at each point, as a real
+    (points, len(rows), len(cols)) array.
+
+    From the J_y spectrum, d_{i c}(alpha) = Re sum_k e^{-i alpha lam_k}
+    V_ik conj(V_ck); the eigenvalues lam = -j..j pair up as +-lam (columns
+    k and 2j-k), so each pair's real part is Re[e^{i alpha lam} (conj(c+) +
+    c-)]: one complex product with ``_rotation`` over the lam > 0 half, of
+    which only the real part is kept.
+    """
+    _, vec = _jy_eig(tj)
+    npos = (tj + 1) // 2
+    coef = vec[rows][:, None, :] * np.conj(vec[cols])
+    fold = np.conj(coef[..., tj + 1 - npos :]) + coef[..., npos - 1 :: -1]
+    dd = (_rotation(tj, x).T @ fold.reshape(-1, npos).T).real
     if tj % 2 == 0:
-        dd += coef[:, tj // 2].real
-    # 1 - (1+tau^2) x^2 cancels near the pike points, where phi is small and
-    # its rounding grows n-fold in e^{i n phi}: extended precision keeps the
-    # discriminant's relative error near one ulp
-    xl = x.astype(np.longdouble)
-    disc = (1.0 - (1.0 + np.longdouble(tau) ** 2) * xl * xl).astype(float)
-    phi = np.arctan2(np.sqrt(np.maximum(disc, 0.0)), tau * x)
-    turn = np.exp(1j * np.multiply.outer(phi, rows))
-    tilted = dd * np.exp(-1j * gamma * np.asarray(rows))
-    return tilted * turn, tilted * np.conj(turn)
+        dd += coef[..., tj // 2].real.ravel()
+    return dd.reshape(x.size, len(rows), len(cols))
 
 
 def _wedge_matrix(tj, tm, x: float, tau, gamma):
@@ -345,11 +367,15 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     """Evaluate M^(j,m)(x) from the defining sum, collapsed per regime.
 
     On the channel support (1+tau^2) x^2 <= 1, and within a few ulps past
-    it, the whole matrix is the sum of two outer products of
-    ``_support_vectors``.  Off it the lower-triangle entries at -|x| are
-    polynomials evaluated in one Horner pass, and hermiticity and the
-    reflection give the rest (``_wedge_matrix``); entries past the float
-    range raise DomainError.
+    it, the whole matrix is v1 v1^dag + v2 v2^dag with
+    v1_i = d_{i c} e^{-i m_i (phi - gamma)} and
+    v2_i = d_{i c} e^{+i m_i (phi + gamma)}, c = j - m, each up to a phase
+    common to the whole vector: the small-d column of ``_small_d_block``
+    times the phase of ``_phase``, which reproduces the collapsed entry
+    2 d1 d2 cos((m2-m1) phi) e^{-i (m2-m1) gamma}.  Off it the
+    lower-triangle entries at -|x| are polynomials evaluated in one Horner
+    pass, and hermiticity and the reflection give the rest
+    (``_wedge_matrix``); entries past the float range raise DomainError.
     Accepts m = 0 so that ``weight_matrix_second`` can be checked against
     it at j = 1, although the density itself only sums channels with m > 0.
     """
@@ -360,8 +386,11 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     # polynomials would cancel catastrophically
     if (1.0 + tau * tau) * x * x <= 1.0 + 8.0 * np.finfo(float).eps:
         # rank-two assembly: exactly hermitian and PSD
-        vecs = _support_vectors(tj, tm, np.array([x]), tau, gamma, np.arange(tj + 1))
-        v1, v2 = (v[0] for v in vecs)
+        xs, idx = np.array([x]), np.arange(tj + 1)
+        col = _small_d_block(tj, xs, idx, [(tj - tm) // 2])[0, :, 0]
+        turn = np.exp(1j * _phase(xs, tau)[0] * idx)
+        tilted = col * np.exp(-1j * gamma * idx)
+        v1, v2 = tilted * turn, tilted * np.conj(turn)
         ent = np.outer(v1, np.conj(v1)) + np.outer(v2, np.conj(v2))
         return WeightMatrix(tj, tm, x, float(beta), gamma, ent)
     ent, worst = _wedge_matrix(tj, tm, x, tau, gamma)
@@ -462,28 +491,76 @@ class LimitSpec:
         return a == 1.0 or (a == 0.0 and not self.has_point_mass)
 
 
-def _scalar_grid(spec: LimitSpec, tm: int, x: np.ndarray) -> np.ndarray:
-    """Channel weight phi0^dag M^(j,m)(x) phi0 over a 1-D array of points on
-    the channel support.
+def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
+    """Channel weights phi0^dag M^(j,m)(x) phi0 for every doubled m in
+    ``tms`` over a 1-D array of points on the channels' supports, as a
+    (channels, points) array.
 
     The weight is |v1^dag phi0|^2 + |v2^dag phi0|^2 with the rank-two
-    vectors of ``_support_vectors`` restricted to the nonzero qudit
-    components, evaluated in blocks of ``_BLOCK`` points.  Every caller
-    passes support points: density samples with |v| < 2m a, moment nodes
-    a t with |t| <= 1, and bin nodes a sin(theta).  A point that rounding
-    puts just past the support edge is taken at the edge, where
-    ``_support_vectors`` clamps the discriminant at 0.
+    vectors of ``weight_matrix_direct``, so v1^dag phi0 = sum_i d_{i c}
+    psi1_i, c = j - m, for the twisted qudit psi1_i = phi0_i
+    e^{i m_i (phi - gamma)}, and v2^dag phi0 likewise with psi2_i =
+    phi0_i e^{-i m_i (phi + gamma)}, both on the nonzero components only.
+    The sum is d^T psi restricted to the channels' columns, taken one of
+    two ways:
+
+    - through the small-d block d_{rows, cols} (``_small_d_block``), about
+      R C (j + 1/2) complex products per point for R nonzero components
+      and C channels;
+    - through the J_y eigenbasis, d^T psi = conj(V) e^{-i alpha Lam}
+      V^T psi: both twisted qudits go into the eigenbasis in one product,
+      take one phase per eigenvalue from ``_rotation`` and come back onto
+      every channel's column in another, about 2 (2j+1) (R + C + 1)
+      products per point, which grows as R + C rather than R C.
+
+    The eigenbasis products are BLAS matrix products that ran two to four
+    times faster per product than the block's product and einsum (timed
+    from 2 to 130 components), so one channel (a density sample set, a
+    channel's bin nodes) or one component takes the block, where it needs
+    the fewest products, and several channels of a qudit with several
+    components (the moments' shared nodes) take the eigenbasis.  Either
+    way the rotation table, the discriminant and the phase are built once
+    per block of points, and blocks keep every work array within
+    _BLOCK x (2j+1) numbers.
+
+    Every caller passes support points: density samples with |v| < 2m a,
+    moment nodes a t with |t| <= 1, and bin nodes a sin(theta).  A point
+    that rounding puts just past the support edge is taken at the edge,
+    where ``_phase`` clamps the discriminant at 0.
     """
+    tj = spec.tj
     q = spec.qudit.amplitudes
     rows = np.flatnonzero(q)
-    qn = q[rows]
     tau = _require_beta(spec.beta)
+    cols = (tj - np.asarray(tms)) // 2
+    # phi0_i e^{-i m_i gamma}, up to the common phase e^{-i j gamma}
+    tilted = q[rows] * np.exp(1j * spec.gamma * rows)
+    eigen = rows.size > 1 and cols.size > 1
+    if eigen:
+        _, vec = _jy_eig(tj)
+        npos = (tj + 1) // 2
+        into, back = vec[rows], np.conj(vec[cols]).T
+    step = _BLOCK // 2 if eigen else _BLOCK  # the eigenbasis holds 2 x (2j+1) per point
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    for lo in range(0, x.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        v1, v2 = _support_vectors(spec.tj, tm, x[blk], tau, spec.gamma, rows)
-        out[blk] = np.abs(np.conj(v1) @ qn) ** 2 + np.abs(np.conj(v2) @ qn) ** 2
+    out = np.empty((cols.size, x.size))
+    for lo in range(0, x.size, step):
+        xb = x[lo : lo + step]
+        # amp holds psi1 and psi2, then (eigen) their eigenbasis images,
+        # then v1^dag phi0 and v2^dag phi0: each step frees the last
+        amp = np.empty((2, xb.size, rows.size), dtype=complex)
+        np.exp(1j * np.multiply.outer(_phase(xb, tau), rows), out=amp[1])
+        np.conjugate(amp[1], out=amp[0])
+        amp *= tilted
+        if eigen:
+            amp = amp @ into
+            rot = _rotation(tj, xb).T
+            amp[..., npos - 1 :: -1] *= rot
+            amp[..., tj + 1 - npos :] *= np.conjugate(rot, out=rot)
+            amp = amp @ back
+        else:
+            amp = np.einsum("kpi,pic->kpc", amp, _small_d_block(tj, xb, rows, cols))
+        amp = amp.real**2 + amp.imag**2
+        out[:, lo : lo + step] = (amp[0] + amp[1]).T
     return out
 
 
@@ -493,6 +570,20 @@ def _gauss_legendre(n: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _bin_rules():
+    """(orders, start, nodes, weights): the Gauss-Legendre orders a bin-mass
+    slice can take, ascending to the cap ``_BIN_ORDER``, and all their
+    rules in one read-only table, the n-node rule at start[n]:start[n] + n."""
+    orders = (_BIN_ORDER // 4, _BIN_ORDER // 3, _BIN_ORDER // 2, 2 * _BIN_ORDER // 3, _BIN_ORDER)
+    start = np.zeros(_BIN_ORDER + 1, dtype=int)
+    start[list(orders)] = np.cumsum((0,) + orders[:-1])
+    nodes, weights = (np.concatenate(parts) for parts in zip(*map(_gauss_legendre, orders)))
+    for arr in (start, nodes, weights):
+        arr.setflags(write=False)
+    return orders, start, nodes, weights
 
 
 def continuous_density(spec: LimitSpec, v):
@@ -507,7 +598,7 @@ def continuous_density(spec: LimitSpec, v):
             if not mask.any():
                 continue
             x = v1[mask] / tm
-            out[mask] += konno_density(x, a) * _scalar_grid(spec, tm, x) / tm
+            out[mask] += konno_density(x, a) * _scalar_grid(spec, (tm,), x)[0] / tm
     return float(out[0]) if scalar else out
 
 
@@ -540,8 +631,9 @@ def _continuous_moment(spec: LimitSpec, r: int) -> float:
 
     Channel m adds (2m)^r sum_k w_k x_k^r W_m(x_k) over ``_konno_rule``'s
     n = floor((2j + r)/2) + 1 nodes, exact to degree 2n - 1 >= 2j + r, so
-    exact for the polynomial W_m.  At a = 1 the nodes sit on x = +-1: the
-    ballistic law.
+    exact for the polynomial W_m.  The nodes are the same for every
+    channel, so one ``_scalar_grid`` pass gives all the W_m.  At a = 1 the
+    nodes sit on x = +-1: the ballistic law.
     """
     if spec.a == 0.0:
         return 0.0
@@ -551,7 +643,7 @@ def _continuous_moment(spec: LimitSpec, r: int) -> float:
     t, w = _konno_rule(spec.beta, (spec.tj + r) // 2 + 1)
     x = spec.a * t
     wr = w * x**r
-    sums = [float(wr @ _scalar_grid(spec, tm, x)).as_integer_ratio() for tm in spec.channels]
+    sums = [float(s).as_integer_ratio() for s in _scalar_grid(spec, spec.channels, x) @ wr]
     try:
         # (2m)^r times each sum in integers, rounded once by the division:
         # (2m)^r alone passes the float range long before the moment does
@@ -589,14 +681,90 @@ def delta_mass(spec: LimitSpec) -> float:
     return _point_mass(_continuous_moment(spec, 0))
 
 
+def _slice_orders(tj: int, a: float, mid: np.ndarray, hw: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre order for each bin-mass slice theta in [mid - hw,
+    mid + hw]: the least of _BIN_ORDER times 1/4, 1/3, 1/2 and 2/3 whose
+    a-priori error bound is within 1e-16 of the slice's scale, else
+    ``_BIN_ORDER``.
+
+    On theta = mid + hw u the n-node rule errs by at most
+    hw (64/15) M rho^(2-2n) / (rho^2 - 1) for any Bernstein ellipse E_rho
+    in u on which the integrand is analytic and stays below M (Trefethen,
+    SIAM Rev. 50, 2008, Thm 4.5, whose rule has n + 1 nodes).  The
+    integrand W(a sin theta) g(theta), times sqrt(1-a^2)/pi, has two
+    factors:
+
+    - W(a sin theta) is a trigonometric polynomial of degree <= 2j, so on
+      E_rho it stays within |W| e^(2j hw B), B = (rho - 1/rho)/2;
+    - g = 1/(1 - a^2 sin^2 theta) = (2/a^2)/(K + cos 2 theta), with
+      K = 1 + 2 b^2/a^2 and b^2 = 1 - a^2, has poles at
+      theta = +-pi/2 +- i arccosh(1/a).  On the bounding rectangle of
+      E_rho, |K + cos 2 theta|^2 = (K + c C)^2 + (1 - c^2)(C^2 - 1),
+      c = cos 2 Re(theta) and C = cosh 2 Im(theta), is least at the least
+      c and at C = -K c clipped to the rectangle, which prices in how close
+      the poles come.
+
+    The scale is the slice's mass at the largest weight,
+    sqrt(1-a^2)/pi 2 hw |W| min g, so |W| drops out.  Each order takes the
+    rho that is best for the trigonometric factor alone,
+    2j hw (rho + 1/rho)/2 = 2n, backed off to keep the rectangle clear of
+    the poles.
+    """
+    kb = 2.0 * (1.0 - a * a) / (a * a)
+    orders = np.full(mid.shape, _BIN_ORDER)
+    # over the real slice, 1/min g = b^2 + a^2 max cos^2 theta and
+    # 1/max g = b^2 + a^2 min cos^2 theta
+    ends = np.cos(mid - hw) ** 2, np.cos(mid + hw) ** 2
+    cos2 = np.where(np.abs(mid) <= hw, 1.0, np.maximum(*ends))
+    # g's denominator 1 - s^2, s = a sin(theta) in floats, errs by about
+    # eps g relative: past g = 1e-14/eps a slice's sum depends on its nodes
+    # beyond 1e-14, so it keeps the cap
+    todo = np.flatnonzero((1.0 - a * a + a * a * np.minimum(*ends)) * 1e-14 >= np.finfo(float).eps)
+    mid, hw, cos2 = mid[todo], hw[todo], cos2[todo]
+    # the largest rectangle clear of the poles: its real extent short of
+    # pi/2 or its imaginary extent short of arccosh(1/a) = arcsinh(b/a)
+    eta = math.asinh(math.sqrt(1.0 - a * a) / a)
+    clear = np.maximum(np.arccosh(np.maximum((0.5 * math.pi - np.abs(mid)) / hw, 1.0)), np.arcsinh(eta / hw))
+    for n in _bin_rules()[0][:-1]:
+        # log rho: best for the trigonometric factor alone, or backed off
+        # from the poles by rho^(2-2n) / (rho_clear - rho)'s best
+        lr = np.arccosh(np.maximum(2 * n / (tj * hw), 1.0))
+        lr = np.maximum(np.minimum(lr, clear - math.log1p(0.5 / (n - 1))), 0.0)
+        lo, hi = mid - hw * np.cosh(lr), mid + hw * np.cosh(lr)
+        # p = 1 + c = 2 cos^2(Re theta), least over [lo, hi]: 0 where that
+        # holds a pole's real part pi/2 + k pi
+        pole = np.ceil((lo - 0.5 * math.pi) / math.pi) * math.pi + 0.5 * math.pi <= hi
+        p = np.where(pole, 0.0, 2.0 * np.minimum(np.cos(lo) ** 2, np.cos(hi) ** 2))
+        s = np.clip(kb - p * (1.0 + kb), 0.0, 2.0 * np.sinh(hw * np.sinh(lr)) ** 2)  # C - 1
+        gap = (kb - s + p * (1.0 + s)) ** 2 + p * (2.0 - p) * s * (s + 2.0)
+        with np.errstate(divide="ignore"):
+            # log of (64/15) e^(2j hw B) (2/a^2) / sqrt(gap) rho^(2-2n) / (rho^2 - 1),
+            # over 2e-16 min g
+            bound = (
+                math.log(64.0 / 15.0 / (a * a * 1e-16))
+                + tj * hw * np.sinh(lr)
+                - 0.5 * np.log(gap)
+                - 2 * (n - 1) * lr
+                - np.log(np.expm1(2.0 * lr))
+                + np.log(1.0 - a * a + a * a * cos2)
+            )
+        ok = bound <= 0.0
+        orders[todo[ok]] = n
+        todo, mid, hw, cos2, clear = todo[~ok], mid[~ok], hw[~ok], cos2[~ok], clear[~ok]
+    return orders
+
+
 def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     """Exact limit-law mass per bin for a sorted array of bin edges.
 
-    Each (channel, bin) overlap is integrated in the theta variable with a
-    ``_BIN_ORDER``-node Gauss-Legendre rule, so the pikes at channel
-    boundaries are captured without special casing.  The nodes of all of a
-    channel's non-empty slices go to the channel-weight evaluator in one
-    (slices x nodes) batch, which takes them in blocks.  The point mass, if
+    Each (channel, bin) overlap is integrated in the theta variable
+    (v = 2m a sin theta) with a Gauss-Legendre rule, so the pikes at channel
+    boundaries are captured without special casing.  A slice's order comes
+    from ``_slice_orders``: fewer nodes than the cap ``_BIN_ORDER`` only
+    where an a-priori bound on the rule's error stays within 1e-16 of the
+    slice's scale, and the cap otherwise.  The nodes of all of a channel's
+    non-empty slices, whatever their orders, go to the channel-weight
+    evaluator in one batch, which takes them in blocks.  The point mass, if
     any, is added to the bin containing v = 0.  A degenerate spec raises
     DegenerateSpecError: at a = 1 there is no continuous part to bin.
     """
@@ -608,19 +776,26 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     out = np.zeros(edges.size - 1)
     a = spec.a
     if a > 0.0:
-        nodes, weights = _gauss_legendre(_BIN_ORDER)
+        th = np.arcsin(np.clip(edges / (np.array(spec.channels)[:, None] * a), -1.0, 1.0))
+        # the non-empty (channel, bin) slices, channel by channel
+        ch, k = np.nonzero(th[:, 1:] > th[:, :-1])
+        mid = 0.5 * (th[ch, k + 1] + th[ch, k])
+        hw = 0.5 * (th[ch, k + 1] - th[ch, k])
+        order = _slice_orders(spec.tj, a, mid, hw)
+        _, start, table_u, table_w = _bin_rules()
         pref = math.sqrt(1.0 - a * a) / math.pi
-        for tm in spec.channels:
-            th = np.arcsin(np.clip(edges / (tm * a), -1.0, 1.0))
-            t1, t2 = th[:-1], th[1:]
-            k = np.flatnonzero(t2 > t1)
-            if not k.size:
+        bounds = np.searchsorted(ch, np.arange(len(spec.channels) + 1))
+        for tm, lo, hi in zip(spec.channels, bounds[:-1], bounds[1:]):
+            if hi == lo:
                 continue
-            hw = 0.5 * (t2[k] - t1[k])
-            theta = (0.5 * (t1[k] + t2[k]))[:, None] + hw[:, None] * nodes
-            s = a * np.sin(theta)
-            vals = _scalar_grid(spec, tm, s.ravel()).reshape(s.shape) / (1.0 - s * s)
-            out[k] += pref * hw * (vals @ weights)
+            n = order[lo:hi]
+            first = np.cumsum(n) - n  # each slice's first node
+            rep = np.repeat(np.arange(n.size), n)
+            # the rule of node i of slice l, order n[l], sits at start[n[l]] + i
+            idx = np.arange(rep.size) + (start[n] - first)[rep]
+            s = a * np.sin(mid[lo:hi][rep] + hw[lo:hi][rep] * table_u[idx])
+            vals = table_w[idx] * _scalar_grid(spec, (tm,), s)[0] / (1.0 - s * s)
+            out[k[lo:hi]] += pref * hw[lo:hi] * np.add.reduceat(vals, first)
     if spec.has_point_mass:
         k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
         if 0 <= k0 < out.size:

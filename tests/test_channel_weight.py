@@ -78,11 +78,12 @@ def _use_reference(monkeypatch):
     # limit_moment(r) and delta_mass revisit the same nodes for every r
     memo = {}
 
-    def grid(spec, tm, x):
-        key = (tm, np.asarray(x, dtype=float).tobytes())
-        if key not in memo:
-            memo[key] = _reference_grid(spec, tm, x)
-        return memo[key]
+    def grid(spec, tms, x):
+        for tm in tms:
+            key = (tm, np.asarray(x, dtype=float).tobytes())
+            if key not in memo:
+                memo[key] = _reference_grid(spec, tm, x)
+        return np.array([memo[tm, np.asarray(x, dtype=float).tobytes()] for tm in tms])
 
     monkeypatch.setattr(density, "_scalar_grid", grid)
 
@@ -182,7 +183,7 @@ def test_edge_nodes_match_the_wedge_polynomials(dim, kind, beta):
         edge = s[np.abs(s) >= 0.999999]
         assert edge.size >= 2
         for tm in spec.channels:
-            got = density._scalar_grid(spec, tm, edge)
+            got = density._scalar_grid(spec, (tm,), edge)[0]
             want = [
                 (np.conj(q) @ density._wedge_matrix(spec.tj, tm, x, tau, gamma)[0] @ q).real
                 for x in edge
@@ -204,7 +205,7 @@ def _bin_masses_per_slice(spec, edges):
                 continue
             hw = 0.5 * (t2 - t1)
             s = a * np.sin(0.5 * (t1 + t2) + hw * nodes)
-            vals = density._scalar_grid(spec, tm, s) / (1.0 - s * s)
+            vals = density._scalar_grid(spec, (tm,), s)[0] / (1.0 - s * s)
             out[k] += pref * hw * float(np.dot(weights, vals))
     if spec.has_point_mass:
         k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
@@ -218,28 +219,43 @@ def _bin_masses_per_slice(spec, edges):
         (_qudit("dense", 13, 7), 22 * math.pi / 25, 0.4, 0.2, False),
         # nodes at |x| >= 0.999999
         (_qudit("asym", 6, 8), 0.002, -1.1, 0.5, False),
-        # the top channel spans ~340 slices: one call of over 8000 nodes
-        (preset_qudit("paper-sym", 6), math.pi / 2, 0.0, 0.05, True),
+        # the top channel spans ~340 slices, most of them at a quarter of
+        # the cap: one call of about 2000 nodes
+        (preset_qudit("paper-sym", 6), math.pi / 2, 0.0, 0.05, False),
+        (_qudit("dense", 2, 9), 0.01, 0.4, 0.05, False),
+        (_qudit("dense", 2, 10), 3.1, -1.1, 1.0, False),
+        (_qudit("dense", 50, 11), math.pi / 10, 0.4, 1.0, False),
+        (_qudit("asym", 50, 12), 3.1, 0.0, 0.05, False),
+        (preset_qudit("paper-sym", "49/2"), 0.01, 0.0, 1.0, False),
+        # the top channel: one call of over 2000 nodes
+        (_qudit("dense", 130, 13), math.pi / 10, -1.1, 1.0, True),
+        (preset_qudit("paper-sym", "129/2"), 3.1, 0.0, 0.05, False),
     ],
 )
 def test_bin_masses_match_the_per_slice_loop(monkeypatch, qudit, beta, gamma, width, seams):
     spec = LimitSpec(qudit, beta, gamma)
     reach = qudit.tj * spec.a + width
     edges = np.arange(-reach, reach + width, width)
-    evaluator = density._scalar_grid
-    calls = []
+    evaluator, rule = density._scalar_grid, density._slice_orders
+    calls, orders = [], []
 
-    def recording(spec, tm, x):
+    def recording(spec, tms, x):
         calls.append(x)
-        return evaluator(spec, tm, x)
+        return evaluator(spec, tms, x)
+
+    def recorded(*args):
+        orders.append(rule(*args))
+        return orders[-1]
 
     with monkeypatch.context() as mp:
         mp.setattr(density, "_scalar_grid", recording)
+        mp.setattr(density, "_slice_orders", recorded)
         got = limit_bin_masses(spec, edges)
-    # one call per channel, plus delta_mass's one per channel
-    assert len(calls) == len(spec.channels) * (1 + spec.has_point_mass)
+    # one call per channel, plus delta_mass's one pass over every channel
+    assert len(calls) == len(spec.channels) + spec.has_point_mass
     assert (max(x.size for x in calls) > 2 * density._BLOCK) == seams
     outermost = max(float(np.abs(x).max()) for x in calls)
     assert (outermost >= 0.999999) == (beta < 0.01)
+    assert max(int(o.max()) for o in orders) <= density._BIN_ORDER
     want = _bin_masses_per_slice(spec, edges)
     assert float(np.abs(got - want).max()) < 1e-14

@@ -582,6 +582,43 @@ def test_moment_rule_needs_no_more_nodes(monkeypatch, dim, betas, orders):
             assert abs(got - more) <= 1e-13 * max(1.0, abs(more)), (beta, r, got, more)
 
 
+def _per_channel_moment(spec, r):
+    """(continuous part of the r-th moment, sum of its terms' magnitudes)
+    with one evaluator call per channel on the same Konno nodes: the
+    reference for ``_continuous_moment``'s one pass over every channel."""
+    t, w = density._konno_rule(spec.beta, (spec.tj + r) // 2 + 1)
+    x = spec.a * t
+    sums, scale = [], 0.0
+    for tm in spec.channels:
+        weight = density._scalar_grid(spec, (tm,), x)[0]
+        sums.append(float((w * x**r) @ weight).as_integer_ratio())
+        scale += tm**r * float((w * np.abs(x) ** r) @ weight)
+    return math.fsum(tm**r * num / den for tm, (num, den) in zip(spec.channels, sums)), scale
+
+
+@pytest.mark.parametrize("kind", ("dense", "asym", "paper-sym"))
+@pytest.mark.parametrize("dim", (2, 3, 13, 50, 130))
+def test_one_pass_moments_match_the_per_channel_loop(dim, kind):
+    if kind == "paper-sym":
+        qudit = preset_qudit("paper-sym", HalfInt(dim - 1))
+    else:
+        qudit = _dense(dim, 6000 + dim)
+        if kind == "asym":
+            amps = qudit.amplitudes.copy()
+            amps[dim // 4 + 2 :] = 0.0
+            amps[0] *= 3.0
+            qudit = Qudit(HalfInt(dim - 1), amps)
+    for beta in (1e-6, math.pi / 2, math.pi - 1e-6):
+        for gamma in (0.0, 0.4):
+            spec = LimitSpec(qudit, beta, gamma)
+            for r in (0, 1, 2, 4, 8):
+                want, scale = _per_channel_moment(spec, r)
+                got = density._continuous_moment(spec, r)
+                # odd moments of a symmetric law cancel to rounding: the
+                # scale is then E|X|^r, the sum of the terms' magnitudes
+                assert abs(got - want) <= 1e-14 * scale, (beta, gamma, r, got, want)
+
+
 # ------------------------------------------------------ guards and caches
 
 def test_cached_arrays_are_read_only():
@@ -624,6 +661,22 @@ def test_an_oversized_moment_is_refused_before_any_eigh():
     assert density._konno_rule.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("r, parent_peak", [(0, 1_165_600), (200, 2_185_852)])
+def test_one_pass_moments_hold_no_more_memory(r, parent_peak):
+    # the bound is the tracemalloc peak of this call with one evaluator call
+    # per channel (numpy 2.4); the one pass over every channel must block
+    # its work arrays to stay within it
+    spec = LimitSpec(_dense(130, 5130), 22 * math.pi / 25, 0.4)
+    before = limit_moment(spec, r)  # fills the caches
+    tracemalloc.start()
+    try:
+        assert limit_moment(spec, r) == before
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_peak, peak
+
+
 def test_runtime_checks_survive_optimized_mode():
     # under python -O an assert would vanish and these would return numbers
     script = textwrap.dedent(
@@ -637,7 +690,7 @@ def test_runtime_checks_survive_optimized_mode():
             print("weight_scalar returned", weight_scalar(skew, Qudit("1/2", (1, 1))))
         except DomainError:
             print("weight_scalar raised")
-        density._scalar_grid = lambda spec, tm, x: np.full(np.shape(x), 4.0)
+        density._scalar_grid = lambda spec, tms, x: np.full((len(tms), np.size(x)), 4.0)
         try:
             print("delta_mass returned", density.delta_mass(LimitSpec(preset_qudit("up", 1), 1.0)))
         except DomainError:
