@@ -19,6 +19,10 @@ so d stays orthogonal to machine precision at any size and beta = 0 gives
 the identity exactly.  The classical factorial sum survives only in its
 coefficient rows (``_coeff_row``, one entry of which ``small_d_coeff``
 returns), which the off-support weight-matrix polynomials are built from.
+
+Rotations taken through that spectrum need phases e^{i lam theta},
+lam = -j..j; ``_powers`` is the package's one ladder of them, products of
+a first row and a step z = e^{i theta}, for the walk and the limit law.
 """
 
 from __future__ import annotations
@@ -141,6 +145,24 @@ def small_d(j, beta: float) -> np.ndarray:
     # turns any -0.0 off the diagonal into +0.0, so d(0) is I bit for bit
     d += np.eye(tj + 1)
     return d
+
+
+def _powers(first, z, out: np.ndarray) -> np.ndarray:
+    """Fill row k of ``out`` with first z^k and return ``out``.
+
+    Rows [n, 2n) are rows [0, n) times z^n, z^n by repeated squaring: about
+    log2(rows) numpy calls, products only.  Row k's rounding grows about
+    linearly in k, as that of the angle k arg(z) does.
+    """
+    out[0] = first
+    n = 1
+    while n < len(out):
+        dst = out[n : 2 * n]
+        np.multiply(out[: len(dst)], z, out=dst)
+        n *= 2
+        if n < len(out):
+            z = z * z
+    return out
 
 
 def _euler(angles) -> tuple[float, float, float]:

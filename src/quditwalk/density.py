@@ -34,11 +34,10 @@ lam = -j..j, which needs e^{i lam alpha} at alpha = arccos(-x).  No
 trigonometric call is made for it (``_rotation``): cos(alpha) = -x and
 sin(alpha) = sqrt(1 - x^2), and the half angle has the closed forms
 cos(alpha/2) = sqrt((1 - x)/2) and sin(alpha/2) = sqrt((1 + x)/2), so the
-values for lam = 1/2 or 1 upward are one running product by
-z = e^{i alpha}, a complex multiply per point and eigenvalue (taken n
-eigenvalues at a time with the factor z^n), and -lam takes the conjugate.
-Its rounding grows about linearly in j, as that of the angle lam * alpha
-does.
+values for lam = 1/2 or 1 upward are the phase ladder of ``coin._powers``
+(the walk's too) from that start with the step z = e^{i alpha}, products
+only, and -lam takes the conjugate.  Its rounding grows about linearly in
+j, as that of the angle lam * alpha does.
 The phase phi needs 1 - (1+tau^2) x^2, which cancels near the pikes
 |x| = cos(beta/2); it is formed in extended precision.
 
@@ -67,9 +66,9 @@ with a Gauss-Legendre rule whose order the slice earns
 degree <= 2j, and 1/(1 - a^2 sin^2 theta) has poles at theta = +-pi/2 +-
 i arccosh(1/a).  From both, a Bernstein-ellipse bound on the rule's error
 picks a quarter, a third, a half or two thirds of the cap ``_BIN_ORDER``
-where it stays within 1e-16 of the slice's scale.  Wide slices, slices the
-poles crowd, and slices where 1 - a^2 sin^2 theta loses digits keep the
-cap.
+where it stays within 1e-16 of the slice's scale, else keeps the cap.
+The factor's denominator is cos^2 theta + b^2 sin^2 theta, b^2 = 1 - a^2,
+which keeps its digits at the pikes as beta -> 0.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coin import _coeff_row, _jy_eig, _require_dense
+from .coin import _coeff_row, _jy_eig, _powers, _require_dense
 from .errors import DegenerateSpecError, DomainError
 from .halfint import HalfInt, _require_nonneg_int, _weight_indices, doubled_channels, walk_index
 from .qudit import Qudit
@@ -151,7 +150,8 @@ def offdiag_poly(order: int, tau: float, x):
 
     which for (1+tau^2) x^2 <= 1 (all of a channel's support) is the real
     oscillation (1-x^2)^(order/2) cos(order * phi) with
-    phi = atan2(sqrt(1 - (1+tau^2) x^2), tau x).  Both branches are stable;
+    phi = atan2(sqrt(1 - (1+tau^2) x^2), tau x), from the extended-precision
+    discriminant of ``_phase``.  Both branches are stable;
     the expanded coefficients would cancel catastrophically by order ~ 30.
     Odd orders give odd functions of x and even orders even ones, exactly.
     A non-finite x raises DomainError.
@@ -177,9 +177,7 @@ def _offdiag(order, tau: float, x: np.ndarray) -> np.ndarray:
     trig = disc <= 1.0
     if trig.any():
         xt, n = ax[trig], order[trig]
-        s = np.sqrt(np.maximum(1.0 - disc[trig], 0.0))
-        phi = np.arctan2(s, tau * xt)
-        out[trig] = np.power(1.0 - xt * xt, 0.5 * n) * np.cos(n * phi)
+        out[trig] = np.power(1.0 - xt * xt, 0.5 * n) * np.cos(n * _phase(xt, tau))
     hyp = ~trig
     if hyp.any():
         xh, n = ax[hyp], order[hyp]
@@ -232,28 +230,15 @@ def _rotation(tj: int, x: np.ndarray) -> np.ndarray:
 
     The half angle is e^{i alpha/2} = sqrt((1 - x)/2) + i sqrt((1 + x)/2)
     and its square is z = e^{i alpha} = -x + i sqrt(1 - x^2); the table
-    starts at one of them, and each next eigenvalue is one factor z further
-    (the first n values times z^n give the next n), so no point or
-    eigenvalue costs a cos or sin.  Its rounding grows about linearly in j,
-    as that of the angle lam * alpha does.  A point that rounding puts past
-    |x| = 1 (at beta = 0) is taken at the edge.
+    starts at one of them and climbs by z (``coin._powers``), so no point or
+    eigenvalue costs a cos or sin.  A point that rounding puts past |x| = 1
+    (at beta = 0) is taken at the edge.
     """
-    npos = (tj + 1) // 2  # eigenvalues above zero; an odd dimension adds lam = 0
-    rot = np.empty((npos, x.size), dtype=complex)
-    rot[0].real, rot[0].imag = np.sqrt(np.maximum(0.5 + np.multiply.outer((-0.5, 0.5), x), 0.0))
-    z = rot[0] * rot[0]
-    if tj % 2 == 0:
-        rot[0] = z
-    # rot[n:2n] = rot[:n] z^n, so a block and a single point alike take
-    # log2(j) numpy calls
-    n = 1
-    while n < npos:
-        dst = rot[n : 2 * n]
-        np.multiply(rot[: len(dst)], z, out=dst)
-        n *= 2
-        if n < npos:
-            z = z * z
-    return rot
+    half = np.empty(x.size, dtype=complex)
+    half.real, half.imag = np.sqrt(np.maximum(0.5 + np.multiply.outer((-0.5, 0.5), x), 0.0))
+    z = half * half
+    rot = np.empty(((tj + 1) // 2, x.size), dtype=complex)  # odd dimensions add lam = 0
+    return _powers(z if tj % 2 == 0 else half, z, rot)
 
 
 def _small_d_block(tj, x, rows, cols) -> np.ndarray:
@@ -712,15 +697,9 @@ def _slice_orders(tj: int, a: float, mid: np.ndarray, hw: np.ndarray) -> np.ndar
     """
     kb = 2.0 * (1.0 - a * a) / (a * a)
     orders = np.full(mid.shape, _BIN_ORDER)
-    # over the real slice, 1/min g = b^2 + a^2 max cos^2 theta and
-    # 1/max g = b^2 + a^2 min cos^2 theta
-    ends = np.cos(mid - hw) ** 2, np.cos(mid + hw) ** 2
-    cos2 = np.where(np.abs(mid) <= hw, 1.0, np.maximum(*ends))
-    # g's denominator 1 - s^2, s = a sin(theta) in floats, errs by about
-    # eps g relative: past g = 1e-14/eps a slice's sum depends on its nodes
-    # beyond 1e-14, so it keeps the cap
-    todo = np.flatnonzero((1.0 - a * a + a * a * np.minimum(*ends)) * 1e-14 >= np.finfo(float).eps)
-    mid, hw, cos2 = mid[todo], hw[todo], cos2[todo]
+    # over the real slice, 1/min g = b^2 + a^2 max cos^2 theta
+    cos2 = np.where(np.abs(mid) <= hw, 1.0, np.maximum(np.cos(mid - hw) ** 2, np.cos(mid + hw) ** 2))
+    todo = np.arange(mid.size)
     # the largest rectangle clear of the poles: its real extent short of
     # pi/2 or its imaginary extent short of arccosh(1/a) = arcsinh(b/a)
     eta = math.asinh(math.sqrt(1.0 - a * a) / a)
@@ -783,7 +762,8 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
         hw = 0.5 * (th[ch, k + 1] - th[ch, k])
         order = _slice_orders(spec.tj, a, mid, hw)
         _, start, table_u, table_w = _bin_rules()
-        pref = math.sqrt(1.0 - a * a) / math.pi
+        b2 = 1.0 - a * a
+        pref = math.sqrt(b2) / math.pi
         bounds = np.searchsorted(ch, np.arange(len(spec.channels) + 1))
         for tm, lo, hi in zip(spec.channels, bounds[:-1], bounds[1:]):
             if hi == lo:
@@ -793,8 +773,11 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
             rep = np.repeat(np.arange(n.size), n)
             # the rule of node i of slice l, order n[l], sits at start[n[l]] + i
             idx = np.arange(rep.size) + (start[n] - first)[rep]
-            s = a * np.sin(mid[lo:hi][rep] + hw[lo:hi][rep] * table_u[idx])
-            vals = table_w[idx] * _scalar_grid(spec, (tm,), s)[0] / (1.0 - s * s)
+            theta = mid[lo:hi][rep] + hw[lo:hi][rep] * table_u[idx]
+            sin_th, cos_th = np.sin(theta), np.cos(theta)
+            # 1 - a^2 sin^2 theta, with no cancellation at the pikes
+            konno = cos_th * cos_th + b2 * sin_th * sin_th
+            vals = table_w[idx] * _scalar_grid(spec, (tm,), a * sin_th)[0] / konno
             out[k[lo:hi]] += pref * hw[lo:hi] * np.add.reduceat(vals, first)
     if spec.has_point_mass:
         k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1

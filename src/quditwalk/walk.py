@@ -18,10 +18,12 @@ psi_0.  ``evolve`` takes M momenta k_n = pi n/M, with M the smallest
 2^a 3^b 5^c >= N (``_fft_length``), raises each h(k_n) to the power t by
 binary powering, reads the Euler angles of h^t off its first column,
 applies D^j(h^t) through the cached J_y eigenvectors of ``coin._jy_eig`` and
-returns to positions with one inverse FFT of length M.  The support has
-N <= M sites, so that transform is exact: the M - N sites past the support
-come out as rounding and are dropped.  Nothing steps, and the cost is
-O((2j+1)^2 M) plus the FFT, against O((2j+1)^2 j t^2) for t steps.
+returns to positions with one inverse FFT of length M.  Each of its three
+phase tables per chunk of momenta is a ``coin._powers`` ladder from two
+exponentials.  The support has N <= M sites, so that transform is exact:
+the M - N sites past the support come out as rounding and are dropped.
+Nothing steps, and the cost is O((2j+1)^2 M) plus the FFT, against
+O((2j+1)^2 j t^2) for t steps.
 
 The momenta go in chunks of ``_CHUNK``.  ``evolve`` holds one (2j+1) x M
 complex field, which the FFT overwrites in place, plus two (2j+1) x _CHUNK
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import _euler, _jy_eig
+from .coin import _euler, _jy_eig, _powers
 from .errors import DomainError
 from .halfint import HalfInt, _require_nonneg_int
 from .qudit import Qudit
@@ -64,8 +66,8 @@ FIELD_BUDGET_BYTES = 2 * 2**30
 _CHUNK = 1024
 # Complex vectors of _CHUNK entries that evolve's count allows beside its
 # arrays: the SU(2) powers, the angles and their temporaries, plus numpy's
-# ufunc buffers, which do not shrink with a short chunk (32.5 measured at
-# 50 components).
+# ufunc buffers, which do not shrink with a short chunk (measured: 32.2 at
+# 50 components, 46.6 at 130, 16.5 of them V^dag diag(psi_0)).
 _CHUNK_VECTORS = 48
 
 
@@ -162,22 +164,6 @@ def _su2_power(p: np.ndarray, q: np.ndarray, t: int) -> tuple[np.ndarray, np.nda
     return rp, rq
 
 
-def _jz_phases(out: np.ndarray, theta: np.ndarray, first: np.ndarray) -> None:
-    """Fill row r of out with first e^{i r theta}, column by column.
-
-    With first = e^{-i j theta}, row r is e^{-i m theta} at m = j - r.  Rows
-    [f, 2f) are rows [0, f) times e^{i f theta}, so each entry is a product
-    of at most log2(rows) + 1 exponentials, and those few chunk-length
-    exponentials are all the transcendental work.
-    """
-    out[0] = first
-    filled = 1
-    while filled < out.shape[0]:
-        n = min(filled, out.shape[0] - filled)
-        np.multiply(out[:n], np.exp(1j * filled * theta), out=out[filled : filled + n])
-        filled += n
-
-
 def evolve(qudit: Qudit, angles, t: int) -> WaveField:
     """The walk after t steps from the origin with the coin R(alpha, beta,
     gamma), in closed form (see the module docstring); t = 0 returns the
@@ -220,17 +206,14 @@ def evolve(qudit: Qudit, angles, t: int) -> WaveField:
         # e^{-i c m'} psi_0, then d^j(b) = V diag(e^{-i b lam}) V^dag with
         # lam = -j..j ascending
         c = half_sum - half_diff
-        _jz_phases(phase, c, np.exp(-1j * j * c))
-        np.matmul(vec_h, phase, out=mixed)
-        _jz_phases(phase, -b, np.exp(1j * j * b))
-        mixed *= phase
+        np.matmul(vec_h, _powers(np.exp(-1j * j * c), np.exp(1j * c), phase), out=mixed)
+        mixed *= _powers(np.exp(1j * j * b), np.exp(-1j * b), phase)
         np.matmul(vec, mixed, out=out)
         # e^{-i a m}, and e^{-2ijkt} puts x = -2jt at s = 0; its angle
         # pi n (N - 1)/M is reduced mod 2 pi in integers
         a = half_sum + half_diff
         shift = np.pi / modes * (n * (width - 1) % (2 * modes))
-        _jz_phases(phase, a, np.exp(-1j * (shift + j * a)))
-        out *= phase
+        out *= _powers(np.exp(-1j * (shift + j * a)), np.exp(1j * a), phase)
     np.fft.ifft(field, axis=1, out=field)
     return WaveField(tj, t, -tj * t, field[:, :width].T)
 

@@ -204,8 +204,10 @@ def _bin_masses_per_slice(spec, edges):
             if t2 <= t1:
                 continue
             hw = 0.5 * (t2 - t1)
-            s = a * np.sin(0.5 * (t1 + t2) + hw * nodes)
-            vals = density._scalar_grid(spec, (tm,), s)[0] / (1.0 - s * s)
+            theta = 0.5 * (t1 + t2) + hw * nodes
+            # 1 - a^2 sin^2 theta, without the cancellation near the pikes
+            konno = np.cos(theta) ** 2 + (1.0 - a * a) * np.sin(theta) ** 2
+            vals = density._scalar_grid(spec, (tm,), a * np.sin(theta))[0] / konno
             out[k] += pref * hw * float(np.dot(weights, vals))
     if spec.has_point_mass:
         k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1

@@ -151,3 +151,27 @@ def test_generator_over_the_dense_budget_is_refused():
 def test_orthogonal_at_any_angle(beta):
     d = small_d("9/2", beta)
     assert float(np.abs(d @ d.T - np.eye(10)).max()) < 1e-12
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3, 5, 8, 13, 31, 64, 65, 100, 130))
+def test_powers_climb_the_phase_ladder(rows):
+    rng = np.random.default_rng(rows)
+    theta = rng.uniform(-math.pi, math.pi, size=7)
+    phi = rng.uniform(-math.pi, math.pi, size=7)
+    z = np.exp(1j * theta)
+    k = np.arange(rows)[:, None]
+    # row k of the exact ladder, from the same float angles in long double
+    ladder = k * theta.astype(np.longdouble)
+    eps = np.finfo(float).eps
+    for first, start in ((np.exp(1j * phi), phi), (cmath.exp(0.3j), 0.3)):
+        z_before, first_before = z.copy(), np.copy(first)
+        # one guard row on either side of out, which must stay untouched
+        buf = np.full((rows + 2, z.size), complex(np.nan, np.nan))
+        out = coin._powers(first, z, buf[1:-1])
+        assert np.shares_memory(out, buf) and out.shape == (rows, z.size)
+        assert np.isnan(buf[[0, -1]]).all()
+        assert np.array_equal(z, z_before) and np.array_equal(first, first_before)
+        want = np.exp(1j * (np.longdouble(0) + start + ladder))
+        assert want.dtype == np.clongdouble
+        gap = np.abs(out - want).astype(float)
+        assert (gap <= 2.0 * (k + 1) * eps).all(), (gap / ((k + 1) * eps)).max()

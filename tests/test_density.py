@@ -533,6 +533,22 @@ def test_bin_masses_sum_to_total_mass():
             limit_bin_masses(degenerate, edges)
 
 
+@pytest.mark.parametrize("beta", (1e-3, 2e-3))
+def test_bin_masses_keep_their_digits_at_the_pikes(beta):
+    # the spin-1/2 symmetric qudit has channel weight 1, so a bin between
+    # theta1 and theta2 (v = a sin theta) holds exactly
+    # [atan2(b sin theta, cos theta)]/pi between them, b^2 = 1 - a^2; near
+    # the pike 1 - a^2 sin^2 theta formed from the float a sin theta would
+    # lose about log10(1/(1 - a^2 sin^2 theta)) digits
+    spec = LimitSpec(preset_qudit("paper-sym", "1/2"), beta)
+    a = spec.a
+    edges = a * np.sin(0.5 * math.pi - np.array([8.0, 4.0, 2.0, 1.0, 0.5]) * 1e-4)
+    theta = np.arcsin(edges / a)  # as the library takes it
+    want = np.diff(np.arctan2(math.sqrt(1.0 - a * a) * np.sin(theta), np.cos(theta))) / math.pi
+    got = limit_bin_masses(spec, edges)
+    assert float(np.abs(got / want - 1.0).max()) < 1e-12, got / want - 1.0
+
+
 def _dense(dim, seed):
     rng = np.random.default_rng(seed)
     return Qudit(HalfInt(dim - 1), rng.normal(size=dim) + 1j * rng.normal(size=dim))

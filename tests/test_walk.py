@@ -158,10 +158,18 @@ def _assert_matches_reference(field, amps, x, what):
     assert np.abs(dist.p - reference_distribution(amps)).max() <= WALK_TOL, what
 
 
+# h^t with a zero entry at every momentum: beta = 0 gives q = 0 and
+# beta = pi gives p = 0, where the phase tables start from np.angle(0)
+DEGENERATE_ANGLES = (
+    EulerAngles(0.7, 0.0, -0.4),
+    EulerAngles(-0.3, math.pi, 1.2),
+)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 12, 13, 50, 64])
 def test_evolve_matches_the_position_major_reference(dim):
     q = _dense_qudit(dim)
-    for angles in SWEEP_ANGLES:
+    for angles in SWEEP_ANGLES + DEGENERATE_ANGLES:
         for t in (0, 1, 2, 7, 40, 200):
             amps, x = reference_evolve(q, angles, t)
             assert amps.shape == (1 + (dim - 1) * t, dim)
