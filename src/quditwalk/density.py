@@ -237,7 +237,7 @@ def _rotation(tj: int, x: np.ndarray) -> np.ndarray:
     half = np.empty(x.size, dtype=complex)
     half.real, half.imag = np.sqrt(np.maximum(0.5 + np.multiply.outer((-0.5, 0.5), x), 0.0))
     z = half * half
-    rot = np.empty(((tj + 1) // 2, x.size), dtype=complex)  # odd dimensions add lam = 0
+    rot = np.empty(((tj + 1) // 2, x.size), dtype=complex)
     return _powers(z if tj % 2 == 0 else half, z, rot)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,26 @@ def test_offdiag_poly_parity_is_exact():
     xs = np.linspace(-1.0, 1.0, 16)  # no exact zero: f3(0) rounds to ~1e-16
     assert np.array_equal(offdiag_poly(3, 0.7, -xs), -offdiag_poly(3, 0.7, xs))
     assert np.array_equal(offdiag_poly(4, 0.7, -xs), offdiag_poly(4, 0.7, xs))
+
+
+def test_offdiag_poly_keeps_its_digits_at_the_pikes():
+    # f_n = Re (tau x + i w)^n with w^2 = 1 - (1+tau^2) x^2, exact in
+    # rationals for float tau and x.  Just inside the pike w^2 cancels, and
+    # a float discriminant's rounding would grow n-fold in cos(n phi)
+    for beta in BETAS:
+        tau = math.tan(0.5 * beta)
+        xs = (1.0 - np.logspace(-15, -6, 19)) / math.sqrt(1.0 + tau * tau)
+        for order in (5, 20, 60):
+            got = offdiag_poly(order, tau, xs)
+            for x, g in zip(xs, got):
+                tx = Fraction(tau) * Fraction(x)
+                w2 = 1 - (1 + Fraction(tau) ** 2) * Fraction(x) ** 2
+                exact = sum(
+                    math.comb(order, 2 * k) * tx ** (order - 2 * k) * (-w2) ** k
+                    for k in range(order // 2 + 1)
+                )
+                scale = (1.0 - x * x) ** (0.5 * order)
+                assert abs(g - float(exact)) <= 2e-13 * scale, (beta, order, x)
 
 
 def test_offdiag_poly_validates_arguments():
