@@ -171,7 +171,7 @@ def test_powers_climb_the_phase_ladder(rows):
         assert np.shares_memory(out, buf) and out.shape == (rows, z.size)
         assert np.isnan(buf[[0, -1]]).all()
         assert np.array_equal(z, z_before) and np.array_equal(first, first_before)
-        want = np.exp(1j * (np.longdouble(0) + start + ladder))
+        want = np.exp(1j * (start + ladder))
         assert want.dtype == np.clongdouble
         gap = np.abs(out - want).astype(float)
         assert (gap <= 2.0 * (k + 1) * eps).all(), (gap / ((k + 1) * eps)).max()
