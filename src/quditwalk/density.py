@@ -22,12 +22,12 @@ holds to rounding.  The channel weight there is |v1^dag phi0|^2 +
 |v2^dag phi0|^2, and v^dag phi0 is a component of d^T psi for the qudit
 psi twisted by the phase: one evaluator (``_scalar_grid``) takes a block
 of points and any number of channels at once.  For one channel (a density
-sample set, a bin-mass batch) or one nonzero component it forms the
-small-d block of the nonzero components (``_small_d_block``, which also
-gives ``weight_matrix_direct`` its column); for several channels on shared
-points (the moments' nodes) it goes through the J_y eigenbasis, one
-product in and one product back out, so its work grows as components plus
-channels, not as their product.
+sample set) or one nonzero component it forms the small-d block of the
+nonzero components (``_small_d_block``, which also gives
+``weight_matrix_direct`` its column); for several channels on shared
+points (the moments' nodes, the bin masses' samples) it goes through
+the J_y eigenbasis, one product in and one product back out, so its work
+grows as components plus channels, not as their product.
 
 The small-d entries there are a spectral sum over the J_y eigenvalues
 lam = -j..j, which needs e^{i lam alpha} at alpha = arccos(-x).  No
@@ -39,7 +39,8 @@ values for lam = 1/2 or 1 upward are the phase ladder of ``coin._powers``
 only, and -lam takes the conjugate.  Its rounding grows about linearly in
 j, as that of the angle lam * alpha does.
 The phase phi needs 1 - (1+tau^2) x^2, which cancels near the pikes
-|x| = cos(beta/2); it is formed in extended precision.
+|x| = cos(beta/2); it is formed as (1 - |x|)(1 + |x|) - (tau |x|)^2 in
+extended precision.
 
 Off the support, which only the public weight-matrix API visits, the same
 collapse holds with cos turned into a growing exponential that amplifies
@@ -60,15 +61,12 @@ a closed-form Jacobi matrix.  The channel weight is a polynomial of degree
 beta, down to the ballistic law at beta = 0.  Every channel shares those
 nodes, so a moment is one evaluator pass over all channels.
 
-Bin masses integrate each (channel, bin) slice in theta, x = a sin(theta),
-with a Gauss-Legendre rule whose order the slice earns
-(``_slice_orders``): W(a sin theta) is a trigonometric polynomial of
-degree <= 2j, and 1/(1 - a^2 sin^2 theta) has poles at theta = +-pi/2 +-
-i arccosh(1/a).  From both, a Bernstein-ellipse bound on the rule's error
-picks a quarter, a third, a half or two thirds of the cap ``_BIN_ORDER``
-where it stays within 1e-16 of the slice's scale, else keeps the cap.
-The factor's denominator is cos^2 theta + b^2 sin^2 theta, b^2 = 1 - a^2,
-which keeps its digits at the pikes as beta -> 0.
+Bin masses take each channel's antiderivative in theta, x = a sin(theta),
+in closed form: there Konno's measure is a Poisson kernel and W(a sin
+theta) a trigonometric polynomial of degree <= 2j, whose coefficients one
+FFT of one evaluator pass over every channel gives exactly.  A bin's mass
+is the antiderivative's difference at its edges, so it is exact at every
+beta, pikes included (``limit_bin_masses``).
 """
 
 from __future__ import annotations
@@ -99,13 +97,10 @@ __all__ = [
     "limit_bin_masses",
 ]
 
-# Cap on the Gauss-Legendre order of a bin-mass (bin, channel) slice; the
-# orders below it are fixed fractions of it (``_slice_orders``).
-_BIN_ORDER = 24
-
-# Points per batch of the on-support evaluator.  Its work arrays grow as
-# points x 2j+1, so a fixed block keeps memory flat when bin masses send a
-# channel's whole node set in one call.
+# Points per batch of the on-support evaluator (and (channel, edge) pairs
+# per batch of bin masses).  Its work arrays grow as points x 2j+1, so a
+# fixed block keeps memory flat on a density grid, which the CLI allows up
+# to 10^6 points.
 _BLOCK = 1024
 
 
@@ -177,14 +172,14 @@ def _offdiag(order, tau: float, x: np.ndarray) -> np.ndarray:
     trig = disc <= 1.0
     if trig.any():
         xt, n = ax[trig], order[trig]
-        out[trig] = np.power(1.0 - xt * xt, 0.5 * n) * np.cos(n * _phase(xt, tau))
+        out[trig] = np.power((1.0 - xt) * (1.0 + xt), 0.5 * n) * np.cos(n * _phase(xt, tau))
     hyp = ~trig
     if hyp.any():
         xh, n = ax[hyp], order[hyp]
         w = np.sqrt(disc[hyp] - 1.0)
         u = tau * xh + w
         # tau x - w = (1 - x^2)/u avoids subtracting nearby quantities
-        out[hyp] = 0.5 * (u**n + ((1.0 - xh * xh) / u) ** n)
+        out[hyp] = 0.5 * (u**n + ((1.0 - xh) * (1.0 + xh) / u) ** n)
     return np.where((order % 2 == 1) & (x < 0.0), -out, out)
 
 
@@ -215,11 +210,12 @@ def _phase(x: np.ndarray, tau: float) -> np.ndarray:
     tau x + i sqrt(1 - (1+tau^2) x^2), clamped to 0 just past the edge.
 
     1 - (1+tau^2) x^2 cancels near the pike points, where phi is small and
-    its rounding grows n-fold in e^{i n phi}: extended precision keeps the
-    discriminant's relative error near one ulp.
+    its rounding grows n-fold in e^{i n phi}: formed as (1 - |x|)(1 + |x|)
+    - (tau |x|)^2 in extended precision, it keeps its relative error near
+    one ulp, also at small beta, where 1 - x^2 itself is small.
     """
-    xl = x.astype(np.longdouble)
-    disc = (1.0 - (1.0 + np.longdouble(tau) ** 2) * xl * xl).astype(float)
+    xl = np.abs(x).astype(np.longdouble)
+    disc = ((1.0 - xl) * (1.0 + xl) - (np.longdouble(tau) * xl) ** 2).astype(float)
     return np.arctan2(np.sqrt(np.maximum(disc, 0.0)), tau * x)
 
 
@@ -500,16 +496,17 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
 
     The eigenbasis products are BLAS matrix products that ran two to four
     times faster per product than the block's product and einsum (timed
-    from 2 to 130 components), so one channel (a density sample set, a
-    channel's bin nodes) or one component takes the block, where it needs
-    the fewest products, and several channels of a qudit with several
-    components (the moments' shared nodes) take the eigenbasis.  Either
+    from 2 to 130 components), so one channel (a density sample set) or
+    one component takes the block, where it needs the fewest products, and
+    several channels of a qudit with several components (the moments' and
+    the bin masses' shared nodes) take the eigenbasis.  Either
     way the rotation table, the discriminant and the phase are built once
     per block of points, and blocks keep every work array within
     _BLOCK x (2j+1) numbers.
 
     Every caller passes support points: density samples with |v| < 2m a,
-    moment nodes a t with |t| <= 1, and bin nodes a sin(theta).  A point
+    moment nodes a t with |t| <= 1 and the bin masses' samples
+    a sin(theta).  A point
     that rounding puts just past the support edge is taken at the edge,
     where ``_phase`` clamps the discriminant at 0.
     """
@@ -547,28 +544,6 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
         amp = amp.real**2 + amp.imag**2
         out[:, lo : lo + step] = (amp[0] + amp[1]).T
     return out
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-@lru_cache(maxsize=None)
-def _bin_rules():
-    """(orders, start, nodes, weights): the Gauss-Legendre orders a bin-mass
-    slice can take, ascending to the cap ``_BIN_ORDER``, and all their
-    rules in one read-only table, the n-node rule at start[n]:start[n] + n."""
-    orders = (_BIN_ORDER // 4, _BIN_ORDER // 3, _BIN_ORDER // 2, 2 * _BIN_ORDER // 3, _BIN_ORDER)
-    start = np.zeros(_BIN_ORDER + 1, dtype=int)
-    start[list(orders)] = np.cumsum((0,) + orders[:-1])
-    nodes, weights = (np.concatenate(parts) for parts in zip(*map(_gauss_legendre, orders)))
-    for arr in (start, nodes, weights):
-        arr.setflags(write=False)
-    return orders, start, nodes, weights
 
 
 def continuous_density(spec: LimitSpec, v):
@@ -666,85 +641,34 @@ def delta_mass(spec: LimitSpec) -> float:
     return _point_mass(_continuous_moment(spec, 0))
 
 
-def _slice_orders(tj: int, a: float, mid: np.ndarray, hw: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre order for each bin-mass slice theta in [mid - hw,
-    mid + hw]: the least of _BIN_ORDER times 1/4, 1/3, 1/2 and 2/3 whose
-    a-priori error bound is within 1e-16 of the slice's scale, else
-    ``_BIN_ORDER``.
-
-    On theta = mid + hw u the n-node rule errs by at most
-    hw (64/15) M rho^(2-2n) / (rho^2 - 1) for any Bernstein ellipse E_rho
-    in u on which the integrand is analytic and stays below M (Trefethen,
-    SIAM Rev. 50, 2008, Thm 4.5, whose rule has n + 1 nodes).  The
-    integrand W(a sin theta) g(theta), times sqrt(1-a^2)/pi, has two
-    factors:
-
-    - W(a sin theta) is a trigonometric polynomial of degree <= 2j, so on
-      E_rho it stays within |W| e^(2j hw B), B = (rho - 1/rho)/2;
-    - g = 1/(1 - a^2 sin^2 theta) = (2/a^2)/(K + cos 2 theta), with
-      K = 1 + 2 b^2/a^2 and b^2 = 1 - a^2, has poles at
-      theta = +-pi/2 +- i arccosh(1/a).  On the bounding rectangle of
-      E_rho, |K + cos 2 theta|^2 = (K + c C)^2 + (1 - c^2)(C^2 - 1),
-      c = cos 2 Re(theta) and C = cosh 2 Im(theta), is least at the least
-      c and at C = -K c clipped to the rectangle, which prices in how close
-      the poles come.
-
-    The scale is the slice's mass at the largest weight,
-    sqrt(1-a^2)/pi 2 hw |W| min g, so |W| drops out.  Each order takes the
-    rho that is best for the trigonometric factor alone,
-    2j hw (rho + 1/rho)/2 = 2n, backed off to keep the rectangle clear of
-    the poles.
-    """
-    kb = 2.0 * (1.0 - a * a) / (a * a)
-    orders = np.full(mid.shape, _BIN_ORDER)
-    # over the real slice, 1/min g = b^2 + a^2 max cos^2 theta
-    cos2 = np.where(np.abs(mid) <= hw, 1.0, np.maximum(np.cos(mid - hw) ** 2, np.cos(mid + hw) ** 2))
-    todo = np.arange(mid.size)
-    # the largest rectangle clear of the poles: its real extent short of
-    # pi/2 or its imaginary extent short of arccosh(1/a) = arcsinh(b/a)
-    eta = math.asinh(math.sqrt(1.0 - a * a) / a)
-    clear = np.maximum(np.arccosh(np.maximum((0.5 * math.pi - np.abs(mid)) / hw, 1.0)), np.arcsinh(eta / hw))
-    for n in _bin_rules()[0][:-1]:
-        # log rho: best for the trigonometric factor alone, or backed off
-        # from the poles by rho^(2-2n) / (rho_clear - rho)'s best
-        lr = np.arccosh(np.maximum(2 * n / (tj * hw), 1.0))
-        lr = np.maximum(np.minimum(lr, clear - math.log1p(0.5 / (n - 1))), 0.0)
-        lo, hi = mid - hw * np.cosh(lr), mid + hw * np.cosh(lr)
-        # p = 1 + c = 2 cos^2(Re theta), least over [lo, hi]: 0 where that
-        # holds a pole's real part pi/2 + k pi
-        pole = np.ceil((lo - 0.5 * math.pi) / math.pi) * math.pi + 0.5 * math.pi <= hi
-        p = np.where(pole, 0.0, 2.0 * np.minimum(np.cos(lo) ** 2, np.cos(hi) ** 2))
-        s = np.clip(kb - p * (1.0 + kb), 0.0, 2.0 * np.sinh(hw * np.sinh(lr)) ** 2)  # C - 1
-        gap = (kb - s + p * (1.0 + s)) ** 2 + p * (2.0 - p) * s * (s + 2.0)
-        with np.errstate(divide="ignore"):
-            # log of (64/15) e^(2j hw B) (2/a^2) / sqrt(gap) rho^(2-2n) / (rho^2 - 1),
-            # over 2e-16 min g
-            bound = (
-                math.log(64.0 / 15.0 / (a * a * 1e-16))
-                + tj * hw * np.sinh(lr)
-                - 0.5 * np.log(gap)
-                - 2 * (n - 1) * lr
-                - np.log(np.expm1(2.0 * lr))
-                + np.log(1.0 - a * a + a * a * cos2)
-            )
-        ok = bound <= 0.0
-        orders[todo[ok]] = n
-        todo, mid, hw, cos2, clear = todo[~ok], mid[~ok], hw[~ok], cos2[~ok], clear[~ok]
-    return orders
-
-
 def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     """Exact limit-law mass per bin for a sorted array of bin edges.
 
-    Each (channel, bin) overlap is integrated in the theta variable
-    (v = 2m a sin theta) with a Gauss-Legendre rule, so the pikes at channel
-    boundaries are captured without special casing.  A slice's order comes
-    from ``_slice_orders``: fewer nodes than the cap ``_BIN_ORDER`` only
-    where an a-priori bound on the rule's error stays within 1e-16 of the
-    slice's scale, and the cap otherwise.  The nodes of all of a channel's
-    non-empty slices, whatever their orders, go to the channel-weight
-    evaluator in one batch, which takes them in blocks.  The point mass, if
-    any, is added to the bin containing v = 0.  A degenerate spec raises
+    Channel m's mass in a bin is G_m(theta2) - G_m(theta1) at the bin's
+    edges, theta = arcsin(v / (2m a)) clipped to [-pi/2, pi/2], for a
+    closed-form antiderivative G_m of its density in theta, so the pikes at
+    channel boundaries need no special casing.  In theta, Konno's measure
+    is the Poisson kernel (1/pi) sum_n (-rho)^|n| e^{2 i n theta} with
+    rho = (1 - b)/(1 + b), b = sin(beta/2), and W_m(a sin theta) is a
+    trigonometric polynomial of degree <= 2j: W_m(a sin theta) =
+    sum_k c_k e^{i k (theta + pi/2)}, |k| <= 2j, with c_k real and even in
+    k, which one FFT of one ``_scalar_grid`` pass over every channel gives
+    exactly.  Their product has the coefficients i^l P_l,
+    P_l = sum_k c_k rho^{|l-k|/2} over l - k even, so with
+    zeta = i e^{i theta}
+
+        pi G_m(theta) = P_0 theta + 2 Im sum_{l>=1} P_l zeta^l / l.
+
+    Past l = 2j, P_l = rho^q B_s for l = s + 2q, B_s = sum_k c_k
+    rho^{(s-k)/2}: one geometric sequence per parity s, whose tail sums to
+    a log and an atanh.  That closed form is exact but cancels by up to
+    rho^-j, so it is taken while rho^-j <= 1e3; beyond, the series is
+    summed until rho^q < 1e-17, at most about 6j more terms per parity.
+    The edges go in blocks of ``_BLOCK`` (channel, edge) pairs, and the
+    cost is O(channels x edges x j) at every beta.  Each channel's per-bin
+    increment is the integral of a non-negative function, so a
+    rounding-level negative one is taken as 0.  The point mass, if any, is
+    added to the bin containing v = 0.  A degenerate spec raises
     DegenerateSpecError: at a = 1 there is no continuous part to bin.
     """
     edges = np.asarray(edges, dtype=float)
@@ -753,32 +677,52 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     if spec.is_degenerate:
         raise DegenerateSpecError(f"no limit density to bin at beta = {spec.beta!r}")
     out = np.zeros(edges.size - 1)
-    a = spec.a
+    a, tj = spec.a, spec.tj
     if a > 0.0:
-        th = np.arcsin(np.clip(edges / (np.array(spec.channels)[:, None] * a), -1.0, 1.0))
-        # the non-empty (channel, bin) slices, channel by channel
-        ch, k = np.nonzero(th[:, 1:] > th[:, :-1])
-        mid = 0.5 * (th[ch, k + 1] + th[ch, k])
-        hw = 0.5 * (th[ch, k + 1] - th[ch, k])
-        order = _slice_orders(spec.tj, a, mid, hw)
-        _, start, table_u, table_w = _bin_rules()
-        b2 = 1.0 - a * a
-        pref = math.sqrt(b2) / math.pi
-        bounds = np.searchsorted(ch, np.arange(len(spec.channels) + 1))
-        for tm, lo, hi in zip(spec.channels, bounds[:-1], bounds[1:]):
-            if hi == lo:
-                continue
-            n = order[lo:hi]
-            first = np.cumsum(n) - n  # each slice's first node
-            rep = np.repeat(np.arange(n.size), n)
-            # the rule of node i of slice l, order n[l], sits at start[n[l]] + i
-            idx = np.arange(rep.size) + (start[n] - first)[rep]
-            theta = mid[lo:hi][rep] + hw[lo:hi][rep] * table_u[idx]
-            sin_th, cos_th = np.sin(theta), np.cos(theta)
-            # 1 - a^2 sin^2 theta, with no cancellation at the pikes
-            konno = cos_th * cos_th + b2 * sin_th * sin_th
-            vals = table_w[idx] * _scalar_grid(spec, (tm,), a * sin_th)[0] / konno
-            out[k[lo:hi]] += pref * hw[lo:hi] * np.add.reduceat(vals, first)
+        b = math.sin(0.5 * spec.beta)
+        # rho = (a/(1 + b))^2 and 1 - sqrt(rho) = 2b/((1 + b)(1 + sqrt(rho)))
+        # keep their digits as beta -> pi and beta -> 0
+        rho = (a / (1.0 + b)) ** 2
+        root = math.sqrt(rho)
+        gap = 2.0 * b / ((1.0 + b) * (1.0 + root))
+        closed = rho ** (0.5 * tj) >= 1e-3
+        terms = tj
+        if not closed and rho > 0.0:
+            terms += 2 * (math.floor(math.log(1e-17) / math.log(rho)) + 1)
+        # W_m at theta = 2 pi i/n - pi/2, i = 0..n/2, mirrored to a period
+        n = 1 << (2 * tj + 1).bit_length()
+        x = -a * np.cos(2.0 * math.pi / n * np.arange(n // 2 + 1))
+        w = _scalar_grid(spec, spec.channels, x)
+        c = np.fft.rfft(np.concatenate((w, w[:, -2:0:-1]), axis=1)).real[:, : tj + 1] / n
+        c = np.concatenate((c[:, :0:-1], c), axis=1)  # k = -2j..2j
+        lag = np.arange(terms + 1)[:, None] - np.arange(-tj, tj + 1)
+        even = lag % 2 == 0
+        coef = c @ (even * rho ** (np.abs(lag) / 2)).T
+        if closed:
+            # geo[:, l] = sum_k c_k rho^{(l-k)/2}: the two geometric
+            # sequences, B_s at l = s, which P_l joins from l = 2j on
+            geo = c @ (even * rho ** (lag / 2)).T
+            coef[:, 1:] -= geo[:, 1:]
+        coef[:, 1:] *= 2.0 / np.arange(1, terms + 1)
+        # the (channel, edge) pairs, channel-major, in blocks
+        s = np.clip(edges / (np.array(spec.channels)[:, None] * a), -1.0, 1.0).ravel()
+        ch = np.repeat(np.arange(len(spec.channels)), edges.size)
+        g = np.empty(s.size)
+        for lo in range(0, s.size, _BLOCK):
+            sb, cb = s[lo : lo + _BLOCK], ch[lo : lo + _BLOCK]
+            # cos theta from s, not cos(arcsin s), which is 6e-17 at s = 1
+            cos = np.sqrt((1.0 - sb) * (1.0 + sb))
+            zeta = 1j * cos - sb
+            table = _powers(zeta, zeta, np.empty((terms, sb.size), dtype=complex)).imag
+            g[lo : lo + _BLOCK] = coef[cb, 0] * np.arcsin(sb)
+            g[lo : lo + _BLOCK] += np.einsum("pl,lp->p", coef[cb, 1:], table)
+            if closed:
+                # Im of the tails -log(1 - rho zeta^2)/2 and atanh(sqrt(rho) zeta)/sqrt(rho)
+                up = np.arctan2(root * cos, gap + root * (1.0 - sb))
+                down = np.arctan2(root * cos, gap + root * (1.0 + sb))
+                g[lo : lo + _BLOCK] += geo[cb, 1] * (up + down) / root - geo[cb, 0] * (up - down)
+        steps = np.diff(g.reshape(len(spec.channels), edges.size), axis=1)
+        out += np.maximum(steps, 0.0).sum(axis=0) / math.pi
     if spec.has_point_mass:
         k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
         if 0 <= k0 < out.size:

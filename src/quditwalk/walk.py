@@ -27,7 +27,8 @@ O((2j+1)^2 j t^2) for t steps.
 
 The momenta go in chunks of ``_CHUNK``.  ``evolve`` holds one (2j+1) x M
 complex field, which the FFT overwrites in place, plus two (2j+1) x _CHUNK
-complex work arrays and some chunk-length vectors (``_field_bytes``); a
+complex work arrays, two (2j+1) x (2j+1) ones and some chunk-length
+vectors (``_field_bytes``); a
 request over ``FIELD_BUDGET_BYTES`` raises DomainError before anything is
 allocated.  The public ``step`` applies one coin product and shift, on a
 fresh array.
@@ -128,11 +129,13 @@ def _fft_length(n: int) -> int:
 
 def _field_bytes(tj: int, t: int) -> int:
     """Bytes evolve holds for t steps at doubled spin tj: the (tj+1) x M
-    field, M = ``_fft_length(1 + tj t)``, two (tj+1) x chunk work arrays
-    and the chunk-length vectors."""
+    field, M = ``_fft_length(1 + tj t)``, two (tj+1) x chunk work arrays,
+    two (tj+1) x (tj+1) matrices (V^dag diag(psi_0) and the transient
+    conjugate it is made from) and the chunk-length vectors."""
+    dim = tj + 1
     modes = _fft_length(1 + tj * t)
     chunk = min(_CHUNK, modes)
-    return np.dtype(complex).itemsize * ((tj + 1) * (modes + 2 * chunk) + _CHUNK_VECTORS * _CHUNK)
+    return np.dtype(complex).itemsize * (dim * (modes + 2 * chunk + 2 * dim) + _CHUNK_VECTORS * _CHUNK)
 
 
 def _require_field_budget(tj: int, t: int) -> None:

@@ -14,6 +14,7 @@ small-d code.  Swapping it in for the package's evaluator lets every public
 limit-law number be compared end to end.
 """
 
+import functools
 import math
 from functools import lru_cache
 
@@ -191,73 +192,88 @@ def test_edge_nodes_match_the_wedge_polynomials(dim, kind, beta):
             assert float(np.abs(got - want).max()) < 1e-12, (tm, got - want)
 
 
-def _bin_masses_per_slice(spec, edges):
-    """limit_bin_masses with one evaluator call per (bin, channel) slice."""
+def _bin_masses_per_slice(spec, edges, order):
+    """limit_bin_masses by an ``order``-node Gauss-Legendre rule on every
+    (bin, channel) slice in theta, v = 2m a sin(theta), where Konno's
+    factor is b / (pi (cos^2 theta + b^2 sin^2 theta)), b = sin(beta/2).
+
+    W_m at the nodes is its interpolant of degree 2j through the evaluator
+    at the first-kind Chebyshev points in x/a: exact for the polynomial
+    W_m, and a few multiply-adds per node instead of an evaluator pass.
+    """
     out = np.zeros(edges.size - 1)
-    a = spec.a
-    nodes, weights = density._gauss_legendre(density._BIN_ORDER)
-    pref = math.sqrt(1.0 - a * a) / math.pi
+    a, b = spec.a, math.sin(0.5 * spec.beta)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     for tm in spec.channels:
+        weight = np.polynomial.Chebyshev.interpolate(
+            lambda t: density._scalar_grid(spec, (tm,), a * t)[0], spec.tj
+        )
         th = np.arcsin(np.clip(edges / (tm * a), -1.0, 1.0))
-        for k in range(out.size):
-            t1, t2 = th[k], th[k + 1]
-            if t2 <= t1:
-                continue
-            hw = 0.5 * (t2 - t1)
-            theta = 0.5 * (t1 + t2) + hw * nodes
-            # 1 - a^2 sin^2 theta, without the cancellation near the pikes
-            konno = np.cos(theta) ** 2 + (1.0 - a * a) * np.sin(theta) ** 2
-            vals = density._scalar_grid(spec, (tm,), a * np.sin(theta))[0] / konno
-            out[k] += pref * hw * float(np.dot(weights, vals))
+        k = np.flatnonzero(th[1:] > th[:-1])
+        hw = 0.5 * (th[k + 1] - th[k])
+        theta = 0.5 * (th[k + 1] + th[k])[:, None] + np.multiply.outer(hw, nodes)
+        konno = np.cos(theta) ** 2 + b * b * np.sin(theta) ** 2
+        out[k] += b / math.pi * hw * ((weight(np.sin(theta)) / konno) @ weights)
     if spec.has_point_mass:
         k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
         out[k0] += delta_mass(spec)
     return out
 
 
+# each case's order is one at which the reference has converged; at
+# beta <= 0.01 the slices next to the pikes need hundreds of nodes, and the
+# bound is the gap between the reference's own n- and 2n-node results
 @pytest.mark.parametrize(
-    "qudit, beta, gamma, width, seams",
+    "qudit, beta, gamma, width, order, tol",
     [
-        (_qudit("dense", 13, 7), 22 * math.pi / 25, 0.4, 0.2, False),
-        # nodes at |x| >= 0.999999
-        (_qudit("asym", 6, 8), 0.002, -1.1, 0.5, False),
-        # the top channel spans ~340 slices, most of them at a quarter of
-        # the cap: one call of about 2000 nodes
-        (preset_qudit("paper-sym", 6), math.pi / 2, 0.0, 0.05, False),
-        (_qudit("dense", 2, 9), 0.01, 0.4, 0.05, False),
-        (_qudit("dense", 2, 10), 3.1, -1.1, 1.0, False),
-        (_qudit("dense", 50, 11), math.pi / 10, 0.4, 1.0, False),
-        (_qudit("asym", 50, 12), 3.1, 0.0, 0.05, False),
-        (preset_qudit("paper-sym", "49/2"), 0.01, 0.0, 1.0, False),
-        # the top channel: one call of over 2000 nodes
-        (_qudit("dense", 130, 13), math.pi / 10, -1.1, 1.0, True),
-        (preset_qudit("paper-sym", "129/2"), 3.1, 0.0, 0.05, False),
+        (_qudit("dense", 13, 7), 22 * math.pi / 25, 0.4, 0.2, 24, 1e-14),
+        (_qudit("asym", 6, 8), 0.002, -1.1, 0.5, 256, 1e-12),
+        (preset_qudit("paper-sym", 6), math.pi / 2, 0.0, 0.05, 24, 1e-14),
+        (_qudit("dense", 2, 9), 0.01, 0.4, 0.05, 96, 5e-13),
+        (_qudit("dense", 2, 10), 3.1, -1.1, 1.0, 24, 1e-14),
+        (_qudit("dense", 50, 11), math.pi / 10, 0.4, 1.0, 48, 1e-14),
+        (_qudit("asym", 50, 12), 3.1, 0.0, 0.05, 24, 1e-14),
+        (preset_qudit("paper-sym", "49/2"), 0.01, 0.0, 1.0, 96, 2e-13),
+        (_qudit("dense", 130, 13), math.pi / 10, -1.1, 1.0, 96, 1e-14),
+        (preset_qudit("paper-sym", "129/2"), 3.1, 0.0, 0.05, 24, 1e-14),
     ],
 )
-def test_bin_masses_match_the_per_slice_loop(monkeypatch, qudit, beta, gamma, width, seams):
+def test_bin_masses_match_the_per_slice_loop(monkeypatch, qudit, beta, gamma, width, order, tol):
     spec = LimitSpec(qudit, beta, gamma)
     reach = qudit.tj * spec.a + width
     edges = np.arange(-reach, reach + width, width)
-    evaluator, rule = density._scalar_grid, density._slice_orders
-    calls, orders = [], []
+    evaluator = density._scalar_grid
+    calls = []
 
     def recording(spec, tms, x):
-        calls.append(x)
+        calls.append(tuple(tms))
         return evaluator(spec, tms, x)
-
-    def recorded(*args):
-        orders.append(rule(*args))
-        return orders[-1]
 
     with monkeypatch.context() as mp:
         mp.setattr(density, "_scalar_grid", recording)
-        mp.setattr(density, "_slice_orders", recorded)
         got = limit_bin_masses(spec, edges)
-    # one call per channel, plus delta_mass's one pass over every channel
-    assert len(calls) == len(spec.channels) + spec.has_point_mass
-    assert (max(x.size for x in calls) > 2 * density._BLOCK) == seams
-    outermost = max(float(np.abs(x).max()) for x in calls)
-    assert (outermost >= 0.999999) == (beta < 0.01)
-    assert max(int(o.max()) for o in orders) <= density._BIN_ORDER
-    want = _bin_masses_per_slice(spec, edges)
-    assert float(np.abs(got - want).max()) < 1e-14
+    # one call for every channel, plus delta_mass's one pass
+    assert calls == [spec.channels] * (1 + spec.has_point_mass)
+    want = _bin_masses_per_slice(spec, edges, order)
+    # the reference has converged: twice its order gives the same bins
+    assert float(np.abs(_bin_masses_per_slice(spec, edges, 2 * order) - want).max()) < tol
+    assert float(np.abs(got - want).max()) < tol
+
+
+@pytest.mark.parametrize("channels", ("one", "all"))
+def test_the_evaluator_blocks_join_without_seams(channels):
+    # the evaluator takes _BLOCK points at a time, or half as many through
+    # the J_y eigenbasis: a grid across three seams must read as the same
+    # points taken in chunks that each fit in one block
+    spec = LimitSpec(_qudit("dense", 13, 14), math.pi / 10, 0.4)
+    v = np.linspace(-1.0, 1.0, 3 * density._BLOCK + 7) * spec.tj * spec.a
+    if channels == "one":
+        # the top channel's call takes nearly every point
+        evaluate = functools.partial(continuous_density, spec)
+    else:
+        evaluate = functools.partial(density._scalar_grid, spec, spec.channels)
+        v /= spec.tj
+    got = evaluate(v)
+    chunks = range(0, v.size, density._BLOCK // 2 - 1)
+    want = np.concatenate([evaluate(v[lo : lo + density._BLOCK // 2 - 1]) for lo in chunks], axis=-1)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))

@@ -35,7 +35,7 @@ from quditwalk import (
 )
 import quditwalk.density as density
 from quditwalk.coin import _jy_eig
-from quditwalk.density import _gauss_legendre, _ladder_rows
+from quditwalk.density import _ladder_rows
 from weight_reference import decimal_matrix, grown_top
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
@@ -121,8 +121,9 @@ def test_offdiag_poly_parity_is_exact():
 def test_offdiag_poly_keeps_its_digits_at_the_pikes():
     # f_n = Re (tau x + i w)^n with w^2 = 1 - (1+tau^2) x^2, exact in
     # rationals for float tau and x.  Just inside the pike w^2 cancels, and
-    # a float discriminant's rounding would grow n-fold in cos(n phi)
-    for beta in BETAS:
+    # a float discriminant's rounding would grow n-fold in cos(n phi); at
+    # small beta 1 - x^2 is small too, and 1 - x*x would lose its digits
+    for beta in BETAS + (1e-3,):
         tau = math.tan(0.5 * beta)
         xs = (1.0 - np.logspace(-15, -6, 19)) / math.sqrt(1.0 + tau * tau)
         for order in (5, 20, 60):
@@ -554,20 +555,49 @@ def test_bin_masses_sum_to_total_mass():
             limit_bin_masses(degenerate, edges)
 
 
-@pytest.mark.parametrize("beta", (1e-3, 2e-3))
+@pytest.mark.parametrize("beta", (1e-6, 1e-3, 2e-3))
 def test_bin_masses_keep_their_digits_at_the_pikes(beta):
     # the spin-1/2 symmetric qudit has channel weight 1, so a bin between
     # theta1 and theta2 (v = a sin theta) holds exactly
-    # [atan2(b sin theta, cos theta)]/pi between them, b^2 = 1 - a^2; near
+    # [atan2(b sin theta, cos theta)]/pi between them, b = sin(beta/2); near
     # the pike 1 - a^2 sin^2 theta formed from the float a sin theta would
-    # lose about log10(1/(1 - a^2 sin^2 theta)) digits
+    # lose about log10(1/(1 - a^2 sin^2 theta)) digits, and cos(arcsin s)
+    # is 6e-17 at s = 1
     spec = LimitSpec(preset_qudit("paper-sym", "1/2"), beta)
-    a = spec.a
+    a, b = spec.a, math.sin(0.5 * beta)
     edges = a * np.sin(0.5 * math.pi - np.array([8.0, 4.0, 2.0, 1.0, 0.5]) * 1e-4)
-    theta = np.arcsin(edges / a)  # as the library takes it
-    want = np.diff(np.arctan2(math.sqrt(1.0 - a * a) * np.sin(theta), np.cos(theta))) / math.pi
+    s = edges / a  # as the library takes it
+    want = np.diff(np.arctan2(b * s, np.sqrt((1.0 - s) * (1.0 + s)))) / math.pi
     got = limit_bin_masses(spec, edges)
     assert float(np.abs(got / want - 1.0).max()) < 1e-12, got / want - 1.0
+
+
+@pytest.mark.parametrize("dim", (2, 3, 12, 13, 50, 130))
+def test_bin_masses_sum_to_the_gauss_rule_mass(dim):
+    # every beta from the ballistic edge to the point-mass edge, both
+    # regimes of the antiderivative's tail, coarse and fine bins over the
+    # whole support
+    betas = (1e-6, 1e-3, 0.01, 0.1, math.pi / 2, 22 * math.pi / 25, math.pi - 1e-6)
+    for qudit in (_dense(dim, dim), preset_qudit("paper-sym", HalfInt(dim - 1))):
+        for beta in betas:
+            spec = LimitSpec(qudit, beta, 0.4)
+            mass = limit_moment(spec, 0)
+            reach = 1.01 * spec.tj * spec.a
+            for bins in (10, 160):
+                got = limit_bin_masses(spec, np.linspace(-reach, reach, bins + 1))
+                assert got.min() >= 0.0, (beta, bins)
+                assert abs(math.fsum(got) - mass) < 1e-13, (beta, bins, math.fsum(got) - mass)
+
+
+def test_bin_masses_of_one_ulp_are_not_negative():
+    # a bin one ulp wide holds ~1e-17 of mass, below the rounding of the
+    # antiderivative at its edges: the difference is clamped at 0
+    spec = LimitSpec(_dense(13, 1313), 0.1, 0.4)
+    base = np.linspace(-13.0, 13.0, 400)
+    edges = np.sort(np.concatenate((base, np.nextafter(base, np.inf))))
+    got = limit_bin_masses(spec, edges)
+    assert got.min() >= 0.0
+    assert abs(math.fsum(got) - limit_moment(spec, 0)) < 1e-13
 
 
 def _dense(dim, seed):
@@ -662,10 +692,9 @@ def test_cached_arrays_are_read_only():
     spec = LimitSpec(preset_qudit("up", "1/2"), math.pi / 2)
     before = limit_moment(spec, 2)
     lam, vec = _jy_eig(5)
-    nodes, weights = _gauss_legendre(200)
     coef, rows, _, up, _ = _ladder_rows(5, 1)
     konno_t, konno_w = density._konno_rule(math.pi / 2, 2)
-    for arr in (lam, vec, nodes, weights, coef, rows, up, konno_t, konno_w):
+    for arr in (lam, vec, coef, rows, up, konno_t, konno_w):
         with pytest.raises(ValueError):
             arr *= 2
     assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)

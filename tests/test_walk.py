@@ -221,12 +221,12 @@ def test_public_step_repeats_evolve(dim):
 def test_evolve_refuses_a_field_over_the_memory_budget():
     # one complex field of M x 130 amplitudes, M = 2^6 3^4 5^2 = 129600 the
     # smallest 5-smooth length >= 1 + 129 t at t = 1000, plus two 130 x 1024
-    # work arrays and 48 chunk-length vectors
-    assert walk._field_bytes(129, 1000) == 16 * (130 * (129600 + 2 * 1024) + 48 * 1024)
+    # work arrays, two 130 x 130 matrices and 48 chunk-length vectors
+    assert walk._field_bytes(129, 1000) == 16 * (130 * (129600 + 2 * 1024 + 2 * 130) + 48 * 1024)
     assert walk._field_bytes(129, 1000) <= walk.FIELD_BUDGET_BYTES
     # at t = 7937, M = 2^13 5^3 = 1024000; one step more needs 1036800
     t_max = 7937
-    assert walk._field_bytes(129, t_max) == 16 * (130 * (1024000 + 2 * 1024) + 48 * 1024)
+    assert walk._field_bytes(129, t_max) == 16 * (130 * (1024000 + 2 * 1024 + 2 * 130) + 48 * 1024)
     walk._require_field_budget(129, t_max)  # just under: accepted, nothing run
     q = Qudit(HalfInt(129), np.ones(130))
     tracemalloc.start()
@@ -239,19 +239,21 @@ def test_evolve_refuses_a_field_over_the_memory_budget():
     assert peak < 2**20  # refused before any buffer was allocated
 
 
-def test_evolve_peak_memory_stays_within_its_budget_count():
+@pytest.mark.parametrize("dim, t", ((50, 300), (200, 50)))
+def test_evolve_peak_memory_stays_within_its_budget_count(dim, t):
     # tracemalloc sees every numpy array evolve makes; the FFT's own plan
-    # and scratch live outside it
-    q = _dense_qudit(50)
+    # and scratch live outside it.  At 200 components the (2j+1)^2 matrices
+    # outweigh the chunk-length vectors
+    q = _dense_qudit(dim)
     angles = EulerAngles(0.3, math.pi / 2, 0.4)
-    evolve(q, angles, 300)  # warm the J_y eigenvectors and the FFT plan
+    evolve(q, angles, t)  # warm the J_y eigenvectors and the FFT plan
     tracemalloc.start()
     try:
-        field = evolve(q, angles, 300)
+        field = evolve(q, angles, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert field.amps.nbytes <= peak <= walk._field_bytes(49, 300)
+    assert field.amps.nbytes <= peak <= walk._field_bytes(dim - 1, t)
 
 
 def test_evolve_validates_t_and_angles():
