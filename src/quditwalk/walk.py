@@ -28,10 +28,9 @@ O((2j+1)^2 j t^2) for t steps.
 The momenta go in chunks of ``_CHUNK``.  ``evolve`` holds one (2j+1) x M
 complex field, which the FFT overwrites in place, plus two (2j+1) x _CHUNK
 complex work arrays, two (2j+1) x (2j+1) ones and some chunk-length
-vectors (``_field_bytes``); a
-request over ``FIELD_BUDGET_BYTES`` raises DomainError before anything is
-allocated.  The public ``step`` applies one coin product and shift, on a
-fresh array.
+vectors (``_field_bytes``); a request over ``FIELD_BUDGET_BYTES`` raises
+DomainError before anything is allocated.  The public ``step`` applies one
+coin product and shift, on a fresh array.
 """
 
 from __future__ import annotations

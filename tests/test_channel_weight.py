@@ -14,9 +14,8 @@ small-d code.  Swapping it in for the package's evaluator lets every public
 limit-law number be compared end to end.
 """
 
-import functools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -269,9 +268,9 @@ def test_the_evaluator_blocks_join_without_seams(channels):
     v = np.linspace(-1.0, 1.0, 3 * density._BLOCK + 7) * spec.tj * spec.a
     if channels == "one":
         # the top channel's call takes nearly every point
-        evaluate = functools.partial(continuous_density, spec)
+        evaluate = partial(continuous_density, spec)
     else:
-        evaluate = functools.partial(density._scalar_grid, spec, spec.channels)
+        evaluate = partial(density._scalar_grid, spec, spec.channels)
         v /= spec.tj
     got = evaluate(v)
     chunks = range(0, v.size, density._BLOCK // 2 - 1)
