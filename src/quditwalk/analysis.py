@@ -59,7 +59,7 @@ def _curvature(tj: int, beta: float, row: list[int]) -> float:
         (2.0 + inv2 + (tm * tm - tj)) * (row[(tj + tm) // 2] / den) / tm**3
         for tm in doubled_channels(tj)
     ]
-    return math.sqrt(1.0 - a * a) / (math.pi * a) * math.fsum(terms)
+    return math.sin(0.5 * beta) / (math.pi * a) * math.fsum(terms)
 
 
 def curvature_at_origin(j, beta: float) -> float:

@@ -38,9 +38,10 @@ values for lam = 1/2 or 1 upward are the phase ladder of ``coin._powers``
 (the walk's too) from that start with the step z = e^{i alpha}, products
 only, and -lam takes the conjugate.  Its rounding grows about linearly in
 j, as that of the angle lam * alpha does.
-The phase phi needs 1 - (1+tau^2) x^2, which cancels near the pikes
-|x| = cos(beta/2); it is formed as (1 - |x|)(1 + |x|) - (tau |x|)^2 in
-extended precision.
+The support test, the phase phi and the off-diagonal polynomials read one
+discriminant 1 - (1+tau^2) x^2 (``_phase``), which cancels near the pikes:
+it is (1 - |x|)(1 + |x|) - (tau |x|)^2 in extended precision.  Konno's factor
+(``_konno``) takes b = sin(beta/2); sqrt(1 - a^2) loses it at small beta.
 
 Off the support, which only the public weight-matrix API visits, the same
 collapse holds with cos turned into a growing exponential that amplifies
@@ -117,21 +118,26 @@ def _sample_points(v) -> tuple[np.ndarray, bool]:
 def konno_density(x, a: float):
     """Konno's density sqrt(1-a^2) / [pi (1-x^2) sqrt(a^2-x^2)] on |x| < |a|.
 
-    Zero outside the open support, including at the (divergent) endpoints
-    and at +-inf; a nan x raises DomainError.
+    ``_konno`` with b = sqrt((1-|a|)(1+|a|)), the best b that ``a`` alone
+    gives, so it keeps its digits up to the pikes.  Zero outside the open
+    support, including at the (divergent) endpoints and at +-inf; a nan x
+    raises DomainError.
     """
-    a = float(a)
-    if not abs(a) <= 1.0:
-        raise DomainError(f"need |a| <= 1, got {a!r}")
+    a = abs(float(a))
+    if not a <= 1.0:
+        raise DomainError(f"need |a| <= 1, got |a| = {a!r}")
     x1, scalar = _sample_points(x)
     out = np.zeros(x1.shape)
-    inside = np.abs(x1) < abs(a)
+    inside = np.abs(x1) < a
     if inside.any():
-        xi = x1[inside]
-        out[inside] = math.sqrt(1.0 - a * a) / (
-            math.pi * (1.0 - xi * xi) * np.sqrt(a * a - xi * xi)
-        )
+        out[inside] = _konno(np.abs(x1[inside]), a, math.sqrt((1.0 - a) * (1.0 + a)))
     return float(out[0]) if scalar else out
+
+
+def _konno(ax: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Konno's density b / [pi (1 - ax^2) sqrt(a^2 - ax^2)] at ax = |x| < a,
+    b = sqrt(1 - a^2), each difference of squares taken as a product."""
+    return b / (math.pi * (1.0 - ax) * (1.0 + ax) * np.sqrt((a - ax) * (a + ax)))
 
 
 def offdiag_poly(order: int, tau: float, x):
@@ -141,12 +147,11 @@ def offdiag_poly(order: int, tau: float, x):
     The defining triple binomial sum collapses to
 
         (1/2) [(tau x + w)^order + (tau x - w)^order],
-        w = sqrt((1 + tau^2) x^2 - 1),
+        w = sqrt(-disc),  disc = 1 - (1 + tau^2) x^2,
 
-    which for (1+tau^2) x^2 <= 1 (all of a channel's support) is the real
-    oscillation (1-x^2)^(order/2) cos(order * phi) with
-    phi = atan2(sqrt(1 - (1+tau^2) x^2), tau x), from the extended-precision
-    discriminant of ``_phase``.  Both branches are stable;
+    with (phi, disc) from ``_phase``.  Where disc >= 0 (all of a channel's
+    support) this is the real oscillation (1-x^2)^(order/2) cos(order phi).
+    Both branches are stable, just past the pikes too;
     the expanded coefficients would cancel catastrophically by order ~ 30.
     Odd orders give odd functions of x and even orders even ones, exactly.
     A non-finite x raises DomainError.
@@ -165,18 +170,19 @@ def offdiag_poly(order: int, tau: float, x):
 def _offdiag(order, tau: float, x: np.ndarray) -> np.ndarray:
     """``offdiag_poly`` without its checks, broadcasting integer orders
     against points."""
-    order, x = np.broadcast_arrays(order, x)
     ax = np.abs(x)
+    # one discriminant per point, before the points meet the orders
+    phi, disc = _phase(ax, tau)
+    order, ax, phi, disc = np.broadcast_arrays(order, ax, phi, disc)
     out = np.empty(ax.shape)
-    disc = (1.0 + tau * tau) * ax * ax
-    trig = disc <= 1.0
+    trig = disc >= 0.0
     if trig.any():
         xt, n = ax[trig], order[trig]
-        out[trig] = np.power((1.0 - xt) * (1.0 + xt), 0.5 * n) * np.cos(n * _phase(xt, tau))
+        out[trig] = np.power((1.0 - xt) * (1.0 + xt), 0.5 * n) * np.cos(n * phi[trig])
     hyp = ~trig
     if hyp.any():
         xh, n = ax[hyp], order[hyp]
-        w = np.sqrt(disc[hyp] - 1.0)
+        w = np.sqrt(-disc[hyp])
         u = tau * xh + w
         # tau x - w = (1 - x^2)/u avoids subtracting nearby quantities
         out[hyp] = 0.5 * (u**n + ((1.0 - xh) * (1.0 + xh) / u) ** n)
@@ -205,18 +211,19 @@ def _ladder_rows(tj: int, tm: int):
     return tab
 
 
-def _phase(x: np.ndarray, tau: float) -> np.ndarray:
-    """phi at each point of a 1-D array on the support: the phase of
-    tau x + i sqrt(1 - (1+tau^2) x^2), clamped to 0 just past the edge.
+def _phase(x, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, disc) at each point: the discriminant disc = 1 - (1+tau^2) x^2,
+    >= 0 on a channel's support and -w^2 off it, and the phase phi of
+    tau x + i sqrt(disc), clamped to 0 past the edge.
 
-    1 - (1+tau^2) x^2 cancels near the pike points, where phi is small and
-    its rounding grows n-fold in e^{i n phi}: formed as (1 - |x|)(1 + |x|)
-    - (tau |x|)^2 in extended precision, it keeps its relative error near
-    one ulp, also at small beta, where 1 - x^2 itself is small.
+    disc cancels near the pike points, where phi is small and its rounding
+    grows n-fold in e^{i n phi}: formed as (1 - |x|)(1 + |x|) - (tau |x|)^2
+    in extended precision, it keeps its relative error near one ulp, also
+    at small beta, where 1 - x^2 itself is small.
     """
     xl = np.abs(x).astype(np.longdouble)
     disc = ((1.0 - xl) * (1.0 + xl) - (np.longdouble(tau) * xl) ** 2).astype(float)
-    return np.arctan2(np.sqrt(np.maximum(disc, 0.0)), tau * x)
+    return np.arctan2(np.sqrt(np.maximum(disc, 0.0)), tau * x), disc
 
 
 def _rotation(tj: int, x: np.ndarray) -> np.ndarray:
@@ -365,11 +372,12 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     # a point a few ulps past the edge (a pike point cos(beta/2) can round
     # there) takes the rank-two form at the edge, where the wedge
     # polynomials would cancel catastrophically
-    if (1.0 + tau * tau) * x * x <= 1.0 + 8.0 * np.finfo(float).eps:
+    phi, disc = _phase(x, tau)
+    if disc >= -8.0 * np.finfo(float).eps:
         # rank-two assembly: exactly hermitian and PSD
         xs, idx = np.array([x]), np.arange(tj + 1)
         col = _small_d_block(tj, xs, idx, [(tj - tm) // 2])[0, :, 0]
-        turn = np.exp(1j * _phase(xs, tau)[0] * idx)
+        turn = np.exp(1j * phi * idx)
         tilted = col * np.exp(-1j * gamma * idx)
         v1, v2 = tilted * turn, tilted * np.conj(turn)
         ent = np.outer(v1, np.conj(v1)) + np.outer(v2, np.conj(v2))
@@ -530,7 +538,7 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
         # amp holds psi1 and psi2, then (eigen) their eigenbasis images,
         # then v1^dag phi0 and v2^dag phi0: each step frees the last
         amp = np.empty((2, xb.size, rows.size), dtype=complex)
-        np.exp(1j * np.multiply.outer(_phase(xb, tau), rows), out=amp[1])
+        np.exp(1j * np.multiply.outer(_phase(xb, tau)[0], rows), out=amp[1])
         np.conjugate(amp[1], out=amp[0])
         amp *= tilted
         if eigen:
@@ -553,12 +561,14 @@ def continuous_density(spec: LimitSpec, v):
     out = np.zeros(v1.shape)
     a = spec.a
     if 0.0 < a < 1.0:
+        b = math.sin(0.5 * spec.beta)
+        av = np.abs(v1)
         for tm in spec.channels:
-            mask = np.abs(v1) < tm * a
+            mask = av < tm * a
             if not mask.any():
                 continue
             x = v1[mask] / tm
-            out[mask] += konno_density(x, a) * _scalar_grid(spec, (tm,), x)[0] / tm
+            out[mask] += _konno(av[mask] / tm, a, b) * _scalar_grid(spec, (tm,), x)[0] / tm
     return float(out[0]) if scalar else out
 
 

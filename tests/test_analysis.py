@@ -27,6 +27,12 @@ BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
 def test_curvature_half_spin_is_four_over_pi():
     assert curvature_at_origin("1/2", math.pi / 2) == pytest.approx(4.0 / math.pi, abs=1e-12)
+    # tan(beta/2) (2 + 1/a^2) / pi in general, a = cos(beta/2); at small
+    # beta sin(beta/2) formed as sqrt(1 - a^2) would keep few digits
+    for beta in (1e-6, 1e-3, *BETAS):
+        a = math.cos(0.5 * beta)
+        want = math.tan(0.5 * beta) * (2.0 + 1.0 / (a * a)) / math.pi
+        assert curvature_at_origin("1/2", beta) == pytest.approx(want, rel=1e-14, abs=0.0), beta
 
 
 def test_curvature_rejects_degenerate_angles():

@@ -1,11 +1,13 @@
 import ast
 import cmath
+import decimal
 import math
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +41,14 @@ from quditwalk.density import _ladder_rows
 from weight_reference import decimal_matrix, grown_top
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
+PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def _konno_decimal(x: float, a: float, b: float) -> Decimal:
+    """b / [pi (1 - x^2) sqrt(a^2 - x^2)] in 40 digits at the floats given."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        x, a = Decimal(x), Decimal(a)
+        return Decimal(b) / (PI * (1 - x * x) * (a * a - x * x).sqrt())
 
 
 # ------------------------------------------------------------ base density
@@ -56,6 +66,17 @@ def test_konno_support_and_values():
     for bad in (math.nan, np.array([0.1, math.nan])):
         with pytest.raises(DomainError):
             konno_density(bad, a)
+    # up to a relative 1e-14 inside the pike, where a^2 - x^2 and, at small
+    # beta, 1 - a^2 and 1 - x^2 would cancel if formed from the squares
+    worst = 0.0
+    for beta in BETAS + (1e-3,):
+        a = math.cos(0.5 * beta)
+        b = math.sqrt((1.0 - a) * (1.0 + a))
+        for k in range(2, 15):
+            x = a * (1.0 - 10.0**-k)
+            got = konno_density(x, a)
+            worst = max(worst, abs(float(Decimal(got) / _konno_decimal(x, a, b)) - 1.0))
+    assert worst <= 2e-15, worst
 
 
 def test_konno_normalization_and_second_moment():
@@ -120,12 +141,14 @@ def test_offdiag_poly_parity_is_exact():
 
 def test_offdiag_poly_keeps_its_digits_at_the_pikes():
     # f_n = Re (tau x + i w)^n with w^2 = 1 - (1+tau^2) x^2, exact in
-    # rationals for float tau and x.  Just inside the pike w^2 cancels, and
-    # a float discriminant's rounding would grow n-fold in cos(n phi); at
-    # small beta 1 - x^2 is small too, and 1 - x*x would lose its digits
+    # rationals for float tau and x.  Near the pike w^2 cancels: just inside,
+    # a float discriminant's rounding would grow n-fold in cos(n phi), and
+    # just outside w = sqrt(-w^2) would keep few of its digits; at small
+    # beta 1 - x^2 is small too, and 1 - x*x would lose its digits
+    steps = np.logspace(-15, -6, 19)
     for beta in BETAS + (1e-3,):
         tau = math.tan(0.5 * beta)
-        xs = (1.0 - np.logspace(-15, -6, 19)) / math.sqrt(1.0 + tau * tau)
+        xs = np.concatenate((1.0 - steps, 1.0 + steps)) / math.sqrt(1.0 + tau * tau)
         for order in (5, 20, 60):
             got = offdiag_poly(order, tau, xs)
             for x, g in zip(xs, got):
@@ -135,7 +158,10 @@ def test_offdiag_poly_keeps_its_digits_at_the_pikes():
                     math.comb(order, 2 * k) * tx ** (order - 2 * k) * (-w2) ** k
                     for k in range(order // 2 + 1)
                 )
-                scale = (1.0 - x * x) ** (0.5 * order)
+                if w2 >= 0:
+                    scale = (1.0 - x * x) ** (0.5 * order)  # |tau x + i w|^n
+                else:
+                    scale = (tau * x + math.sqrt(float(-w2))) ** order
                 assert abs(g - float(exact)) <= 2e-13 * scale, (beta, order, x)
 
 
@@ -359,6 +385,26 @@ def test_off_support_entries_match_the_decimal_oracle():
         assert gap <= 1e-9, (dim, tm, gap)
 
 
+def test_entries_just_past_the_pikes_match_the_decimal_oracle():
+    # off the support, from 1e-13 to 1e-5 past either pike: the wedge rows'
+    # f_n read w^2 = (1+tau^2) x^2 - 1, which cancels there.  pi/2 is left
+    # out: its ladder rows cancel by themselves and set a floor of ~1e-12
+    worst = (0.0,)
+    for beta in (math.pi / 10, 0.01):
+        tau = math.tan(0.5 * beta)
+        edge = 1.0 / math.sqrt(1.0 + tau * tau)
+        for x in edge * (1.0 + np.array([1e-13, 1e-11, 1e-9, 1e-7, 1e-5])):
+            for sx in (-x, x):
+                for dim in (13, 50):
+                    tj = dim - 1
+                    for tm in (tj, tj - 2, 2 - tj % 2):
+                        ref = decimal_matrix(tj, tm, sx, beta, 0.3)
+                        got = weight_matrix_direct(tj / 2, tm / 2, sx, beta, 0.3).entries
+                        gap = float(np.abs(got - ref).max()) / max(1.0, float(np.abs(ref).max()))
+                        worst = max(worst, (gap, beta, sx, dim, tm))
+    assert worst[0] <= 1e-14, worst
+
+
 @pytest.mark.parametrize("dim", (130, 260))
 def test_on_support_entries_match_the_decimal_oracle(dim):
     # the small-d column's running rotation and the phase, on the support
@@ -570,6 +616,20 @@ def test_bin_masses_keep_their_digits_at_the_pikes(beta):
     want = np.diff(np.arctan2(b * s, np.sqrt((1.0 - s) * (1.0 + s)))) / math.pi
     got = limit_bin_masses(spec, edges)
     assert float(np.abs(got / want - 1.0).max()) < 1e-12, got / want - 1.0
+
+
+@pytest.mark.parametrize("beta", (1e-6, 1e-3, 2e-3, math.pi / 2))
+def test_density_keeps_its_digits_at_the_pikes(beta):
+    # the spin-1/2 symmetric qudit has channel weight 1, so the density is
+    # Konno's, b / [pi (1 - v^2) sqrt(a^2 - v^2)] with b = sin(beta/2): at
+    # small beta b formed from a would keep few digits, and near the pike
+    # so would a^2 - v^2 formed from the squares
+    spec = LimitSpec(preset_qudit("paper-sym", "1/2"), beta)
+    a, b = spec.a, math.sin(0.5 * beta)
+    vs = np.concatenate(([0.0], a * np.sin(0.5 * math.pi - np.array([8.0, 4.0, 2.0, 1.0, 0.5]) * 1e-4)))
+    got = continuous_density(spec, vs)
+    rel = [abs(float(Decimal(g) / _konno_decimal(v, a, b)) - 1.0) for v, g in zip(vs, got)]
+    assert max(rel) <= 2e-15, rel
 
 
 @pytest.mark.parametrize("dim", (2, 3, 12, 13, 50, 130))
