@@ -126,8 +126,9 @@ def pike_weight(j, beta: float, m) -> float:
         C(2j, j+m) 2^(-2j) [(1-c)^(j+m) (1+c)^(j-m) + (1+c)^(j+m) (1-c)^(j-m)]
 
     Its factors leave float range from 2j+1 ~ 1030 on, so the product,
-    as ((1-c)(1+c))^(j-m) [(1-c)^2m + (1+c)^2m], is formed in 34-digit
-    decimal and rounded to float once.
+    as (b^2)^(j-m) [(1-c)^2m + (1+c)^2m] with b = sin(beta/2) and
+    (1-c)(1+c) = b^2, is formed in 34-digit decimal and rounded to float
+    once.  1 - c is b^2/(1+c): the float c alone loses it at small beta.
     """
     tj, tm = _pike_indices(j, m)
     beta = float(beta)
@@ -136,9 +137,10 @@ def pike_weight(j, beta: float, m) -> float:
     p = (tj + tm) // 2
     q = (tj - tm) // 2
     with decimal.localcontext(decimal.Context(prec=34)):
-        c = decimal.Decimal(math.cos(0.5 * beta))
-        lo, hi = 1 - c, 1 + c
-        pair = (lo * hi) ** q if q else 1  # decimal refuses 0^0 (beta = 0)
+        b = decimal.Decimal(math.sin(0.5 * beta))
+        hi = 1 + decimal.Decimal(math.cos(0.5 * beta))
+        lo = b * b / hi
+        pair = (b * b) ** q if q else 1  # decimal refuses 0^0 (beta = 0)
         return float(math.comb(tj, p) * pair * (lo ** (p - q) + hi ** (p - q)) / 2**tj)
 
 

@@ -8,14 +8,20 @@ with d the real Wigner small-d matrix.  Rows and columns are ordered by
 descending magnetic number m = j, j-1, ..., -j throughout the package.
 
 d is exp(-i beta J_y) in the z basis.  It is evaluated through the exact
-spectrum of the tridiagonal J_y generator (eigenvalues -j..j, eigenvectors
-from one cached eigendecomposition per size), written as the deviation from
-the identity,
+spectrum of the tridiagonal J_y generator (eigenvalues -j..j).  J_y is
+P S P^dag with P = diag(i^k) and S the real symmetric tridiagonal matrix
+with off-diagonals sqrt((j-m)(j+m+1))/2, so its eigenvectors are V = P U
+for the real orthogonal eigenvectors U of S, cached once per size
+(``_jy_eig``) at (2j+1)^2 floats.  P holds the exact values +-1 and +-i
+(``_ipow``), and each caller folds it into a product it takes anyway.
+``small_d`` writes d as the deviation from the identity,
 
-    d = I + Re V diag(e^{-i beta lam} - 1) V^dag,
+    d - I = Re V diag(e^{-i beta lam} - 1) V^dag,
     e^{-i beta lam} - 1 = -2 sin^2(beta lam / 2) - i sin(beta lam),
 
-so d stays orthogonal to machine precision at any size and beta = 0 gives
+whose entry (a, b) is (-1)^floor((a-b)/2) times U diag(-2 sin^2) U^T
+where a - b is even and U diag(sin) U^T where it is odd: one real product.
+So d stays orthogonal to machine precision at any size and beta = 0 gives
 the identity exactly.  The classical factorial sum survives only in its
 coefficient rows (``_coeff_row``, one entry of which ``small_d_coeff``
 returns), which the off-support weight-matrix polynomials are built from.
@@ -92,9 +98,9 @@ def small_d_coeff(j, m, mp, ell: int) -> float:
     return float(row[ell - lo])
 
 
-# Largest dense matrix the package builds, in bytes: the complex J_y
-# generator of 2j+1 components takes 16 (2j+1)^2, so 256 MiB admits 4096
-# components (eigh needs a few times that again).
+# Largest dense matrix the package builds, in bytes: ``small_d`` works in
+# one (2j+1) x 2(2j+1) float array, 16 (2j+1)^2 bytes, so 256 MiB admits
+# 4096 components (eigh needs a few times the matrix again).
 DENSE_BUDGET_BYTES = 2**28
 
 
@@ -109,23 +115,27 @@ def _require_dense(dim: int, itemsize: int, what: str) -> None:
         )
 
 
+def _ipow(k) -> np.ndarray:
+    """i^k for integer k, exactly: 1, i, -1 or -i by k mod 4, no power."""
+    return np.array((1.0, 1j, -1.0, -1j))[np.asarray(k) % 4]
+
+
 @lru_cache(maxsize=None)
 def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the tridiagonal J_y generator at doubled spin tj.
+    """(eigenvalues, U) at doubled spin tj: J_y = P S P^dag with P =
+    diag(i^k), and U the real orthogonal eigenvectors of the real
+    tridiagonal S, so V = P U diagonalizes J_y.
 
-    Returns (eigenvalues, eigenvector matrix); the eigenvalues are replaced
-    by their exact ascending values -j ... j, which eigh only approximates.
-    A generator above DENSE_BUDGET_BYTES raises DomainError.
+    The eigenvalues are replaced by their exact ascending values -j ... j,
+    which eigh only approximates.  Both are read-only float arrays, U of
+    8 (2j+1)^2 bytes.  A size over DENSE_BUDGET_BYTES, counted for
+    ``small_d``'s work array, raises DomainError.
     """
     dim = tj + 1
-    _require_dense(dim, np.dtype(complex).itemsize, "the J_y generator")
+    _require_dense(dim, 2 * np.dtype(float).itemsize, "the J_y generator")
     m = np.arange(tj, -tj - 1, -2) / 2.0
-    lad = np.sqrt((tj / 2.0 - m[1:]) * (tj / 2.0 + m[1:] + 1.0))
-    jy = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim - 1)
-    jy[idx, idx + 1] = -0.5j * lad
-    jy[idx + 1, idx] = 0.5j * lad
-    _, vec = np.linalg.eigh(jy)
+    half_lad = 0.5 * np.sqrt((tj / 2.0 - m[1:]) * (tj / 2.0 + m[1:] + 1.0))
+    _, vec = np.linalg.eigh(np.diag(half_lad, 1) + np.diag(half_lad, -1))
     lam = np.arange(-tj, tj + 1, 2) / 2.0
     lam.setflags(write=False)
     vec.setflags(write=False)
@@ -140,9 +150,20 @@ def small_d(j, beta: float) -> np.ndarray:
         raise DomainError(f"beta must be finite, got {beta!r}")
     lam, vec = _jy_eig(tj)
     half = np.sin(0.5 * beta * lam)
-    d = ((vec * (-2.0 * half * half - 1j * np.sin(beta * lam))) @ vec.conj().T).real
-    # in place, so the call keeps one matrix-sized result; the sum also
-    # turns any -0.0 off the diagonal into +0.0, so d(0) is I bit for bit
+    # rows 0..dim-1: U diag(-2 sin^2(beta lam/2)) U^T, the cos part of
+    # d - I; rows dim..2 dim-1: U diag(sin(beta lam)) U^T, its sin part
+    work = (vec * np.stack((-2.0 * half * half, np.sin(beta * lam)))[:, None, :]).reshape(-1, tj + 1)
+    work = (work @ vec.T).reshape(2, tj + 1, tj + 1)
+    d, sin_part = work
+    # i^(a-b) (cos - i sin): the sin part where a - b is odd, negated
+    # where a is even; then (-1)^floor(a/2) (-1)^floor(b/2) throughout
+    d[::2, 1::2] = sin_part[::2, 1::2]
+    d[::2, 1::2] *= -1.0
+    d[1::2, ::2] = sin_part[1::2, ::2]
+    for sign_flip in (d[2::4], d[3::4], d[:, 2::4], d[:, 3::4]):
+        sign_flip *= -1.0
+    # in place, so the call keeps one work array; the sum also turns any
+    # -0.0 off the diagonal into +0.0, so d(0) is I bit for bit
     d += np.eye(tj + 1)
     return d
 

@@ -78,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coin import _coeff_row, _jy_eig, _powers, _require_dense
+from .coin import _coeff_row, _ipow, _jy_eig, _powers, _require_dense
 from .errors import DegenerateSpecError, DomainError
 from .halfint import HalfInt, _require_nonneg_int, _weight_indices, doubled_channels, walk_index
 from .qudit import Qudit
@@ -244,25 +244,31 @@ def _rotation(tj: int, x: np.ndarray) -> np.ndarray:
     return _powers(z if tj % 2 == 0 else half, z, rot)
 
 
-def _small_d_block(tj, x, rows, cols) -> np.ndarray:
+def _small_d_block(tj, rot, rows, cols) -> np.ndarray:
     """d_{i c}(arccos(-x)) for the components i in ``rows`` and c in
-    ``cols`` (indices in m-descending order) at each point, as a real
-    (points, len(rows), len(cols)) array.
+    ``cols`` (indices in m-descending order) at the points of ``rot``, a
+    ``_rotation`` table, as a real (points, len(rows), len(cols)) array.
 
-    From the J_y spectrum, d_{i c}(alpha) = Re sum_k e^{-i alpha lam_k}
-    V_ik conj(V_ck); the eigenvalues lam = -j..j pair up as +-lam (columns
-    k and 2j-k), so each pair's real part is Re[e^{i alpha lam} (conj(c+) +
-    c-)]: one complex product with ``_rotation`` over the lam > 0 half, of
-    which only the real part is kept.
+    With V = P U (``coin._jy_eig``), d_{i c}(alpha) = Re i^(i-c) sum_k
+    e^{-i alpha lam_k} U_ik U_ck; the eigenvalues lam = -j..j pair up as
+    +-lam (columns k and 2j-k), so with g+- = U_i,+-lam U_c,+-lam each
+    pair adds Re(i^(i-c)) cos(alpha lam) (g+ + g-) + Im(i^(i-c))
+    sin(alpha lam) (g+ - g-): cos where i - c is even and sin where it is
+    odd, one real product over the lam > 0 half with the table's cos and
+    sin rows.
     """
     _, vec = _jy_eig(tj)
     npos = (tj + 1) // 2
-    coef = vec[rows][:, None, :] * np.conj(vec[cols])
-    fold = np.conj(coef[..., tj + 1 - npos :]) + coef[..., npos - 1 :: -1]
-    dd = (_rotation(tj, x).T @ fold.reshape(-1, npos).T).real
+    turn = _ipow(np.subtract.outer(rows, cols))[..., None]  # i^(i-c)
+    coef = vec[rows][:, None, :] * vec[cols]
+    plus, minus = coef[..., tj + 1 - npos :], coef[..., npos - 1 :: -1]
+    fold = np.empty((len(rows), len(cols), 2, npos))
+    np.multiply(plus + minus, turn.real, out=fold[:, :, 0])
+    np.multiply(plus - minus, turn.imag, out=fold[:, :, 1])
+    dd = np.concatenate((rot.real, rot.imag)).T @ fold.reshape(-1, 2 * npos).T
     if tj % 2 == 0:
-        dd += coef[..., tj // 2].real.ravel()
-    return dd.reshape(x.size, len(rows), len(cols))
+        dd += (coef[..., tj // 2] * turn.real[..., 0]).ravel()
+    return dd.reshape(-1, len(rows), len(cols))
 
 
 def _wedge_matrix(tj, tm, x: float, tau, gamma):
@@ -376,7 +382,7 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     if disc >= -8.0 * np.finfo(float).eps:
         # rank-two assembly: exactly hermitian and PSD
         xs, idx = np.array([x]), np.arange(tj + 1)
-        col = _small_d_block(tj, xs, idx, [(tj - tm) // 2])[0, :, 0]
+        col = _small_d_block(tj, _rotation(tj, xs), idx, [(tj - tm) // 2])[0, :, 0]
         turn = np.exp(1j * phi * idx)
         tilted = col * np.exp(-1j * gamma * idx)
         v1, v2 = tilted * turn, tilted * np.conj(turn)
@@ -480,10 +486,12 @@ class LimitSpec:
         return a == 1.0 or (a == 0.0 and not self.has_point_mass)
 
 
-def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
+def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray, chan=None) -> np.ndarray:
     """Channel weights phi0^dag M^(j,m)(x) phi0 for every doubled m in
     ``tms`` over a 1-D array of points on the channels' supports, as a
-    (channels, points) array.
+    (channels, points) array; or, given ``chan``, one index into ``tms``
+    per point, non-decreasing, the weight of each point's own channel, as a
+    (points,) array.
 
     The weight is |v1^dag phi0|^2 + |v2^dag phi0|^2 with the rank-two
     vectors of ``weight_matrix_direct``, so v1^dag phi0 = sum_i d_{i c}
@@ -494,23 +502,24 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
     two ways:
 
     - through the small-d block d_{rows, cols} (``_small_d_block``), about
-      R C (j + 1/2) complex products per point for R nonzero components
-      and C channels;
-    - through the J_y eigenbasis, d^T psi = conj(V) e^{-i alpha Lam}
-      V^T psi: both twisted qudits go into the eigenbasis in one product,
-      take one phase per eigenvalue from ``_rotation`` and come back onto
-      every channel's column in another, about 2 (2j+1) (R + C + 1)
-      products per point, which grows as R + C rather than R C.
+      R C (2j+1) real products per point for R nonzero components and C
+      channels, on each run of points that shares its columns;
+    - through the J_y eigenbasis, d^T psi = conj(P) U e^{-i alpha Lam}
+      U^T P psi: both twisted qudits, with P folded into the twist, go
+      into the eigenbasis in one real product, take one phase per
+      eigenvalue from ``_rotation`` and come back onto every channel's
+      column in another, where |.|^2 drops conj(P): about 4 (2j+1)
+      (R + C) real products per point, which grows as R + C rather than
+      R C.
 
-    The eigenbasis products are BLAS matrix products that ran two to four
-    times faster per product than the block's product and einsum (timed
-    from 2 to 130 components), so one channel (a density sample set) or
-    one component takes the block, where it needs the fewest products, and
-    several channels of a qudit with several components (the moments' and
-    the bin masses' shared nodes) take the eigenbasis.  Either
-    way the rotation table, the discriminant and the phase are built once
-    per block of points, and blocks keep every work array within
-    _BLOCK x (2j+1) numbers.
+    The eigenbasis products are BLAS matrix products, so several channels
+    of a qudit with several components on shared points (the moments' and
+    the bin masses' nodes) take the eigenbasis, and one channel per point
+    (``continuous_density``'s samples) or one component takes the block,
+    where it needs the fewest products.  Either way the discriminant, the
+    phase, the twist and the rotation table are built once per block of
+    points, and blocks keep every work array within _BLOCK x (2j+1)
+    numbers.
 
     Every caller passes support points: density samples with |v| < 2m a,
     moment nodes a t with |t| <= 1 and the bin masses' samples
@@ -525,50 +534,72 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
     cols = (tj - np.asarray(tms)) // 2
     # phi0_i e^{-i m_i gamma}, up to the common phase e^{-i j gamma}
     tilted = q[rows] * np.exp(1j * spec.gamma * rows)
-    eigen = rows.size > 1 and cols.size > 1
+    eigen = chan is None and rows.size > 1 and cols.size > 1
     if eigen:
         _, vec = _jy_eig(tj)
         npos = (tj + 1) // 2
-        into, back = vec[rows], np.conj(vec[cols]).T
+        tilted *= _ipow(rows)
+        into, back = vec[rows].T, vec[cols]
     step = _BLOCK // 2 if eigen else _BLOCK  # the eigenbasis holds 2 x (2j+1) per point
     x = np.asarray(x, dtype=float)
-    out = np.empty((cols.size, x.size))
+    out = np.empty((cols.size if chan is None else 1, x.size))
     for lo in range(0, x.size, step):
         xb = x[lo : lo + step]
-        # amp holds psi1 and psi2, then (eigen) their eigenbasis images,
-        # then v1^dag phi0 and v2^dag phi0: each step frees the last
-        amp = np.empty((2, xb.size, rows.size), dtype=complex)
-        np.exp(1j * np.multiply.outer(_phase(xb, tau)[0], rows), out=amp[1])
-        np.conjugate(amp[1], out=amp[0])
-        amp *= tilted
+        phi = _phase(xb, tau)[0]
+        rot = _rotation(tj, xb)
         if eigen:
-            amp = amp @ into
-            rot = _rotation(tj, xb).T
-            amp[..., npos - 1 :: -1] *= rot
-            amp[..., tj + 1 - npos :] *= np.conjugate(rot, out=rot)
-            amp = amp @ back
+            # psi1 and psi2 as (components, points), so that the real
+            # products take their float views; each step frees the last
+            amp = _twisted(np.multiply.outer(rows, phi), tilted[:, None])
+            amp = (into @ amp.view(float)).view(complex)
+            amp[:, npos - 1 :: -1] *= rot
+            amp[:, tj + 1 - npos :] *= np.conjugate(rot, out=rot)
+            del rot
+            amp = (back @ amp.view(float)).view(complex)
+            amp = amp.real**2 + amp.imag**2
+            out[:, lo : lo + step] = amp[0] + amp[1]
+            continue
+        amp = _twisted(np.multiply.outer(phi, rows), tilted)
+        if chan is None:
+            runs = [(0, xb.size, cols)]
         else:
-            amp = np.einsum("kpi,pic->kpc", amp, _small_d_block(tj, xb, rows, cols))
-        amp = amp.real**2 + amp.imag**2
-        out[:, lo : lo + step] = (amp[0] + amp[1]).T
-    return out
+            cb = chan[lo : lo + step]
+            cut = [0, *(np.flatnonzero(np.diff(cb)) + 1), cb.size]
+            runs = [(s, e, cols[cb[s] : cb[s] + 1]) for s, e in zip(cut[:-1], cut[1:])]
+        for s, e, cs in runs:
+            res = np.einsum("kpi,pic->kcp", amp[:, s:e], _small_d_block(tj, rot[:, s:e], rows, cs))
+            res = res.real**2 + res.imag**2
+            out[:, lo + s : lo + e] = res[0] + res[1]
+    return out if chan is None else out[0]
+
+
+def _twisted(phase: np.ndarray, tilted) -> np.ndarray:
+    """psi1 = tilted e^{i phase} and psi2 = tilted e^{-i phase}, stacked
+    on a new first axis."""
+    amp = np.empty((2, *phase.shape), dtype=complex)
+    np.exp(1j * phase, out=amp[1])
+    np.conjugate(amp[1], out=amp[0])
+    amp *= tilted
+    return amp
 
 
 def continuous_density(spec: LimitSpec, v):
     """The continuous part of the limit density at pseudovelocity v; a nan
-    v raises DomainError."""
+    v raises DomainError.
+
+    Every channel's support points go into one evaluator pass, channel-major,
+    and their terms add back point by point in channel order.
+    """
     v1, scalar = _sample_points(v)
     out = np.zeros(v1.shape)
     a = spec.a
     if 0.0 < a < 1.0:
         b = math.sin(0.5 * spec.beta)
-        av = np.abs(v1)
-        for tm in spec.channels:
-            mask = av < tm * a
-            if not mask.any():
-                continue
-            x = v1[mask] / tm
-            out[mask] += _konno(av[mask] / tm, a, b) * _scalar_grid(spec, (tm,), x)[0] / tm
+        tms = np.array(spec.channels)
+        chan, idx = np.nonzero(np.abs(v1) < tms[:, None] * a)
+        tm = tms[chan]
+        x = v1[idx] / tm
+        np.add.at(out, idx, _konno(np.abs(x), a, b) * _scalar_grid(spec, tms, x, chan) / tm)
     return float(out[0]) if scalar else out
 
 

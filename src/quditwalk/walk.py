@@ -17,20 +17,24 @@ in SU(2).  So the walk at time t and momentum k is e^{-2ijkt} D^j(h(k)^t)
 psi_0.  ``evolve`` takes M momenta k_n = pi n/M, with M the smallest
 2^a 3^b 5^c >= N (``_fft_length``), raises each h(k_n) to the power t by
 binary powering, reads the Euler angles of h^t off its first column,
-applies D^j(h^t) through the cached J_y eigenvectors of ``coin._jy_eig`` and
-returns to positions with one inverse FFT of length M.  Each of its three
-phase tables per chunk of momenta is a ``coin._powers`` ladder from two
-exponentials.  The support has N <= M sites, so that transform is exact:
-the M - N sites past the support come out as rounding and are dropped.
-Nothing steps, and the cost is O((2j+1)^2 M) plus the FFT, against
-O((2j+1)^2 j t^2) for t steps.
+applies D^j(h^t) through the J_y eigenvectors V = P U of ``coin._jy_eig``
+and returns to positions with one inverse FFT of length M.  Each of its
+three phase tables per chunk of momenta is a ``coin._powers`` ladder from
+two exponentials.  P = diag(i^k) rides on them, P^dag with psi_0 on the
+first and P as a step times i on the last, so the two products with the
+cached real U are real matrices times the complex tables' float views.
+The support has N <= M sites, so that transform is exact: the M - N sites
+past the support come out as rounding and are dropped.  Nothing steps,
+and the cost is O((2j+1)^2 M) plus the FFT, against O((2j+1)^2 j t^2)
+for t steps.
 
 The momenta go in chunks of ``_CHUNK``.  ``evolve`` holds one (2j+1) x M
 complex field, which the FFT overwrites in place, plus two (2j+1) x _CHUNK
-complex work arrays, two (2j+1) x (2j+1) ones and some chunk-length
-vectors (``_field_bytes``); a request over ``FIELD_BUDGET_BYTES`` raises
-DomainError before anything is allocated.  The public ``step`` applies one
-coin product and shift, on a fresh array.
+complex work arrays and some chunk-length vectors, and a cold call builds
+the cached (2j+1) x (2j+1) eigenvectors (``_field_bytes``); a request
+over ``FIELD_BUDGET_BYTES`` raises DomainError before anything is
+allocated.  The public ``step`` applies one coin product and shift, on a
+fresh array.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import _euler, _jy_eig, _powers
+from .coin import _euler, _ipow, _jy_eig, _powers
 from .errors import DomainError
 from .halfint import HalfInt, _require_nonneg_int
 from .qudit import Qudit
@@ -66,8 +70,8 @@ FIELD_BUDGET_BYTES = 2 * 2**30
 _CHUNK = 1024
 # Complex vectors of _CHUNK entries that evolve's count allows beside its
 # arrays: the SU(2) powers, the angles and their temporaries, plus numpy's
-# ufunc buffers, which do not shrink with a short chunk (measured: 32.2 at
-# 50 components, 46.6 at 130, 16.5 of them V^dag diag(psi_0)).
+# ufunc buffers, which do not shrink with a short chunk (measured: about 30
+# from 12 to 200 components).
 _CHUNK_VECTORS = 48
 
 
@@ -129,12 +133,13 @@ def _fft_length(n: int) -> int:
 def _field_bytes(tj: int, t: int) -> int:
     """Bytes evolve holds for t steps at doubled spin tj: the (tj+1) x M
     field, M = ``_fft_length(1 + tj t)``, two (tj+1) x chunk work arrays,
-    two (tj+1) x (tj+1) matrices (V^dag diag(psi_0) and the transient
-    conjugate it is made from) and the chunk-length vectors."""
+    the chunk-length vectors and, on a cold call, the J_y generator and
+    its eigenvectors, two (tj+1) x (tj+1) float matrices, the size of one
+    complex one."""
     dim = tj + 1
     modes = _fft_length(1 + tj * t)
     chunk = min(_CHUNK, modes)
-    return np.dtype(complex).itemsize * (dim * (modes + 2 * chunk + 2 * dim) + _CHUNK_VECTORS * _CHUNK)
+    return np.dtype(complex).itemsize * (dim * (modes + 2 * chunk + dim) + _CHUNK_VECTORS * _CHUNK)
 
 
 def _require_field_budget(tj: int, t: int) -> None:
@@ -182,8 +187,8 @@ def evolve(qudit: Qudit, angles, t: int) -> WaveField:
     _require_field_budget(tj, t)
     j = tj / 2.0
     _, vec = _jy_eig(tj)
-    # V^dag diag(psi_0): the initial state rides on the first product
-    vec_h = vec.conj().T * qudit.amplitudes
+    # P^dag psi_0 rides on the first phase table
+    start = np.conj(_ipow(np.arange(dim))) * qudit.amplitudes
     width = 1 + tj * t
     modes = _fft_length(width)
     field = np.empty((dim, modes), dtype=complex)
@@ -205,17 +210,21 @@ def evolve(qudit: Qudit, angles, t: int) -> WaveField:
         b = 2.0 * np.arctan2(np.abs(q), np.abs(p))
         phase, mixed = work[0, :, : n.size], work[1, :, : n.size]
         out = field[:, lo : lo + n.size]
-        # e^{-i c m'} psi_0, then d^j(b) = V diag(e^{-i b lam}) V^dag with
-        # lam = -j..j ascending
+        # P^dag e^{-i c m'} psi_0, then d^j(b) = P U diag(e^{-i b lam}) U^T
+        # P^dag with lam = -j..j ascending; U is real, so each product is
+        # a float matrix times a complex table's float view
         c = half_sum - half_diff
-        np.matmul(vec_h, _powers(np.exp(-1j * j * c), np.exp(1j * c), phase), out=mixed)
+        _powers(np.exp(-1j * j * c), np.exp(1j * c), phase)
+        phase *= start[:, None]
+        np.matmul(vec.T, phase.view(float), out=mixed.view(float))
         mixed *= _powers(np.exp(1j * j * b), np.exp(-1j * b), phase)
-        np.matmul(vec, mixed, out=out)
-        # e^{-i a m}, and e^{-2ijkt} puts x = -2jt at s = 0; its angle
-        # pi n (N - 1)/M is reduced mod 2 pi in integers
+        np.matmul(vec, mixed.view(float), out=out.view(float))
+        # P, then e^{-i a m}: row i of the ladder times i^i, a step times
+        # i, which is exact; e^{-2ijkt} puts x = -2jt at s = 0, its angle
+        # pi n (N - 1)/M reduced mod 2 pi in integers
         a = half_sum + half_diff
         shift = np.pi / modes * (n * (width - 1) % (2 * modes))
-        out *= _powers(np.exp(-1j * (shift + j * a)), np.exp(1j * a), phase)
+        out *= _powers(np.exp(-1j * (shift + j * a)), 1j * np.exp(1j * a), phase)
     np.fft.ifft(field, axis=1, out=field)
     return WaveField(tj, t, -tj * t, field[:, :width].T)
 

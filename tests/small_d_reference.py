@@ -11,18 +11,21 @@ digit per ten components, so it is a reference up to about 30 components.
 
 ``two_path_small_d`` is the package's earlier two-path evaluator: that sum
 up to 20 components, and above them the plain complex J_y spectral product
-Re(V e^{-i beta lam} V^dag), with no identity split off;
+Re(V e^{-i beta lam} V^dag), with no identity split off and V from its own
+eigendecomposition of the complex generator (``complex_jy_eig``);
 ``two_path_small_d_column`` forms one column of it.  It takes neither
-``small_d`` nor the density module's folded small-d column, so the
-channel-weight cross-checks compare two different evaluations.
+``small_d``, the package's real eigenvectors nor the density module's
+folded small-d column, so the channel-weight cross-checks compare two
+different evaluations.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from quditwalk.coin import _ell_range, _jy_eig
+from quditwalk.coin import _ell_range
 
 
 def coeff_exact(tj: int, tm: int, tmp: int, ell: int) -> float:
@@ -61,10 +64,30 @@ def small_d_sum(tj: int, beta: float) -> np.ndarray:
     return out
 
 
+def jy_generator(tj: int) -> np.ndarray:
+    """The complex J_y matrix at doubled spin tj, rows and columns
+    m-descending."""
+    m = np.arange(tj, -tj - 1, -2) / 2.0
+    lad = np.sqrt((tj / 2.0 - m[1:]) * (tj / 2.0 + m[1:] + 1.0))
+    jy = np.zeros((tj + 1, tj + 1), dtype=complex)
+    idx = np.arange(tj)
+    jy[idx, idx + 1] = -0.5j * lad
+    jy[idx + 1, idx] = 0.5j * lad
+    return jy
+
+
+@lru_cache(maxsize=None)
+def complex_jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exact eigenvalues -j..j ascending, complex eigenvectors) of
+    ``jy_generator`` by eigh."""
+    _, vec = np.linalg.eigh(jy_generator(tj))
+    return np.arange(-tj, tj + 1, 2) / 2.0, vec
+
+
 def two_path_small_d(tj: int, beta: float) -> np.ndarray:
     if tj + 1 <= 20:
         return small_d_sum(tj, beta)
-    lam, vec = _jy_eig(tj)
+    lam, vec = complex_jy_eig(tj)
     return ((vec * np.exp(-1j * beta * lam)) @ vec.conj().T).real
 
 
@@ -73,5 +96,5 @@ def two_path_small_d_column(tj: int, beta: float, col: int) -> np.ndarray:
     matrix-vector product, so no (2j+1)^2 matrix is formed."""
     if tj + 1 <= 20:
         return small_d_sum(tj, beta)[:, col]
-    lam, vec = _jy_eig(tj)
+    lam, vec = complex_jy_eig(tj)
     return (vec @ (np.exp(-1j * beta * lam) * vec[col].conj())).real

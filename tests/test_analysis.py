@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -118,6 +119,41 @@ def test_pike_weights_sum_to_one():
         weights = h / (tj / math.sqrt(2.0))
         assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12), tj
+
+
+def _decimal_sin_cos(x):
+    """(sin x, cos x) for a Decimal x, from their Taylor series in the
+    current decimal context."""
+    sin, cos, term, k = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1), 0
+    eps = decimal.Decimal(10) ** -(decimal.getcontext().prec + 5)
+    while abs(term) > eps:
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+        k += 1
+        term = term * x / k
+    return sin, cos
+
+
+@pytest.mark.parametrize("beta", (1e-3, 0.01))
+def test_pike_weights_keep_their_digits_at_small_beta(beta):
+    # 1 - c formed from the float c = cos(beta/2) keeps only the digits
+    # that c has below 1; b^2/(1 + c) keeps all of them
+    worst = 0.0
+    with decimal.localcontext(decimal.Context(prec=50)):
+        b, c = _decimal_sin_cos(decimal.Decimal(beta) / 2)
+        for dim in (4, 50, 130):
+            tj = dim - 1
+            for tm in range(tj % 2 or 2, tj + 1, 2):
+                p, q = (tj + tm) // 2, (tj - tm) // 2
+                ref = math.comb(tj, p) * ((1 - c) ** p * (1 + c) ** q + (1 + c) ** p * (1 - c) ** q) / 2**tj
+                got = pike_weight(HalfInt(tj), beta, HalfInt(tm))
+                # weights past the float range round to 0 (or a subnormal)
+                # in both
+                gap = abs(decimal.Decimal(got) - ref) - decimal.Decimal(math.ulp(0.0))
+                worst = max(worst, float(gap / ref))
+    assert worst <= 1e-14, worst
 
 
 def test_pike_weight_rejects_bad_channels():

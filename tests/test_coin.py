@@ -17,7 +17,7 @@ from quditwalk import (
 )
 from quditwalk import coin
 from quditwalk.coin import _coeff_row, _ell_range, _jy_eig
-from small_d_reference import coeff_exact, small_d_sum
+from small_d_reference import coeff_exact, jy_generator, small_d_sum
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -144,6 +144,34 @@ def test_generator_over_the_dense_budget_is_refused():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_jy_eigenvectors_are_cached_real():
+    # J_y = P S P^dag with P = diag(i^k) and S real: the cache keeps the
+    # real orthogonal eigenvectors U of S, and P U diagonalizes J_y
+    assert coin._ipow(np.arange(-4, 8)).tolist() == [1, 1j, -1, -1j] * 3
+    worst_orth = worst_res = 0.0
+    try:
+        for dim in range(2, 261):
+            lam, vec = _jy_eig(dim - 1)
+            assert vec.dtype == np.float64 and vec.shape == (dim, dim)
+            assert not (vec.flags.writeable or lam.flags.writeable)
+            # the entry holds the matrix and no larger buffer behind it
+            assert vec.nbytes == 8 * dim * dim
+            assert vec.base is None or vec.base.nbytes == vec.nbytes
+            worst_orth = max(worst_orth, float(np.abs(vec.T @ vec - np.eye(dim)).max()))
+            v = coin._ipow(np.arange(dim))[:, None] * vec
+            jy = jy_generator(dim - 1)
+            # J_y v from its two off-diagonals, in O(dim^2)
+            jv = np.zeros_like(v)
+            jv[:-1] += np.diagonal(jy, 1)[:, None] * v[1:]
+            jv[1:] += np.diagonal(jy, -1)[:, None] * v[:-1]
+            worst_res = max(worst_res, float(np.abs(jv - v * lam).max()))
+    finally:
+        # 259 sizes hold about 47 MB: leave the cache as the other tests find it
+        _jy_eig.cache_clear()
+    assert worst_orth < 1e-13, worst_orth
+    assert worst_res < 1e-12, worst_res
 
 
 @settings(deadline=None, max_examples=25)

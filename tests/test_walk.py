@@ -221,12 +221,13 @@ def test_public_step_repeats_evolve(dim):
 def test_evolve_refuses_a_field_over_the_memory_budget():
     # one complex field of M x 130 amplitudes, M = 2^6 3^4 5^2 = 129600 the
     # smallest 5-smooth length >= 1 + 129 t at t = 1000, plus two 130 x 1024
-    # work arrays, two 130 x 130 matrices and 48 chunk-length vectors
-    assert walk._field_bytes(129, 1000) == 16 * (130 * (129600 + 2 * 1024 + 2 * 130) + 48 * 1024)
+    # work arrays, two 130 x 130 float matrices (the size of one complex
+    # one) and 48 chunk-length vectors
+    assert walk._field_bytes(129, 1000) == 16 * (130 * (129600 + 2 * 1024 + 130) + 48 * 1024)
     assert walk._field_bytes(129, 1000) <= walk.FIELD_BUDGET_BYTES
     # at t = 7937, M = 2^13 5^3 = 1024000; one step more needs 1036800
     t_max = 7937
-    assert walk._field_bytes(129, t_max) == 16 * (130 * (1024000 + 2 * 1024 + 2 * 130) + 48 * 1024)
+    assert walk._field_bytes(129, t_max) == 16 * (130 * (1024000 + 2 * 1024 + 130) + 48 * 1024)
     walk._require_field_budget(129, t_max)  # just under: accepted, nothing run
     q = Qudit(HalfInt(129), np.ones(130))
     tracemalloc.start()
