@@ -200,5 +200,7 @@ def rotation_matrix(j, angles) -> np.ndarray:
     tj = walk_index(j)
     alpha, beta, gamma = _euler(angles)
     m = np.arange(tj, -tj - 1, -2) / 2.0
-    d = small_d(tj / 2.0, beta)
-    return np.exp(-1j * alpha * m)[:, None] * d * np.exp(-1j * gamma * m)[None, :]
+    # in place, so the call leaves no complex matrix behind but its result
+    out = np.multiply(np.exp(-1j * alpha * m)[:, None], small_d(tj / 2.0, beta))
+    out *= np.exp(-1j * gamma * m)
+    return out
