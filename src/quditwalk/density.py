@@ -244,31 +244,37 @@ def _rotation(tj: int, x: np.ndarray) -> np.ndarray:
     return _powers(z if tj % 2 == 0 else half, z, rot)
 
 
-def _small_d_block(tj, rot, rows, cols) -> np.ndarray:
-    """d_{i c}(arccos(-x)) for the components i in ``rows`` and c in
-    ``cols`` (indices in m-descending order) at the points of ``rot``, a
-    ``_rotation`` table, as a real (points, len(rows), len(cols)) array.
+def _trig(tj: int, rot: np.ndarray) -> np.ndarray:
+    """The real rows that small-d entries combine (``_small_d_fold``):
+    cos(lam alpha), then sin(lam alpha), for lam > 0 from a ``_rotation``
+    table, then, for integer j, a row of ones (lam = 0)."""
+    return np.concatenate((rot.real, rot.imag, np.ones((1 - tj % 2, rot.shape[1]))))
+
+
+def _small_d_fold(tj, rows, cols) -> np.ndarray:
+    """Coefficients f with d_{i c}(alpha) = sum_k f[c, k, i] t_k(alpha) over
+    the rows t_k of ``_trig``, for the components i in ``rows`` and c in
+    ``cols`` (indices in m-descending order), as a real (len(cols), rows of
+    ``_trig``, len(rows)) array.
 
     With V = P U (``coin._jy_eig``), d_{i c}(alpha) = Re i^(i-c) sum_k
     e^{-i alpha lam_k} U_ik U_ck; the eigenvalues lam = -j..j pair up as
     +-lam (columns k and 2j-k), so with g+- = U_i,+-lam U_c,+-lam each
     pair adds Re(i^(i-c)) cos(alpha lam) (g+ + g-) + Im(i^(i-c))
     sin(alpha lam) (g+ - g-): cos where i - c is even and sin where it is
-    odd, one real product over the lam > 0 half with the table's cos and
-    sin rows.
+    odd, and lam = 0 adds Re(i^(i-c)) g0.
     """
     _, vec = _jy_eig(tj)
     npos = (tj + 1) // 2
-    turn = _ipow(np.subtract.outer(rows, cols))[..., None]  # i^(i-c)
-    coef = vec[rows][:, None, :] * vec[cols]
-    plus, minus = coef[..., tj + 1 - npos :], coef[..., npos - 1 :: -1]
-    fold = np.empty((len(rows), len(cols), 2, npos))
-    np.multiply(plus + minus, turn.real, out=fold[:, :, 0])
-    np.multiply(plus - minus, turn.imag, out=fold[:, :, 1])
-    dd = np.concatenate((rot.real, rot.imag)).T @ fold.reshape(-1, 2 * npos).T
+    turn = _ipow(np.subtract.outer(cols, rows))[:, None, :]  # i^(i-c), conjugated
+    coef = np.swapaxes(vec[cols][:, None, :] * vec[rows], 1, 2)
+    plus, minus = coef[:, tj + 1 - npos :], coef[:, npos - 1 :: -1]
+    fold = np.empty((len(cols), 2 * npos + 1 - tj % 2, len(rows)))
+    np.multiply(plus + minus, turn.real, out=fold[:, :npos])
+    np.multiply(plus - minus, -turn.imag, out=fold[:, npos : 2 * npos])
     if tj % 2 == 0:
-        dd += (coef[..., tj // 2] * turn.real[..., 0]).ravel()
-    return dd.reshape(-1, len(rows), len(cols))
+        np.multiply(coef[:, tj // 2 : tj // 2 + 1], turn.real, out=fold[:, 2 * npos :])
+    return fold
 
 
 def _wedge_matrix(tj, tm, x: float, tau, gamma):
@@ -382,7 +388,7 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     if disc >= -8.0 * np.finfo(float).eps:
         # rank-two assembly: exactly hermitian and PSD
         xs, idx = np.array([x]), np.arange(tj + 1)
-        col = _small_d_block(tj, _rotation(tj, xs), idx, [(tj - tm) // 2])[0, :, 0]
+        col = (_trig(tj, _rotation(tj, xs)).T @ _small_d_fold(tj, idx, [(tj - tm) // 2]))[0, 0]
         turn = np.exp(1j * phi * idx)
         tilted = col * np.exp(-1j * gamma * idx)
         v1, v2 = tilted * turn, tilted * np.conj(turn)
@@ -541,6 +547,10 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray, chan=None) -> np.ndarray:
         tilted *= _ipow(rows)
         into, back = vec[rows].T, vec[cols]
     step = _BLOCK // 2 if eigen else _BLOCK  # the eigenbasis holds 2 x (2j+1) per point
+    # the block's small-d coefficients for a group of channels at a time,
+    # (2j+1) x _BLOCK numbers at most when each point has its own channel
+    group = cols.size if chan is None else max(1, _BLOCK // rows.size)
+    first = fold = None
     x = np.asarray(x, dtype=float)
     out = np.empty((cols.size if chan is None else 1, x.size))
     for lo in range(0, x.size, step):
@@ -560,14 +570,19 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray, chan=None) -> np.ndarray:
             out[:, lo : lo + step] = amp[0] + amp[1]
             continue
         amp = _twisted(np.multiply.outer(phi, rows), tilted)
+        trig = _trig(tj, rot)
         if chan is None:
-            runs = [(0, xb.size, cols)]
+            runs = [(0, xb.size, 0, cols.size)]
         else:
             cb = chan[lo : lo + step]
             cut = [0, *(np.flatnonzero(np.diff(cb)) + 1), cb.size]
-            runs = [(s, e, cols[cb[s] : cb[s] + 1]) for s, e in zip(cut[:-1], cut[1:])]
-        for s, e, cs in runs:
-            res = np.einsum("kpi,pic->kcp", amp[:, s:e], _small_d_block(tj, rot[:, s:e], rows, cs))
+            runs = [(s, e, cb[s], cb[s] + 1) for s, e in zip(cut[:-1], cut[1:])]
+        for s, e, c0, c1 in runs:
+            if fold is None or not first <= c0 < c1 <= first + group:
+                first = c0
+                fold = _small_d_fold(tj, rows, cols[first : first + group])
+            # d_{rows, c} at each point, as (channels, points, rows)
+            res = np.einsum("kpi,cpi->kcp", amp[:, s:e], trig[:, s:e].T @ fold[c0 - first : c1 - first])
             res = res.real**2 + res.imag**2
             out[:, lo + s : lo + e] = res[0] + res[1]
     return out if chan is None else out[0]
