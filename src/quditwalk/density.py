@@ -21,13 +21,17 @@ M = v1 v1^dag + v2 v2^dag of outer products -- so positive semidefiniteness
 holds to rounding.  The channel weight there is |v1^dag phi0|^2 +
 |v2^dag phi0|^2, and v^dag phi0 is a component of d^T psi for the qudit
 psi twisted by the phase: one evaluator (``_scalar_grid``) takes a block
-of points and any number of channels at once.  For one channel (a density
-sample set) or one nonzero component it forms the small-d block of the
-nonzero components (``_small_d_block``, which also gives
-``weight_matrix_direct`` its column); for several channels on shared
-points (the moments' nodes, the bin masses' samples) it goes through
-the J_y eigenbasis, one product in and one product back out, so its work
-grows as components plus channels, not as their product.
+of points and any number of channels at once.  For one channel per point
+(``continuous_density`` puts every channel's samples into one pass) or one
+nonzero component it combines the real small-d coefficients of the nonzero
+components (``_small_d_fold``, which also gives ``weight_matrix_direct``
+its column) with cos and sin rows of the rotation; for several channels on
+shared points (the moments' nodes, the bin masses' samples) it goes
+through the J_y eigenbasis, one real product in and one real product back
+out, so its work grows as components plus channels, not as their product.
+The eigenvectors there are V = P U, U real (``coin._jy_eig``) and P =
+diag(i^k): P rides on the twisted qudit going in and drops out of |.|^2
+coming back.
 
 The small-d entries there are a spectral sum over the J_y eigenvalues
 lam = -j..j, which needs e^{i lam alpha} at alpha = arccos(-x).  No
@@ -370,7 +374,7 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     it, the whole matrix is v1 v1^dag + v2 v2^dag with
     v1_i = d_{i c} e^{-i m_i (phi - gamma)} and
     v2_i = d_{i c} e^{+i m_i (phi + gamma)}, c = j - m, each up to a phase
-    common to the whole vector: the small-d column of ``_small_d_block``
+    common to the whole vector: the small-d column of ``_small_d_fold``
     times the phase of ``_phase``, which reproduces the collapsed entry
     2 d1 d2 cos((m2-m1) phi) e^{-i (m2-m1) gamma}.  Off it the
     lower-triangle entries at -|x| are polynomials evaluated in one Horner
@@ -507,9 +511,11 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray, chan=None) -> np.ndarray:
     The sum is d^T psi restricted to the channels' columns, taken one of
     two ways:
 
-    - through the small-d block d_{rows, cols} (``_small_d_block``), about
-      R C (2j+1) real products per point for R nonzero components and C
-      channels, on each run of points that shares its columns;
+    - through the small-d block d_{rows, cols}, ``_small_d_fold``'s real
+      coefficients (taken for a group of channels at a time) against the
+      ``_trig`` rows, about 2 R C (j + 1) real products per point for R
+      nonzero components and C channels, on each run of points that
+      shares its columns;
     - through the J_y eigenbasis, d^T psi = conj(P) U e^{-i alpha Lam}
       U^T P psi: both twisted qudits, with P folded into the twist, go
       into the eigenbasis in one real product, take one phase per
@@ -591,8 +597,9 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray, chan=None) -> np.ndarray:
 def _twisted(phase: np.ndarray, tilted) -> np.ndarray:
     """psi1 = tilted e^{i phase} and psi2 = tilted e^{-i phase}, stacked
     on a new first axis."""
-    amp = np.empty((2, *phase.shape), dtype=complex)
-    np.exp(1j * phase, out=amp[1])
+    amp = np.zeros((2, *phase.shape), dtype=complex)
+    amp[1].imag = phase
+    np.exp(amp[1], out=amp[1])
     np.conjugate(amp[1], out=amp[0])
     amp *= tilted
     return amp
@@ -602,8 +609,9 @@ def continuous_density(spec: LimitSpec, v):
     """The continuous part of the limit density at pseudovelocity v; a nan
     v raises DomainError.
 
-    Every channel's support points go into one evaluator pass, channel-major,
-    and their terms add back point by point in channel order.
+    The samples go in blocks of ``_BLOCK``.  Each block's support points in
+    every channel go into one evaluator pass, channel-major, and their
+    terms add back sample by sample in channel order.
     """
     v1, scalar = _sample_points(v)
     out = np.zeros(v1.shape)
@@ -611,10 +619,13 @@ def continuous_density(spec: LimitSpec, v):
     if 0.0 < a < 1.0:
         b = math.sin(0.5 * spec.beta)
         tms = np.array(spec.channels)
-        chan, idx = np.nonzero(np.abs(v1) < tms[:, None] * a)
-        tm = tms[chan]
-        x = v1[idx] / tm
-        np.add.at(out, idx, _konno(np.abs(x), a, b) * _scalar_grid(spec, tms, x, chan) / tm)
+        for lo in range(0, v1.size, _BLOCK):
+            vb = v1[lo : lo + _BLOCK]
+            chan, idx = np.nonzero(np.abs(vb) < tms[:, None] * a)
+            tm = tms[chan]
+            x = vb[idx] / tm
+            w = _konno(np.abs(x), a, b) * _scalar_grid(spec, tms, x, chan) / tm
+            np.add.at(out, lo + idx, w)
     return float(out[0]) if scalar else out
 
 
