@@ -15,6 +15,7 @@ import decimal
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateSpecError, DomainError
@@ -116,6 +117,25 @@ def _pike_indices(j, m) -> tuple[int, int]:
     return tj, tm
 
 
+@lru_cache(maxsize=64)
+def _half_angle(beta: float) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(sin(beta/2), cos(beta/2)) of the float beta as 40-digit decimals,
+    from their Taylor series.  math.sin and math.cos round to half an ulp,
+    which the powers in ``pike_weight`` would raise up to 2j-fold."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        x = decimal.Decimal(beta) / 2
+        sin, cos, term, k = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1), 0
+        # term = x^k / k!, its sign set by the k mod 4 cycle; x <= pi/2
+        while term > decimal.Decimal("1e-45"):
+            if k % 2:
+                sin += term if k % 4 == 1 else -term
+            else:
+                cos += term if k % 4 == 0 else -term
+            k += 1
+            term = term * x / k
+        return sin, cos
+
+
 def pike_weight(j, beta: float, m) -> float:
     """Channel weight at its own pike x = cos(beta/2).
 
@@ -128,7 +148,8 @@ def pike_weight(j, beta: float, m) -> float:
     Its factors leave float range from 2j+1 ~ 1030 on, so the product,
     as (b^2)^(j-m) [(1-c)^2m + (1+c)^2m] with b = sin(beta/2) and
     (1-c)(1+c) = b^2, is formed in 34-digit decimal and rounded to float
-    once.  1 - c is b^2/(1+c): the float c alone loses it at small beta.
+    once, with b and c from ``_half_angle`` and 1 - c as b^2/(1+c), which
+    keeps its digits at small beta.
     """
     tj, tm = _pike_indices(j, m)
     beta = float(beta)
@@ -137,8 +158,8 @@ def pike_weight(j, beta: float, m) -> float:
     p = (tj + tm) // 2
     q = (tj - tm) // 2
     with decimal.localcontext(decimal.Context(prec=34)):
-        b = decimal.Decimal(math.sin(0.5 * beta))
-        hi = 1 + decimal.Decimal(math.cos(0.5 * beta))
+        b, c = _half_angle(beta)
+        hi = 1 + c
         lo = b * b / hi
         pair = (b * b) ** q if q else 1  # decimal refuses 0^0 (beta = 0)
         return float(math.comb(tj, p) * pair * (lo ** (p - q) + hi ** (p - q)) / 2**tj)

@@ -136,10 +136,12 @@ def _decimal_sin_cos(x):
     return sin, cos
 
 
-@pytest.mark.parametrize("beta", (1e-3, 0.01))
-def test_pike_weights_keep_their_digits_at_small_beta(beta):
+@pytest.mark.parametrize("beta", (1e-3, 0.01, math.pi / 2, 2.9))
+def test_pike_weights_are_correctly_rounded(beta):
     # 1 - c formed from the float c = cos(beta/2) keeps only the digits
-    # that c has below 1; b^2/(1 + c) keeps all of them
+    # that c has below 1 (1.3e-11 off at beta = 0.01), and the float sin
+    # and cos carry half an ulp into powers up to 2j: the weights come from
+    # decimal sin(beta/2) and cos(beta/2) instead
     worst = 0.0
     with decimal.localcontext(decimal.Context(prec=50)):
         b, c = _decimal_sin_cos(decimal.Decimal(beta) / 2)
@@ -153,7 +155,7 @@ def test_pike_weights_keep_their_digits_at_small_beta(beta):
                 # in both
                 gap = abs(decimal.Decimal(got) - ref) - decimal.Decimal(math.ulp(0.0))
                 worst = max(worst, float(gap / ref))
-    assert worst <= 1e-14, worst
+    assert worst <= 2.3e-16, worst
 
 
 def test_pike_weight_rejects_bad_channels():
