@@ -157,8 +157,7 @@ def small_d(j, beta: float) -> np.ndarray:
     d, sin_part = work
     # i^(a-b) (cos - i sin): the sin part where a - b is odd, negated
     # where a is even; then (-1)^floor(a/2) (-1)^floor(b/2) throughout
-    d[::2, 1::2] = sin_part[::2, 1::2]
-    d[::2, 1::2] *= -1.0
+    np.negative(sin_part[::2, 1::2], out=d[::2, 1::2])
     d[1::2, ::2] = sin_part[1::2, ::2]
     for sign_flip in (d[2::4], d[3::4], d[:, 2::4], d[:, 3::4]):
         sign_flip *= -1.0

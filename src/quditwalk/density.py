@@ -270,12 +270,12 @@ def _small_d_fold(tj, rows, cols) -> np.ndarray:
     """
     _, vec = _jy_eig(tj)
     npos = (tj + 1) // 2
-    turn = _ipow(np.subtract.outer(cols, rows))[:, None, :]  # i^(i-c), conjugated
+    turn = _ipow(np.subtract.outer(rows, cols)).T[:, None, :]  # i^(i-c)
     coef = np.swapaxes(vec[cols][:, None, :] * vec[rows], 1, 2)
     plus, minus = coef[:, tj + 1 - npos :], coef[:, npos - 1 :: -1]
     fold = np.empty((len(cols), 2 * npos + 1 - tj % 2, len(rows)))
     np.multiply(plus + minus, turn.real, out=fold[:, :npos])
-    np.multiply(plus - minus, -turn.imag, out=fold[:, npos : 2 * npos])
+    np.multiply(plus - minus, turn.imag, out=fold[:, npos : 2 * npos])
     if tj % 2 == 0:
         np.multiply(coef[:, tj // 2 : tj // 2 + 1], turn.real, out=fold[:, 2 * npos :])
     return fold
