@@ -18,22 +18,21 @@ a channel's own support (|x| <= cos(beta/2)) the entry collapses to
 with phi the phase of tau*x + i*sqrt(1 - (1+tau^2) x^2).  Every factor is
 bounded, nothing cancels at any j, and the full matrix is a rank-two sum
 M = v1 v1^dag + v2 v2^dag of outer products -- so positive semidefiniteness
-holds to rounding.  The channel weight there is |v1^dag phi0|^2 +
-|v2^dag phi0|^2, and v^dag phi0 is a component of d^T psi for the qudit
-psi twisted by the phase: one evaluator (``_scalar_grid``) takes a block
-of points and any number of channels at once.  For one channel per point
-(``continuous_density`` puts every channel's samples into one pass) or one
-nonzero component it combines the real small-d coefficients of the nonzero
+holds to rounding.  The channel weight there is |v1^dag phi0|^2 + |v2^dag
+phi0|^2, and v^dag phi0 is a component of d^T psi for the qudit psi
+twisted by the phase, whose evaluator the layout of the points picks.
+Points that every channel shares (the moments' nodes, the bin masses'
+samples) go through the J_y eigenbasis (``_scalar_grid``), one real
+product in and one back out onto every channel's column.  The eigenvectors
+there are V = P U, U real (``coin._jy_eig``) and P = diag(i^k): P rides on
+the twisted qudit going in and drops out of |.|^2 coming back.  Points
+that each carry their own channel (``continuous_density`` puts every
+channel's samples into one pass) go through that channel's small-d column
+(``_point_weights``): the real small-d coefficients of the nonzero
 components (``_small_d_fold``, which also gives ``weight_matrix_direct``
-its column) with cos and sin rows of the rotation; for several channels on
-shared points (the moments' nodes, the bin masses' samples) it goes
-through the J_y eigenbasis, one real product in and one real product back
-out, so its work grows as components plus channels, not as their product.
-The eigenvectors there are V = P U, U real (``coin._jy_eig``) and P =
-diag(i^k): P rides on the twisted qudit going in and drops out of |.|^2
-coming back.
+its column) against cos and sin rows of the rotation.
 
-The small-d entries there are a spectral sum over the J_y eigenvalues
+Both read the small-d entries as a spectral sum over the J_y eigenvalues
 lam = -j..j, which needs e^{i lam alpha} at alpha = arccos(-x).  No
 trigonometric call is made for it (``_rotation``): cos(alpha) = -x and
 sin(alpha) = sqrt(1 - x^2), and the half angle has the closed forms
@@ -102,8 +101,8 @@ __all__ = [
     "limit_bin_masses",
 ]
 
-# Points per batch of the on-support evaluator (and (channel, edge) pairs
-# per batch of bin masses).  Its work arrays grow as points x 2j+1, so a
+# Points per batch of the on-support evaluators (and (channel, edge) pairs
+# per batch of bin masses).  Their work arrays grow as points x 2j+1, so a
 # fixed block keeps memory flat on a density grid, which the CLI allows up
 # to 10^6 points.
 _BLOCK = 1024
@@ -496,102 +495,87 @@ class LimitSpec:
         return a == 1.0 or (a == 0.0 and not self.has_point_mass)
 
 
-def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray, chan=None) -> np.ndarray:
-    """Channel weights phi0^dag M^(j,m)(x) phi0 for every doubled m in
-    ``tms`` over a 1-D array of points on the channels' supports, as a
-    (channels, points) array; or, given ``chan``, one index into ``tms``
-    per point, non-decreasing, the weight of each point's own channel, as a
-    (points,) array.
-
-    The weight is |v1^dag phi0|^2 + |v2^dag phi0|^2 with the rank-two
-    vectors of ``weight_matrix_direct``, so v1^dag phi0 = sum_i d_{i c}
-    psi1_i, c = j - m, for the twisted qudit psi1_i = phi0_i
-    e^{i m_i (phi - gamma)}, and v2^dag phi0 likewise with psi2_i =
-    phi0_i e^{-i m_i (phi + gamma)}, both on the nonzero components only.
-    The sum is d^T psi restricted to the channels' columns, taken one of
-    two ways:
-
-    - through the small-d block d_{rows, cols}, ``_small_d_fold``'s real
-      coefficients (taken for a group of channels at a time) against the
-      ``_trig`` rows, about 2 R C (j + 1) real products per point for R
-      nonzero components and C channels, on each run of points that
-      shares its columns;
-    - through the J_y eigenbasis, d^T psi = conj(P) U e^{-i alpha Lam}
-      U^T P psi: both twisted qudits, with P folded into the twist, go
-      into the eigenbasis in one real product, take one phase per
-      eigenvalue from ``_rotation`` and come back onto every channel's
-      column in another, where |.|^2 drops conj(P): about 4 (2j+1)
-      (R + C) real products per point, which grows as R + C rather than
-      R C.
-
-    The eigenbasis products are BLAS matrix products, so several channels
-    of a qudit with several components on shared points (the moments' and
-    the bin masses' nodes) take the eigenbasis, and one channel per point
-    (``continuous_density``'s samples) or one component takes the block,
-    where it needs the fewest products.  Either way the discriminant, the
-    phase, the twist and the rotation table are built once per block of
-    points, and blocks keep every work array within _BLOCK x (2j+1)
-    numbers.
-
-    Every caller passes support points: density samples with |v| < 2m a,
-    moment nodes a t with |t| <= 1 and the bin masses' samples
-    a sin(theta).  A point
-    that rounding puts just past the support edge is taken at the edge,
-    where ``_phase`` clamps the discriminant at 0.
-    """
-    tj = spec.tj
+def _tilted_qudit(spec: LimitSpec) -> tuple[int, np.ndarray, float, np.ndarray]:
+    """(tj, rows, tau, tilted): 2j, the nonzero components, tan(beta/2), and
+    phi0_i e^{-i m_i gamma} on them, up to the common phase e^{-i j gamma}."""
     q = spec.qudit.amplitudes
     rows = np.flatnonzero(q)
-    tau = _require_beta(spec.beta)
-    cols = (tj - np.asarray(tms)) // 2
-    # phi0_i e^{-i m_i gamma}, up to the common phase e^{-i j gamma}
-    tilted = q[rows] * np.exp(1j * spec.gamma * rows)
-    eigen = chan is None and rows.size > 1 and cols.size > 1
-    if eigen:
-        _, vec = _jy_eig(tj)
-        npos = (tj + 1) // 2
-        tilted *= _ipow(rows)
-        into, back = vec[rows].T, vec[cols]
-    step = _BLOCK // 2 if eigen else _BLOCK  # the eigenbasis holds 2 x (2j+1) per point
-    # the block's small-d coefficients for a group of channels at a time,
-    # (2j+1) x _BLOCK numbers at most when each point has its own channel
-    group = cols.size if chan is None else max(1, _BLOCK // rows.size)
-    first = fold = None
-    x = np.asarray(x, dtype=float)
-    out = np.empty((cols.size if chan is None else 1, x.size))
+    return spec.tj, rows, _require_beta(spec.beta), q[rows] * np.exp(1j * spec.gamma * rows)
+
+
+def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
+    """Channel weights phi0^dag M^(j,m)(x) phi0 for every doubled m in
+    ``tms`` at points that every channel shares, on their supports (the
+    moments' nodes a t, |t| <= 1, and the bin masses' samples a sin theta),
+    as a (channels, points) array.
+
+    The weight is |v1^dag phi0|^2 + |v2^dag phi0|^2 with the rank-two
+    vectors of ``weight_matrix_direct``: v1^dag phi0 = sum_i d_{i c}
+    psi1_i, c = j - m, for the twisted qudit psi1_i = phi0_i
+    e^{i m_i (phi - gamma)}, and v2^dag phi0 likewise with psi2_i =
+    phi0_i e^{-i m_i (phi + gamma)}, on the nonzero components.  Here d^T
+    psi = conj(P) U e^{-i alpha Lam} U^T P psi: both twisted qudits, P
+    folded into the twist, go into the eigenbasis in one real product, take
+    one phase per eigenvalue from ``_rotation`` and come back onto every
+    channel's column in another, where |.|^2 drops conj(P).  Blocks of
+    _BLOCK / 2 points keep every work array within _BLOCK x (2j+1)
+    numbers.  A point that rounding puts just past the support edge is
+    taken at the edge, where ``_phase`` clamps the discriminant at 0.
+    """
+    tj, rows, tau, tilted = _tilted_qudit(spec)
+    _, vec = _jy_eig(tj)
+    npos = (tj + 1) // 2
+    tilted *= _ipow(rows)
+    into, back = vec[rows].T, vec[(tj - np.asarray(tms)) // 2]
+    step = _BLOCK // 2  # the eigenbasis holds 2 x (2j+1) numbers per point
+    out = np.empty((back.shape[0], x.size))
     for lo in range(0, x.size, step):
         xb = x[lo : lo + step]
-        phi = _phase(xb, tau)[0]
         rot = _rotation(tj, xb)
-        if eigen:
-            # psi1 and psi2 as (components, points), so that the real
-            # products take their float views; each step frees the last
-            amp = _twisted(np.multiply.outer(rows, phi), tilted[:, None])
-            amp = (into @ amp.view(float)).view(complex)
-            amp[:, npos - 1 :: -1] *= rot
-            amp[:, tj + 1 - npos :] *= np.conjugate(rot, out=rot)
-            del rot
-            amp = (back @ amp.view(float)).view(complex)
-            amp = amp.real**2 + amp.imag**2
-            out[:, lo : lo + step] = amp[0] + amp[1]
-            continue
-        amp = _twisted(np.multiply.outer(phi, rows), tilted)
-        trig = _trig(tj, rot)
-        if chan is None:
-            runs = [(0, xb.size, 0, cols.size)]
-        else:
-            cb = chan[lo : lo + step]
-            cut = [0, *(np.flatnonzero(np.diff(cb)) + 1), cb.size]
-            runs = [(s, e, cb[s], cb[s] + 1) for s, e in zip(cut[:-1], cut[1:])]
-        for s, e, c0, c1 in runs:
-            if fold is None or not first <= c0 < c1 <= first + group:
-                first = c0
+        # psi1 and psi2 as (components, points), so that the real products
+        # take their float views; each step frees the last
+        amp = _twisted(np.multiply.outer(rows, _phase(xb, tau)[0]), tilted[:, None])
+        amp = (into @ amp.view(float)).view(complex)
+        amp[:, npos - 1 :: -1] *= rot
+        amp[:, tj + 1 - npos :] *= np.conjugate(rot, out=rot)
+        del rot
+        amp = (back @ amp.view(float)).view(complex)
+        amp = amp.real**2 + amp.imag**2
+        out[:, lo : lo + step] = amp[0] + amp[1]
+    return out
+
+
+def _point_weights(spec: LimitSpec, tms, x: np.ndarray, chan: np.ndarray) -> np.ndarray:
+    """The weight of each point of ``x`` in its own channel, on its support,
+    as a (points,) array; ``chan`` holds one index into ``tms`` per point,
+    non-decreasing.
+
+    The sum d^T psi of ``_scalar_grid`` on each point's own column, here
+    through ``_small_d_fold``'s real coefficients (for a group of channels
+    at a time) against the ``_trig`` rows, on each run of points that
+    shares its channel.  Blocks of _BLOCK points, and groups of _BLOCK / R
+    channels for R nonzero components, keep every work array within _BLOCK
+    x (2j+1) numbers.
+    """
+    tj, rows, tau, tilted = _tilted_qudit(spec)
+    cols = (tj - np.asarray(tms)) // 2
+    group = max(1, _BLOCK // rows.size)
+    first = fold = None
+    out = np.empty(x.size)
+    for lo in range(0, x.size, _BLOCK):
+        xb, cb = x[lo : lo + _BLOCK], chan[lo : lo + _BLOCK]
+        amp = _twisted(np.multiply.outer(_phase(xb, tau)[0], rows), tilted)
+        trig = _trig(tj, _rotation(tj, xb))
+        cut = [0, *(np.flatnonzero(np.diff(cb)) + 1), cb.size]
+        for s, e in zip(cut[:-1], cut[1:]):
+            if fold is None or not first <= cb[s] < first + group:
+                first = cb[s]
                 fold = _small_d_fold(tj, rows, cols[first : first + group])
-            # d_{rows, c} at each point, as (channels, points, rows)
-            res = np.einsum("kpi,cpi->kcp", amp[:, s:e], trig[:, s:e].T @ fold[c0 - first : c1 - first])
+            # d_{rows, c} at each point, as (points, rows)
+            res = np.einsum("kpi,pi->kp", amp[:, s:e], trig[:, s:e].T @ fold[cb[s] - first])
             res = res.real**2 + res.imag**2
-            out[:, lo + s : lo + e] = res[0] + res[1]
-    return out if chan is None else out[0]
+            out[lo + s : lo + e] = res[0] + res[1]
+    return out
 
 
 def _twisted(phase: np.ndarray, tilted) -> np.ndarray:
@@ -605,14 +589,22 @@ def _twisted(phase: np.ndarray, tilted) -> np.ndarray:
     return amp
 
 
+def _require_law(spec: LimitSpec) -> None:
+    """Refuse an even component count at a = 0, which has no law of mass 1:
+    the continuous part shrinks to the origin, where no point mass is."""
+    if spec.a == 0.0 and not spec.has_point_mass:
+        raise DegenerateSpecError(f"no limit law at beta = {spec.beta!r} for {spec.tj + 1} components")
+
+
 def continuous_density(spec: LimitSpec, v):
     """The continuous part of the limit density at pseudovelocity v; a nan
-    v raises DomainError.
+    v raises DomainError, an even size at a = 0 DegenerateSpecError.
 
     The samples go in blocks of ``_BLOCK``.  Each block's support points in
     every channel go into one evaluator pass, channel-major, and their
     terms add back sample by sample in channel order.
     """
+    _require_law(spec)
     v1, scalar = _sample_points(v)
     out = np.zeros(v1.shape)
     a = spec.a
@@ -624,7 +616,7 @@ def continuous_density(spec: LimitSpec, v):
             chan, idx = np.nonzero(np.abs(vb) < tms[:, None] * a)
             tm = tms[chan]
             x = vb[idx] / tm
-            w = _konno(np.abs(x), a, b) * _scalar_grid(spec, tms, x, chan) / tm
+            w = _konno(np.abs(x), a, b) * _point_weights(spec, tms, x, chan) / tm
             np.add.at(out, lo + idx, w)
     return float(out[0]) if scalar else out
 
@@ -692,8 +684,9 @@ def limit_moment(spec: LimitSpec, r: int) -> float:
     """r-th moment of the limit law (point mass included; it only ever
     contributes to r = 0), exact to rounding at every beta through the
     Gauss rule of ``_continuous_moment``.  A moment past the float range
-    raises DomainError."""
+    raises DomainError, an even size at a = 0 DegenerateSpecError."""
     r = _require_nonneg_int(r, "moment order")
+    _require_law(spec)
     total = _continuous_moment(spec, r)
     if r == 0 and spec.has_point_mass:
         total += _point_mass(total)
@@ -702,7 +695,9 @@ def limit_moment(spec: LimitSpec, r: int) -> float:
 
 def delta_mass(spec: LimitSpec) -> float:
     """Mass of the origin point-term: the normalization deficit of the
-    continuous part.  Zero whenever the component count is even."""
+    continuous part.  Zero for an even size, except at a = 0: that raises
+    DegenerateSpecError."""
+    _require_law(spec)
     if not spec.has_point_mass:
         return 0.0
     return _point_mass(_continuous_moment(spec, 0))

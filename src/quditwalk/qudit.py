@@ -31,9 +31,14 @@ class Qudit:
             )
         if not np.all(np.isfinite(vec)):
             raise DomainError("qudit amplitudes must be finite")
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        if not vec.any():
             raise DomainError("qudit must be a nonzero vector")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vec)
+        if not np.finfo(float).tiny ** 0.5 <= norm < np.inf:
+            # the squares overflowed or left the normal range: scale first
+            vec = (vec.view(float) / np.abs(vec.view(float)).max()).view(complex)
+            norm = np.linalg.norm(vec)
         self.amplitudes = vec / norm
 
     @property

@@ -10,8 +10,9 @@ pairs per step), each entry from the collapsed formula
 
 with d from ``two_path_small_d`` (the factorial sum up to 20 components, the
 plain complex J_y spectral product above), not from the package's own
-small-d code.  Swapping it in for the package's evaluator lets every public
-limit-law number be compared end to end.
+small-d code.  Swapping it in for both of the package's evaluators (shared
+points and one channel per point) lets every public limit-law number be
+compared end to end.
 """
 
 import math
@@ -78,20 +79,24 @@ def _use_reference(monkeypatch):
     # limit_moment(r) and delta_mass revisit the same nodes for every r
     memo = {}
 
-    def grid(spec, tms, x, chan=None):
-        if chan is not None:
-            # each point in its own channel: one reference pass per channel
-            out = np.empty(np.size(x))
-            for c in np.unique(chan):
-                out[chan == c] = grid(spec, (tms[c],), x[chan == c])[0]
-            return out
+    def grid(spec, tms, x):
         for tm in tms:
             key = (tm, np.asarray(x, dtype=float).tobytes())
             if key not in memo:
                 memo[key] = _reference_grid(spec, tm, x)
         return np.array([memo[tm, np.asarray(x, dtype=float).tobytes()] for tm in tms])
 
+    def point_weights(spec, tms, x, chan):
+        # each point in its own channel: one reference pass per channel
+        out = np.empty(np.size(x))
+        for c in np.unique(chan):
+            out[chan == c] = grid(spec, (tms[c],), x[chan == c])[0]
+        return out
+
+    # both evaluators: shared points (moments, bin masses) and one channel
+    # per point (the density)
     monkeypatch.setattr(density, "_scalar_grid", grid)
+    monkeypatch.setattr(density, "_point_weights", point_weights)
 
 
 def _limit_numbers(spec, v):
@@ -115,7 +120,7 @@ def _qudit(kind, dim, seed):
 
 def _cases():
     for dim in (2, 3, 13):
-        for kind in ("dense", "asym"):
+        for kind in ("dense", "asym", "up"):
             for beta in BETAS:
                 for gamma in GAMMAS:
                     yield kind, dim, beta, gamma
@@ -123,14 +128,15 @@ def _cases():
     for k, beta in enumerate(BETAS):
         yield "dense", 50, beta, GAMMAS[k % 3]
         yield "asym", 50, beta, GAMMAS[(k + 1) % 3]
+        yield "up", 50, beta, GAMMAS[(k + 2) % 3]
     for beta in BETAS:
         yield "paper-sym", 130, beta, 0.0
 
 
 @pytest.mark.parametrize("kind, dim, beta, gamma", list(_cases()))
 def test_limit_law_matches_the_pairwise_reference(monkeypatch, kind, dim, beta, gamma):
-    if kind == "paper-sym":
-        qudit = preset_qudit("paper-sym", HalfInt(dim - 1))
+    if kind in ("paper-sym", "up"):
+        qudit = preset_qudit(kind, HalfInt(dim - 1))
     else:
         qudit = _qudit(kind, dim, seed=1000 + dim)
     spec = LimitSpec(qudit, beta, gamma)
@@ -267,8 +273,8 @@ def test_bin_masses_match_the_per_slice_loop(monkeypatch, qudit, beta, gamma, wi
 
 @pytest.mark.parametrize("channels", ("one", "all"))
 def test_the_evaluator_blocks_join_without_seams(channels):
-    # the evaluator takes _BLOCK points at a time, or half as many through
-    # the J_y eigenbasis: a grid across three seams must read as the same
+    # the density's evaluator takes _BLOCK points at a time, the J_y
+    # eigenbasis half as many: a grid across three seams must read as the same
     # points taken in chunks that each fit in one block
     spec = LimitSpec(_qudit("dense", 13, 14), math.pi / 10, 0.4)
     v = np.linspace(-1.0, 1.0, 3 * density._BLOCK + 7) * spec.tj * spec.a

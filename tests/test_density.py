@@ -592,13 +592,30 @@ def test_bin_masses_sum_to_total_mass():
         limit_bin_masses(spec, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(DomainError):
         limit_bin_masses(spec, np.array([1.0]))
-    # a = 1 has no continuous part to bin, and an even size at a = 0 no law
+    # a = 1 has no continuous part to bin, but its ballistic law has mass 1
+    ballistic = LimitSpec(Qudit(1, (1, 0, 0)), 0.0)
+    with pytest.raises(DegenerateSpecError):
+        limit_bin_masses(ballistic, edges)
+    assert limit_moment(ballistic, 0) == pytest.approx(1.0, abs=1e-14)
+    # an odd size at a = 0 is a point mass of 1 at the origin
+    point = LimitSpec(preset_qudit("up", 1), math.pi)
+    assert limit_moment(point, 0) == delta_mass(point) == 1.0
+    assert limit_moment(point, 2) == 0.0 and continuous_density(point, 0.0) == 0.0
+    # an even size at a = 0 (beta = pi, or close enough that LimitSpec.a
+    # snaps to 0) has no law at all
     for degenerate in (
-        LimitSpec(Qudit(1, (1, 0, 0)), 0.0),
         LimitSpec(preset_qudit("paper-sym", "1/2"), math.pi),
+        LimitSpec(preset_qudit("up", "3/2"), math.pi - 1e-12, 0.4),
     ):
+        assert degenerate.a == 0.0
         with pytest.raises(DegenerateSpecError):
             limit_bin_masses(degenerate, edges)
+        with pytest.raises(DegenerateSpecError):
+            limit_moment(degenerate, 0)
+        with pytest.raises(DegenerateSpecError):
+            continuous_density(degenerate, 0.0)
+        with pytest.raises(DegenerateSpecError):
+            delta_mass(degenerate)
 
 
 @pytest.mark.parametrize("beta", (1e-6, 1e-3, 2e-3))

@@ -33,6 +33,12 @@ def test_qudit_normalizes():
     q = Qudit("1/2", (3.0, 4.0j))
     np.testing.assert_allclose(q.amplitudes, [0.6, 0.8j], atol=1e-15)
     assert q.dim == 2 and q.j == HalfInt(1)
+    # the plain sum of squares overflows, underflows or keeps few digits
+    # here, and a single subnormal component squares to 0
+    for scale in (1e200, 1e-200, 1e-160):
+        q = Qudit("1/2", (3.0 * scale, 4.0j * scale))
+        np.testing.assert_allclose(q.amplitudes, [0.6, 0.8j], rtol=1e-15)
+    assert list(Qudit(1, (0.0, 5e-324j, 0.0)).amplitudes) == [0.0, 1j, 0.0]
 
 
 def test_qudit_rejects_bad_vectors():
