@@ -487,12 +487,14 @@ class LimitSpec:
         return (self.tj + 1) % 2 == 1
 
     @property
+    def has_law(self) -> bool:
+        """False for an even size at a = 0: its law would have mass 0."""
+        return self.a != 0.0 or self.has_point_mass
+
+    @property
     def is_degenerate(self) -> bool:
-        """True when the limit law carries no representable mass profile:
-        a = 1 (no spreading; the continuous part vanishes identically) or
-        a = 0 with an even number of components (no point mass allowed)."""
-        a = self.a
-        return a == 1.0 or (a == 0.0 and not self.has_point_mass)
+        """No representable mass profile: a = 1 (no continuous part) or no law."""
+        return self.a == 1.0 or not self.has_law
 
 
 def _tilted_qudit(spec: LimitSpec) -> tuple[int, np.ndarray, float, np.ndarray]:
@@ -517,17 +519,16 @@ def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
     psi = conj(P) U e^{-i alpha Lam} U^T P psi: both twisted qudits, P
     folded into the twist, go into the eigenbasis in one real product, take
     one phase per eigenvalue from ``_rotation`` and come back onto every
-    channel's column in another, where |.|^2 drops conj(P).  Blocks of
-    _BLOCK / 2 points keep every work array within _BLOCK x (2j+1)
-    numbers.  A point that rounding puts just past the support edge is
-    taken at the edge, where ``_phase`` clamps the discriminant at 0.
+    channel's column in another, where |.|^2 drops conj(P).  A point that
+    rounding puts just past the support edge is taken at the edge, where
+    ``_phase`` clamps the discriminant at 0.
     """
     tj, rows, tau, tilted = _tilted_qudit(spec)
     _, vec = _jy_eig(tj)
     npos = (tj + 1) // 2
     tilted *= _ipow(rows)
     into, back = vec[rows].T, vec[(tj - np.asarray(tms)) // 2]
-    step = _BLOCK // 2  # the eigenbasis holds 2 x (2j+1) numbers per point
+    step = _BLOCK // 2  # 2 x (2j+1) numbers per point, _BLOCK x (2j+1) per block
     out = np.empty((back.shape[0], x.size))
     for lo in range(0, x.size, step):
         xb = x[lo : lo + step]
@@ -590,9 +591,8 @@ def _twisted(phase: np.ndarray, tilted) -> np.ndarray:
 
 
 def _require_law(spec: LimitSpec) -> None:
-    """Refuse an even component count at a = 0, which has no law of mass 1:
-    the continuous part shrinks to the origin, where no point mass is."""
-    if spec.a == 0.0 and not spec.has_point_mass:
+    """Refuse a spec without a law (``LimitSpec.has_law``)."""
+    if not spec.has_law:
         raise DegenerateSpecError(f"no limit law at beta = {spec.beta!r} for {spec.tj + 1} components")
 
 

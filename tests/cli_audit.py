@@ -10,7 +10,8 @@ command also leaves ``<name>.log`` with its exit code, stdout and stderr.
 Run it from two checkouts and compare the trees with ``diff -r``: a change
 that keeps the CLI's bytes leaves no difference.
 
-The commands are the README's nine; ``density``, ``moments``,
+The commands are the README's nine, as ``perfbench/workloads.py`` holds
+them in ``README_COMMANDS``; ``density``, ``moments``,
 ``moments --t 30`` and ``compare --t 80 --bin-width 0.1`` on a dense
 5-component qudit file (``numpy.random.default_rng(17)``, normal real and
 imaginary parts) at beta = 22pi/25, gamma = 0.4; the moments of
@@ -25,20 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+
+from workloads import README_COMMANDS  # noqa: E402
+
 QUDIT_FILE = "dense5.qudit"
 DENSE = ["--j", "2", "--beta", "22pi/25", "--gamma", "0.4", "--qudit", QUDIT_FILE]
 
 COMMANDS = {
-    "readme_simulate": "simulate --j 3/2 --beta pi/2 --qudit paper-sym --t 200",
-    "readme_density": "density --j 1/2 --beta pi/2 --qudit paper-sym --grid -1:1:401",
-    "readme_moments": "moments --j 1 --beta pi/2 --qudit paper-sym --t 100 --rmax 4",
-    "readme_compare": "compare --j 3/2 --beta pi/2 --qudit paper-sym --t 100 --bin-width 0.05",
-    "readme_scan_d2": "scan d2 --beta pi/2 --jmax 25",
-    "readme_scan_jc": "scan jc --beta pi/2 --jmax 49/2",
-    "readme_scan_hfun": "scan hfun --beta pi/2 --j 49/2",
-    "readme_scan_hscaled": "scan hscaled --beta pi/2 --j 129/2",
-    "readme_scan_rescaled": "scan rescaled --beta pi/2 --states 10,20,50",
+    **{f"readme_{name}": line for name, line, _ in README_COMMANDS},
     "dense5_density": ["density", *DENSE, "--grid", "-4:4:201"],
     "dense5_moments": ["moments", *DENSE],
     "dense5_moments_t30": ["moments", *DENSE, "--t", "30"],

@@ -208,16 +208,18 @@ def _bin_masses_per_slice(spec, edges, order):
     (bin, channel) slice in theta, v = 2m a sin(theta), where Konno's
     factor is b / (pi (cos^2 theta + b^2 sin^2 theta)), b = sin(beta/2).
 
-    W_m at the nodes is its interpolant of degree 2j through the evaluator
-    at the first-kind Chebyshev points in x/a: exact for the polynomial
-    W_m, and a few multiply-adds per node instead of an evaluator pass.
+    W_m at the nodes is its interpolant of degree 2j through the per-point
+    evaluator (the small-d fold, not the J_y eigenbasis that
+    ``limit_bin_masses`` takes) at the first-kind Chebyshev points in x/a:
+    exact for the polynomial W_m, and a few multiply-adds per node instead
+    of an evaluator pass.
     """
     out = np.zeros(edges.size - 1)
     a, b = spec.a, math.sin(0.5 * spec.beta)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     for tm in spec.channels:
         weight = np.polynomial.Chebyshev.interpolate(
-            lambda t: density._scalar_grid(spec, (tm,), a * t)[0], spec.tj
+            lambda t: density._point_weights(spec, (tm,), a * t, np.zeros(t.size, dtype=int)), spec.tj
         )
         th = np.arcsin(np.clip(edges / (tm * a), -1.0, 1.0))
         k = np.flatnonzero(th[1:] > th[:-1])

@@ -503,6 +503,9 @@ def test_spec_properties_and_validation():
     assert LimitSpec(preset_qudit("up", "1/2"), 0.0).is_degenerate  # a = 1
     assert LimitSpec(preset_qudit("up", "1/2"), math.pi).is_degenerate  # even, a = 0
     assert not LimitSpec(preset_qudit("up", 1), math.pi).is_degenerate  # pure point mass
+    assert not LimitSpec(preset_qudit("up", "1/2"), math.pi).has_law
+    assert LimitSpec(preset_qudit("up", 1), math.pi).has_law
+    assert LimitSpec(preset_qudit("up", "1/2"), 0.0).has_law
     with pytest.raises(DomainError):
         LimitSpec(preset_qudit("up", 1), -0.1)
     with pytest.raises(DomainError):
@@ -728,13 +731,16 @@ def test_moment_rule_needs_no_more_nodes(monkeypatch, dim, betas, orders):
 
 def _per_channel_moment(spec, r):
     """(continuous part of the r-th moment, sum of its terms' magnitudes)
-    with one evaluator call per channel on the same Konno nodes: the
-    reference for ``_continuous_moment``'s one pass over every channel."""
+    with one call per channel on the same Konno nodes: the reference for
+    ``_continuous_moment``'s one pass over every channel.  The weights come
+    from the per-point evaluator, the small-d fold, so the J_y eigenbasis
+    of ``_scalar_grid`` is checked against the other route."""
     t, w = density._konno_rule(spec.beta, (spec.tj + r) // 2 + 1)
     x = spec.a * t
+    own = np.zeros(x.size, dtype=int)
     sums, scale = [], 0.0
     for tm in spec.channels:
-        weight = density._scalar_grid(spec, (tm,), x)[0]
+        weight = density._point_weights(spec, (tm,), x, own)
         sums.append(float((w * x**r) @ weight).as_integer_ratio())
         scale += tm**r * float((w * np.abs(x) ** r) @ weight)
     return math.fsum(tm**r * num / den for tm, (num, den) in zip(spec.channels, sums)), scale
