@@ -68,9 +68,10 @@ nodes, so a moment is one evaluator pass over all channels.
 Bin masses take each channel's antiderivative in theta, x = a sin(theta),
 in closed form: there Konno's measure is a Poisson kernel and W(a sin
 theta) a trigonometric polynomial of degree <= 2j, whose coefficients one
-FFT of one evaluator pass over every channel gives exactly.  A bin's mass
-is the antiderivative's difference at its edges, so it is exact at every
-beta, pikes included (``limit_bin_masses``).
+DCT-II of one evaluator pass over every channel at W's 2j+1 first-kind
+Chebyshev nodes, none on a pike, gives exactly.  A bin's mass is the
+antiderivative's difference at its edges, so it is exact at every beta,
+pikes included (``limit_bin_masses``).
 """
 
 from __future__ import annotations
@@ -389,13 +390,11 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     # polynomials would cancel catastrophically
     phi, disc = _phase(x, tau)
     if disc >= -8.0 * np.finfo(float).eps:
-        # rank-two assembly: exactly hermitian and PSD
+        # rank-two assembly, PSD to rounding; einsum, unlike fused products, keeps it exactly hermitian
         xs, idx = np.array([x]), np.arange(tj + 1)
         col = (_trig(tj, _rotation(tj, xs)).T @ _small_d_fold(tj, idx, [(tj - tm) // 2]))[0, 0]
-        turn = np.exp(1j * phi * idx)
-        tilted = col * np.exp(-1j * gamma * idx)
-        v1, v2 = tilted * turn, tilted * np.conj(turn)
-        ent = np.outer(v1, np.conj(v1)) + np.outer(v2, np.conj(v2))
+        v = _twisted(phi * idx, col * np.exp(-1j * gamma * idx))
+        ent = np.einsum("ka,kb->ab", v, v.conj())
         return WeightMatrix(tj, tm, x, float(beta), gamma, ent)
     ent, worst = _wedge_matrix(tj, tm, x, tau, gamma)
     return WeightMatrix(tj, tm, x, float(beta), gamma, ent, worst)
@@ -508,8 +507,8 @@ def _tilted_qudit(spec: LimitSpec) -> tuple[int, np.ndarray, float, np.ndarray]:
 def _scalar_grid(spec: LimitSpec, tms, x: np.ndarray) -> np.ndarray:
     """Channel weights phi0^dag M^(j,m)(x) phi0 for every doubled m in
     ``tms`` at points that every channel shares, on their supports (the
-    moments' nodes a t, |t| <= 1, and the bin masses' samples a sin theta),
-    as a (channels, points) array.
+    moments' nodes a t, |t| <= 1, and the bin masses' first-kind Chebyshev
+    nodes -a cos((i + 1/2) pi/(2j+1))), as a (channels, points) array.
 
     The weight is |v1^dag phi0|^2 + |v2^dag phi0|^2 with the rank-two
     vectors of ``weight_matrix_direct``: v1^dag phi0 = sum_i d_{i c}
@@ -714,10 +713,10 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     rho = (1 - b)/(1 + b), b = sin(beta/2), and W_m(a sin theta) is a
     trigonometric polynomial of degree <= 2j: W_m(a sin theta) =
     sum_k c_k e^{i k (theta + pi/2)}, |k| <= 2j, with c_k real and even in
-    k, which one FFT of one ``_scalar_grid`` pass over every channel gives
-    exactly.  Their product has the coefficients i^l P_l,
-    P_l = sum_k c_k rho^{|l-k|/2} over l - k even, so with
-    zeta = i e^{i theta}
+    k, which one DCT-II of one ``_scalar_grid`` pass over every channel at
+    the 2j+1 first-kind Chebyshev nodes (none on a pike) gives exactly.
+    Their product has the coefficients i^l P_l, P_l = sum_k c_k
+    rho^{|l-k|/2} over l - k even, so with zeta = i e^{i theta}
 
         pi G_m(theta) = P_0 theta + 2 Im sum_{l>=1} P_l zeta^l / l.
 
@@ -751,11 +750,11 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
         terms = tj
         if not closed and rho > 0.0:
             terms += 2 * (math.floor(math.log(1e-17) / math.log(rho)) + 1)
-        # W_m at theta = 2 pi i/n - pi/2, i = 0..n/2, mirrored to a period
-        n = 1 << (2 * tj + 1).bit_length()
-        x = -a * np.cos(2.0 * math.pi / n * np.arange(n // 2 + 1))
-        w = _scalar_grid(spec, spec.channels, x)
-        c = np.fft.rfft(np.concatenate((w, w[:, -2:0:-1]), axis=1)).real[:, : tj + 1] / n
+        # W_m at its 2j+1 first-kind Chebyshev nodes, none on a pike, and their DCT-II
+        k = np.arange(tj + 1)
+        w = _scalar_grid(spec, spec.channels, -a * np.cos(math.pi / (tj + 1) * (k + 0.5)))
+        c = np.fft.rfft(np.concatenate((w, w[:, ::-1]), axis=1))[:, : tj + 1]
+        c = (c * np.exp(-0.5j * math.pi / (tj + 1) * k)).real / (2 * (tj + 1))
         c = np.concatenate((c[:, :0:-1], c), axis=1)  # k = -2j..2j
         lag = np.arange(terms + 1)[:, None] - np.arange(-tj, tj + 1)
         even = lag % 2 == 0

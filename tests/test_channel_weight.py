@@ -208,25 +208,66 @@ def _bin_masses_per_slice(spec, edges, order):
     (bin, channel) slice in theta, v = 2m a sin(theta), where Konno's
     factor is b / (pi (cos^2 theta + b^2 sin^2 theta)), b = sin(beta/2).
 
-    W_m at the nodes is its interpolant of degree 2j through the per-point
-    evaluator (the small-d fold, not the J_y eigenbasis that
-    ``limit_bin_masses`` takes) at the first-kind Chebyshev points in x/a:
-    exact for the polynomial W_m, and a few multiply-adds per node instead
-    of an evaluator pass.
+    W_m at the nodes is ``_fold_interpolant``.
     """
     out = np.zeros(edges.size - 1)
     a, b = spec.a, math.sin(0.5 * spec.beta)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     for tm in spec.channels:
-        weight = np.polynomial.Chebyshev.interpolate(
-            lambda t: density._point_weights(spec, (tm,), a * t, np.zeros(t.size, dtype=int)), spec.tj
-        )
+        weight = _fold_interpolant(spec, tm)
         th = np.arcsin(np.clip(edges / (tm * a), -1.0, 1.0))
         k = np.flatnonzero(th[1:] > th[:-1])
         hw = 0.5 * (th[k + 1] - th[k])
         theta = 0.5 * (th[k + 1] + th[k])[:, None] + np.multiply.outer(hw, nodes)
         konno = np.cos(theta) ** 2 + b * b * np.sin(theta) ** 2
         out[k] += b / math.pi * hw * ((weight(np.sin(theta)) / konno) @ weights)
+    return _with_point_mass(spec, edges, out)
+
+
+def _bin_masses_in_psi(spec, edges, order):
+    """limit_bin_masses by ``order``-node Gauss-Legendre panels in
+    psi = arctan(b tan theta), v = 2m a sin(theta), b = sin(beta/2), where
+    Konno's measure is uniform, d psi / pi.
+
+    There sin(theta) = sin(psi) / sqrt(b^2 cos^2 psi + sin^2 psi), so the
+    one fast feature of W_m(a sin theta) is at psi = 0, of width about b:
+    the panels are cut at 0, at +-b 2^k and at 16 uniform points of
+    [-pi/2, pi/2], and at every bin edge.  An edge maps with
+    cos(theta) = sqrt((1 - s)(1 + s)), s = sin(theta); cos(arcsin s) would
+    lose the digits that small beta needs.  W_m is ``_fold_interpolant``,
+    as in ``_bin_masses_per_slice``, so no value comes from the eigenbasis.
+    """
+    out = np.zeros(edges.size - 1)
+    a, b = spec.a, math.sin(0.5 * spec.beta)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    fine = b * 2.0 ** np.arange(math.floor(math.log2(0.5 * math.pi / b)) + 1)
+    cuts = np.concatenate((-fine, [0.0], fine, np.linspace(-0.5 * math.pi, 0.5 * math.pi, 16)))
+    for tm in spec.channels:
+        weight = _fold_interpolant(spec, tm)
+        s = np.clip(edges / (tm * a), -1.0, 1.0)
+        psi = np.arctan2(b * s, np.sqrt((1.0 - s) * (1.0 + s)))
+        ends = np.unique(np.concatenate((psi, cuts[(cuts > psi[0]) & (cuts < psi[-1])])))
+        mid, hw = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+        p = mid[:, None] + np.multiply.outer(hw, nodes)
+        sin = np.sin(p) / np.sqrt((b * np.cos(p)) ** 2 + np.sin(p) ** 2)
+        # each panel lies in one bin: the one whose left edge precedes its middle
+        np.add.at(out, np.searchsorted(psi, mid) - 1, hw * (weight(sin) @ weights) / math.pi)
+    return _with_point_mass(spec, edges, out)
+
+
+def _fold_interpolant(spec, tm):
+    """W_m in x/a as its interpolant of degree 2j through the per-point
+    evaluator (the small-d fold, not the J_y eigenbasis that
+    ``limit_bin_masses`` takes) at the first-kind Chebyshev points: exact for
+    the polynomial W_m, and a few multiply-adds per node instead of an
+    evaluator pass."""
+    return np.polynomial.Chebyshev.interpolate(
+        lambda t: density._point_weights(spec, (tm,), spec.a * t, np.zeros(t.size, dtype=int)), spec.tj
+    )
+
+
+def _with_point_mass(spec, edges, out):
+    """``out`` with the point mass, if any, added to the bin holding v = 0."""
     if spec.has_point_mass:
         k0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
         out[k0] += delta_mass(spec)
@@ -271,6 +312,32 @@ def test_bin_masses_match_the_per_slice_loop(monkeypatch, qudit, beta, gamma, wi
     # the reference has converged: twice its order gives the same bins
     assert float(np.abs(_bin_masses_per_slice(spec, edges, 2 * order) - want).max()) < tol
     assert float(np.abs(got - want).max()) < tol
+
+
+@pytest.mark.parametrize("beta", (1e-6, 1e-4, 1e-3))
+@pytest.mark.parametrize("dim", (13, 50))
+def test_bin_masses_match_the_psi_panels_at_small_beta(dim, beta):
+    # at small beta the per-slice loop needs thousands of nodes next to the
+    # pikes; in psi the law is uniform and the panels converge at 24 nodes
+    spec = LimitSpec(_qudit("dense", dim, 7), beta, 0.4)
+    edges = np.linspace(-1.0, 1.0, 41) * spec.tj * spec.a
+    want = _bin_masses_in_psi(spec, edges, 48)
+    assert float(np.abs(_bin_masses_in_psi(spec, edges, 24) - want).max()) < 1e-15
+    gap = np.abs(limit_bin_masses(spec, edges) - want)
+    assert float(gap.max()) < 1e-14, gap
+
+
+@pytest.mark.parametrize("beta", (1e-6, 1e-4))
+def test_the_psi_panels_give_the_spin_half_bins(beta):
+    # the spin-1/2 symmetric qudit has channel weight 1, so a bin holds
+    # atan2(b s, cos theta)/pi between its edges: the panels' edge map and
+    # sum, free of the channel weight
+    spec = LimitSpec(preset_qudit("paper-sym", "1/2"), beta)
+    s = np.linspace(-1.0, 1.0, 41)
+    want = np.diff(np.arctan2(math.sin(0.5 * beta) * s, np.sqrt((1.0 - s) * (1.0 + s)))) / math.pi
+    for order in (24, 48):
+        got = _bin_masses_in_psi(spec, s * spec.a, order)
+        assert float(np.abs(got - want).max()) < 1e-15, (order, got - want)
 
 
 @pytest.mark.parametrize("channels", ("one", "all"))

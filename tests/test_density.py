@@ -288,6 +288,19 @@ def test_hermitian_and_reflection_by_explicit_indices():
                     assert abs(m[r, c] - sign * n[i1, i2]) < 1e-12
 
 
+@pytest.mark.parametrize("dim", (2, 3, 4, 5, 13, 50, 51, 130, 260))
+def test_on_support_matrices_are_exactly_hermitian(dim):
+    # numpy may fuse a complex product's multiply-adds, so v_a conj(v_b) and
+    # v_b conj(v_a) can round apart and the diagonal gain an imaginary part
+    tj = dim - 1
+    for beta in (0.01, 1.0, math.pi / 2, 3.0):
+        a = math.cos(0.5 * beta)
+        for tm in range(tj % 2, tj + 1, 2):
+            for x in (-0.83 * a, 0.2 * a, 0.97 * a):
+                m = weight_matrix_direct(HalfInt(tj), HalfInt(tm), x, beta, 0.4).entries
+                assert np.array_equal(m, m.conj().T), (beta, tm, x)
+
+
 def test_half_spin_weights():
     # M at j = 1/2 against its two-by-two closed form, contracted with "up"
     for x in (-0.9, -0.2, 0.55):
