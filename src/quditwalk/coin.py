@@ -20,11 +20,21 @@ for the real orthogonal eigenvectors U of S, cached once per size
     e^{-i beta lam} - 1 = -2 sin^2(beta lam / 2) - i sin(beta lam),
 
 whose entry (a, b) is (-1)^floor((a-b)/2) times U diag(-2 sin^2) U^T
-where a - b is even and U diag(sin) U^T where it is odd: one real product.
-So d stays orthogonal to machine precision at any size and beta = 0 gives
-the identity exactly.  The classical factorial sum survives only in its
-coefficient rows (``_coeff_row``, one entry of which ``small_d_coeff``
-returns), which the off-support weight-matrix polynomials are built from.
+where a - b is even and U diag(sin) U^T where it is odd.  S has a zero
+diagonal, so D S D = -S for D = diag((-1)^k), and the eigenvector of -lam
+is +-D times that of lam: summed over +-lam, the cos part lives on the
+blocks where a and b share their parity and the sin part on the others,
+and lam = 0 adds nothing.  Each block is then one real product over the
+eigenvalues lam > 0 alone, with (-1)^floor(a/2) folded into the rows:
+the same-parity blocks -B B^T for B = U diag(2 sin(beta lam / 2)), the
+odd-even block U diag(2 sin(beta lam)) U^T, and the even-odd block minus
+its transpose, about (2j+1)^3 / 4 multiply-adds in all.  So d stays
+orthogonal to machine precision at any size and beta = 0 gives the
+identity exactly.  ``rotation_matrix`` writes d into the real part of its
+complex result and applies its two phases there.  The classical factorial
+sum survives only in its coefficient rows (``_coeff_row``, one entry of
+which ``small_d_coeff`` returns), which the off-support weight-matrix
+polynomials are built from.
 
 Rotations taken through that spectrum need phases e^{i lam theta},
 lam = -j..j; ``_powers`` is the package's one ladder of them, products of
@@ -98,9 +108,9 @@ def small_d_coeff(j, m, mp, ell: int) -> float:
     return float(row[ell - lo])
 
 
-# Largest dense matrix the package builds, in bytes: ``small_d`` works in
-# one (2j+1) x 2(2j+1) float array, 16 (2j+1)^2 bytes, so 256 MiB admits
-# 4096 components (eigh needs a few times the matrix again).
+# Largest dense matrix the package builds, in bytes: ``rotation_matrix``'s
+# complex result, 16 (2j+1)^2 bytes, so 256 MiB admits 4096 components
+# (eigh needs a few times the matrix again).
 DENSE_BUDGET_BYTES = 2**28
 
 
@@ -129,10 +139,10 @@ def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
     The eigenvalues are replaced by their exact ascending values -j ... j,
     which eigh only approximates.  Both are read-only float arrays, U of
     8 (2j+1)^2 bytes.  A size over DENSE_BUDGET_BYTES, counted for
-    ``small_d``'s work array, raises DomainError.
+    ``rotation_matrix``'s complex result, raises DomainError.
     """
     dim = tj + 1
-    _require_dense(dim, 2 * np.dtype(float).itemsize, "the J_y generator")
+    _require_dense(dim, np.dtype(complex).itemsize, "the J_y generator")
     m = np.arange(tj, -tj - 1, -2) / 2.0
     half_lad = 0.5 * np.sqrt((tj / 2.0 - m[1:]) * (tj / 2.0 + m[1:] + 1.0))
     _, vec = np.linalg.eigh(np.diag(half_lad, 1) + np.diag(half_lad, -1))
@@ -142,29 +152,55 @@ def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
+def _small_d(tj: int, beta: float, dtype) -> np.ndarray:
+    """A new (2j+1) x (2j+1) array of ``dtype``, zero but for d^j(beta) in
+    its real part; ``_jy_eig`` refuses a size over the budget before
+    anything is allocated.
+
+    The work arrays hold half the result's entries (B) and then one block
+    at a time.
+    """
+    lam, vec = _jy_eig(tj)
+    npos = (tj + 1) // 2
+    pos = vec[:, tj + 1 - npos :]  # the eigenvectors of lam > 0
+    half = (0.5 * beta) * lam[tj + 1 - npos :]
+    # the result first, so that the work arrays freed after it leave no
+    # hole in the heap below the next call's result
+    out = np.zeros((tj + 1, tj + 1), dtype)
+    d = out.real
+    # rows a of B = U diag(2 sin(beta lam/2)), each times (-1)^floor(a/2);
+    # copied before it is scaled, since numpy buffers a product that reads
+    # a strided array into work arrays as large as B
+    b = pos.copy()
+    b *= 2.0 * np.sin(half)
+    b[2::4] *= -1.0
+    b[3::4] *= -1.0
+    for p in (0, 1):
+        # I - B B^T on either parity, a product with its own transpose; the
+        # 0 - x turns any -0.0 into +0.0, so d(0) is I bit for bit
+        gram = b[p::2] @ b[p::2].T
+        gram.ravel()[:: len(gram) + 1] -= 1.0
+        np.subtract(0.0, gram, out=d[p::2, p::2])
+    del gram
+    # the odd-even block U diag(2 sin(beta lam)) U^T, as (U 2 cos(beta
+    # lam/2)) B^T on the odd rows of U and the even ones of B, and the
+    # even-odd block minus its transpose
+    b[1::2] = pos[1::2]
+    b[1::2] *= 2.0 * np.cos(half)
+    b[3::4] *= -1.0
+    cross = b[1::2] @ b[::2].T
+    np.add(cross, 0.0, out=d[1::2, ::2])
+    np.subtract(0.0, cross.T, out=d[::2, 1::2])
+    return out
+
+
 def small_d(j, beta: float) -> np.ndarray:
     """Wigner small-d matrix d^j(beta), real, rows and columns m-descending."""
     tj = walk_index(j)
     beta = float(beta)
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta!r}")
-    lam, vec = _jy_eig(tj)
-    half = np.sin(0.5 * beta * lam)
-    # rows 0..dim-1: U diag(-2 sin^2(beta lam/2)) U^T, the cos part of
-    # d - I; rows dim..2 dim-1: U diag(sin(beta lam)) U^T, its sin part
-    work = (vec * np.stack((-2.0 * half * half, np.sin(beta * lam)))[:, None, :]).reshape(-1, tj + 1)
-    work = (work @ vec.T).reshape(2, tj + 1, tj + 1)
-    d, sin_part = work
-    # i^(a-b) (cos - i sin): the sin part where a - b is odd, negated
-    # where a is even; then (-1)^floor(a/2) (-1)^floor(b/2) throughout
-    np.negative(sin_part[::2, 1::2], out=d[::2, 1::2])
-    d[1::2, ::2] = sin_part[1::2, ::2]
-    for sign_flip in (d[2::4], d[3::4], d[:, 2::4], d[:, 3::4]):
-        sign_flip *= -1.0
-    # in place, so the call keeps one work array; the sum also turns any
-    # -0.0 off the diagonal into +0.0, so d(0) is I bit for bit
-    d += np.eye(tj + 1)
-    return d
+    return _small_d(tj, beta, float)
 
 
 def _powers(first, z, out: np.ndarray) -> np.ndarray:
@@ -199,7 +235,9 @@ def rotation_matrix(j, angles) -> np.ndarray:
     tj = walk_index(j)
     alpha, beta, gamma = _euler(angles)
     m = np.arange(tj, -tj - 1, -2) / 2.0
-    # in place, so the call leaves no complex matrix behind but its result
-    out = np.multiply(np.exp(-1j * alpha * m)[:, None], small_d(tj / 2.0, beta))
+    # d goes straight into the real part of the result, and the phases in
+    # place, so the call leaves no other matrix behind
+    out = _small_d(tj, beta, complex)
+    out *= np.exp(-1j * alpha * m)[:, None]
     out *= np.exp(-1j * gamma * m)
     return out

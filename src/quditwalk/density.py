@@ -29,18 +29,25 @@ the twisted qudit going in and drops out of |.|^2 coming back.  Points
 that each carry their own channel (``continuous_density`` puts every
 channel's samples into one pass) go through that channel's small-d column
 (``_point_weights``): the real small-d coefficients of the nonzero
-components (``_small_d_fold``, which also gives ``weight_matrix_direct``
-its column) against cos and sin rows of the rotation.
+components (``_small_d_fold``) against cos and sin rows of the rotation.
+``weight_matrix_direct`` takes its one column from the eigenbasis too, in
+two real matrix-vector products, and builds M as outer(d, d) times the
+hermitian Toeplitz factor 2 cos(k phi) e^{-i k gamma}, k = m2 - m1, read
+from one vector whose negative-k half is the exact conjugate of the rest,
+so that M is exactly hermitian.
 
-Both read the small-d entries as a spectral sum over the J_y eigenvalues
-lam = -j..j, which needs e^{i lam alpha} at alpha = arccos(-x).  No
-trigonometric call is made for it (``_rotation``): cos(alpha) = -x and
-sin(alpha) = sqrt(1 - x^2), and the half angle has the closed forms
-cos(alpha/2) = sqrt((1 - x)/2) and sin(alpha/2) = sqrt((1 + x)/2), so the
-values for lam = 1/2 or 1 upward are the phase ladder of ``coin._powers``
-(the walk's too) from that start with the step z = e^{i alpha}, products
-only, and -lam takes the conjugate.  Its rounding grows about linearly in
-j, as that of the angle lam * alpha does.
+All three read the small-d entries as a spectral sum over the J_y
+eigenvalues lam = -j..j, which needs e^{i lam alpha} at alpha =
+arccos(-x).  The half angle has the closed forms cos(alpha/2) =
+sqrt((1 - x)/2) and sin(alpha/2) = sqrt((1 + x)/2), and cos(alpha) = -x,
+sin(alpha) = sqrt(1 - x^2).  The two evaluators make no trigonometric call
+for it (``_rotation``): the values for lam = 1/2 or 1 upward are the phase
+ladder of ``coin._powers`` (the walk's too) from that start with the step
+z = e^{i alpha}, products only, and -lam takes the conjugate.  Its
+rounding grows about linearly in j, as that of the angle lam * alpha
+does.  ``weight_matrix_direct``, at its one point, takes alpha from the
+half angle by one atan2 and e^{-i alpha lam} by one exponential per
+eigenvalue, whose rounding grows the same way.
 The support test, the phase phi and the off-diagonal polynomials read one
 discriminant 1 - (1+tau^2) x^2 (``_phase``), which cancels near the pikes:
 it is (1 - |x|)(1 + |x|) - (tau |x|)^2 in extended precision.  Konno's factor
@@ -52,11 +59,12 @@ the small-d rounding floor at large j.  There each small-d factor is
 instead its ladder row, a polynomial in rho = (1+x)/(1-x), evaluated in
 one extended-precision Horner pass per component at x = -|x|, where rho
 never exceeds 1 in magnitude; a lower-triangle entry m1 <= m2 is the
-product of two rows.  The upper triangle follows by hermiticity, and
-x > 0 by the reflection M_{m1 m2}(x) = (-1)^{m1+m2+2m} M_{-m2,-m1}(-x),
-which therefore holds exactly.  ``cancellation`` reports max kappa^2 over
-the rows, kappa a row's cancellation ratio: an upper bound on the digits
-an entry loses.
+product of two rows and of factors that each depend on one exponent or
+order in 0..2j alone, tabulated once per call.  The upper triangle
+follows by hermiticity, and x > 0 by the reflection M_{m1 m2}(x) =
+(-1)^{m1+m2+2m} M_{-m2,-m1}(-x), which therefore holds exactly.
+``cancellation`` reports max kappa^2 over the rows, kappa a row's
+cancellation ratio: an upper bound on the digits an entry loses.
 
 Moments and the point mass use the Gauss rule of Konno's measure itself
 (``_konno_rule``, built once per (beta, n)), a Bernstein-Szego weight with
@@ -259,7 +267,8 @@ def _small_d_fold(tj, rows, cols) -> np.ndarray:
     """Coefficients f with d_{i c}(alpha) = sum_k f[c, k, i] t_k(alpha) over
     the rows t_k of ``_trig``, for the components i in ``rows`` and c in
     ``cols`` (indices in m-descending order), as a real (len(cols), rows of
-    ``_trig``, len(rows)) array.
+    ``_trig``, len(rows)) array: ``_point_weights``' small-d columns, for a
+    group of channels at a time.
 
     With V = P U (``coin._jy_eig``), d_{i c}(alpha) = Re i^(i-c) sum_k
     e^{-i alpha lam_k} U_ik U_ck; the eigenvalues lam = -j..j pair up as
@@ -284,11 +293,14 @@ def _small_d_fold(tj, rows, cols) -> np.ndarray:
 def _wedge_matrix(tj, tm, x: float, tau, gamma):
     """M^(j,m) at one point x off the support: one extended-precision
     Horner pass per component of ``_ladder_rows`` at -|x|, each entry the
-    product of two rows.  The upper triangle follows by hermiticity, and
-    x > 0 by the reflection M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x):
-    a flip on the anti-diagonal, negated where i1 + i2 is odd (2m has the
-    parity of 2j).  Returns (entries, ``WeightMatrix.cancellation``); an
-    entry past the float range raises DomainError.
+    product of two rows.  (1+|x|)^up, (1-|x|)^down, f_n and e^{-i n gamma}
+    depend on the exponent or the order n alone, which run over 0..2j:
+    each is one table of 2j+1 values, gathered per entry.  The upper
+    triangle follows by hermiticity, and x > 0 by the reflection
+    M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x): a flip on the
+    anti-diagonal, negated where i1 + i2 is odd (2m has the parity of 2j).
+    Returns (entries, ``WeightMatrix.cancellation``); an entry past the
+    float range raises DomainError.
     """
     coef, rows, cols, up, down = _ladder_rows(tj, tm)
     t = np.longdouble(abs(x))
@@ -296,11 +308,13 @@ def _wedge_matrix(tj, tm, x: float, tau, gamma):
     g = np.polynomial.polynomial.polyval(r, coef)
     ga = np.polynomial.polynomial.polyval(r, np.abs(coef))
     order = rows - cols
+    n = np.arange(tj + 1)
     # f_n(x) overflows first, and inf times a zero entry would read as nan
     with np.errstate(over="ignore", invalid="ignore"):
-        pref = (1.0 + t) ** up * (1.0 - t) ** down
-        low = (pref * g[rows] * g[cols]).astype(float) * (2.0 ** (1 - tj) * _offdiag(order, tau, -abs(x)))
-        low = low * np.exp(-1j * order * gamma)
+        pref = ((1.0 + t) ** n)[up] * ((1.0 - t) ** n)[down]
+        fn = 2.0 ** (1 - tj) * _offdiag(n, tau, -abs(x))
+        low = (pref * g[rows] * g[cols]).astype(float) * fn[order]
+        low = low * np.exp(-1j * n * gamma)[order]
     if not np.isfinite(low).all():
         raise DomainError(f"weight matrix at x = {x!r} overflows floats at 2j+1 = {tj + 1}")
     # every row has a nonzero lowest coefficient, so ga > 0; kappa <= 1e15
@@ -374,9 +388,14 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     it, the whole matrix is v1 v1^dag + v2 v2^dag with
     v1_i = d_{i c} e^{-i m_i (phi - gamma)} and
     v2_i = d_{i c} e^{+i m_i (phi + gamma)}, c = j - m, each up to a phase
-    common to the whole vector: the small-d column of ``_small_d_fold``
-    times the phase of ``_phase``, which reproduces the collapsed entry
-    2 d1 d2 cos((m2-m1) phi) e^{-i (m2-m1) gamma}.  Off it the
+    common to the whole vector, with phi from ``_phase``: the collapsed
+    entry 2 d1 d2 cos((m2-m1) phi) e^{-i (m2-m1) gamma}.  The small-d
+    column is V e^{-i alpha Lam} V^dag's column c at alpha = arccos(-x),
+    through the cached eigenbasis V = P U (``coin._jy_eig``): U times the
+    real and the imaginary part of e^{-i alpha lam} U[c], the first kept
+    where i - c is even and the second where it is odd, with the sign of
+    i^(i-c).  The entries are outer(d, d) times a hermitian Toeplitz factor
+    taken from one vector over k = m2 - m1 = -2j..2j.  Off it the
     lower-triangle entries at -|x| are polynomials evaluated in one Horner
     pass, and hermiticity and the reflection give the rest
     (``_wedge_matrix``); entries past the float range raise DomainError.
@@ -390,11 +409,24 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     # polynomials would cancel catastrophically
     phi, disc = _phase(x, tau)
     if disc >= -8.0 * np.finfo(float).eps:
-        # rank-two assembly, PSD to rounding; einsum, unlike fused products, keeps it exactly hermitian
-        xs, idx = np.array([x]), np.arange(tj + 1)
-        col = (_trig(tj, _rotation(tj, xs)).T @ _small_d_fold(tj, idx, [(tj - tm) // 2]))[0, 0]
-        v = _twisted(phi * idx, col * np.exp(-1j * gamma * idx))
-        ent = np.einsum("ka,kb->ab", v, v.conj())
+        lam, vec = _jy_eig(tj)
+        c, k = (tj - tm) // 2, np.arange(tj + 1)
+        # alpha = arccos(-x) from its half angle, whose cos and sin are
+        # sqrt((1 -+ x)/2); a point that rounding puts past |x| = 1 is
+        # taken at the edge
+        xc = min(max(x, -1.0), 1.0)
+        alpha = 2.0 * math.atan2(math.sqrt(0.5 * (1.0 + xc)), math.sqrt(0.5 * (1.0 - xc)))
+        spec = np.exp(-1j * alpha * lam) * vec[c]
+        col = (vec @ spec.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        col = (col * _ipow(k - c)).real
+        # T_k = 2 cos(k phi) e^{-i k gamma} for k = 2j..-2j, T_-k the exact
+        # conjugate of T_k: row a of the Toeplitz factor, T_{a-b} over b, is
+        # its run from k = a down, one view of it, so M is exactly hermitian
+        half = 2.0 * np.cos(phi * k) * np.exp(-1j * gamma * k)
+        back = np.concatenate((half[::-1], half[1:].conj()))
+        step = back.itemsize
+        toeplitz = np.ndarray((tj + 1, tj + 1), complex, back, tj * step, (-step, step))
+        ent = np.multiply.outer(col, col) * toeplitz
         return WeightMatrix(tj, tm, x, float(beta), gamma, ent)
     ent, worst = _wedge_matrix(tj, tm, x, tau, gamma)
     return WeightMatrix(tj, tm, x, float(beta), gamma, ent, worst)

@@ -17,7 +17,7 @@ from quditwalk import (
 )
 from quditwalk import coin
 from quditwalk.coin import _coeff_row, _ell_range, _jy_eig
-from small_d_reference import coeff_exact, jy_generator, small_d_sum
+from small_d_reference import coeff_exact, jy_generator, small_d_sum, two_path_small_d
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -103,11 +103,24 @@ def test_sum_and_spectral_paths_agree():
         assert gap < 1e-11, (tj, gap)
 
 
+@pytest.mark.parametrize("dim", (21, 50, 130, 260))
+def test_parity_blocks_match_the_two_path_evaluator(dim):
+    # the blocks take the eigenvectors of lam > 0 only, those of -lam as
+    # +-D times them: against the full complex spectral product, from beta
+    # near 0 to beta = pi
+    tj = dim - 1
+    for beta in (1e-6, 1e-3, 0.3, math.pi / 2, 2.5, math.pi - 1e-3, math.pi - 1e-6, math.pi):
+        d = small_d(HalfInt(tj), beta)
+        gap = float(np.abs(d - two_path_small_d(tj, beta)).max())
+        orth = float(np.abs(d @ d.T - np.eye(dim)).max())
+        assert gap <= 1e-14 and orth <= 1e-14, (beta, gap, orth)
+
+
 def test_rotation_unitary_at_random_angles():
     rng = np.random.default_rng(20260823)
     worst = 0.0
     for _ in range(100):
-        tj = int(rng.integers(1, 50))
+        tj = int(rng.integers(1, 130))
         angles = EulerAngles(*rng.uniform(-math.pi, math.pi, size=3))
         r = rotation_matrix(HalfInt(tj), angles)
         worst = max(worst, float(np.abs(r @ r.conj().T - np.eye(tj + 1)).max()))
@@ -137,13 +150,34 @@ def test_generator_over_the_dense_budget_is_refused():
     coin._require_dense(4096, 16, "the J_y generator")  # accepted, nothing built
     tracemalloc.start()
     try:
-        for call in (lambda: _jy_eig(4096), lambda: small_d(2048, 0.3)):
+        for call in (
+            lambda: _jy_eig(4096),
+            lambda: small_d(2048, 0.3),
+            lambda: rotation_matrix(2048, (0.1, 0.3, 0.2)),
+        ):
             with pytest.raises(DomainError, match="budget"):
                 call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("dim", (130, 260))
+def test_small_d_and_rotation_peak_memory(dim):
+    # d goes into the result as it is built, from parity blocks a quarter
+    # of its size, so a call's peak stays within 2.5 times the bytes it
+    # returns
+    tj = dim - 1
+    _jy_eig(tj)  # the cached spectrum is not the call's own
+    for call in (lambda: small_d(HalfInt(tj), 1.1), lambda: rotation_matrix(HalfInt(tj), (0.4, 1.1, -0.7))):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * result.nbytes, (result.dtype, peak / result.nbytes)
 
 
 def test_jy_eigenvectors_are_cached_real():

@@ -398,6 +398,19 @@ def test_off_support_entries_match_the_decimal_oracle():
         assert gap <= 1e-9, (dim, tm, gap)
 
 
+@pytest.mark.parametrize("dim", (30, 40, 50))
+def test_benchmark_wedge_points_match_the_decimal_oracle(dim):
+    # the off-support points of the benchmark's weight-matrix jobs: channel
+    # m = j-1 at x = +-0.85, beta = pi/2, gamma = 0.7, every entry against
+    # the 60-digit factorial-sum oracle
+    tj = dim - 1
+    for x in (0.85, -0.85):
+        ref = decimal_matrix(tj, tj - 2, x, math.pi / 2, 0.7)
+        got = weight_matrix_direct(HalfInt(tj), HalfInt(tj - 2), x, math.pi / 2, 0.7).entries
+        gap = float((np.abs(got - ref) / np.abs(ref)).max())
+        assert gap <= 1e-13, (x, gap)
+
+
 def test_entries_just_past_the_pikes_match_the_decimal_oracle():
     # off the support, from 1e-13 to 1e-5 past either pike: the wedge rows'
     # f_n read w^2 = (1+tau^2) x^2 - 1, which cancels there.  pi/2 is left
