@@ -676,30 +676,37 @@ def _konno_rule(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, weights
 
 
-def _continuous_moment(spec: LimitSpec, r: int) -> float:
-    """r-th moment of the continuous part alone (r = 0: its mass).
+def _continuous_moment(spec: LimitSpec, orders) -> list[float]:
+    """Moment of each order r of the continuous part alone (r = 0: its
+    mass).
 
     Channel m adds (2m)^r sum_k w_k x_k^r W_m(x_k) over ``_konno_rule``'s
-    n = floor((2j + r)/2) + 1 nodes, exact to degree 2n - 1 >= 2j + r, so
-    exact for the polynomial W_m.  The nodes are the same for every
-    channel, so one ``_scalar_grid`` pass gives all the W_m.  At a = 1 the
-    nodes sit on x = +-1: the ballistic law.
+    n = floor((2j + R)/2) + 1 nodes for the largest order R, exact to
+    degree 2n - 1 >= 2j + r for every r <= R, so exact for the polynomial
+    W_m.  The nodes are the same for every channel and order, so one
+    ``_scalar_grid`` pass gives all the W_m.  At a = 1 the nodes sit on
+    x = +-1: the ballistic law.
     """
+    orders = list(orders)
     if spec.a == 0.0:
-        return 0.0
+        return [0.0] * len(orders)
     # the channel weights need the (cached) J_y spectrum: building it first
     # refuses an oversized one before the Gauss rule's own eigh
     _jy_eig(spec.tj)
-    t, w = _konno_rule(spec.beta, (spec.tj + r) // 2 + 1)
+    t, w = _konno_rule(spec.beta, (spec.tj + max(orders)) // 2 + 1)
     x = spec.a * t
-    wr = w * x**r
-    sums = [float(s).as_integer_ratio() for s in _scalar_grid(spec, spec.channels, x) @ wr]
-    try:
-        # (2m)^r times each sum in integers, rounded once by the division:
-        # (2m)^r alone passes the float range long before the moment does
-        return math.fsum(tm**r * num / den for tm, (num, den) in zip(spec.channels, sums))
-    except OverflowError:
-        raise DomainError(f"moment of order {r} overflows floats at 2j+1 = {spec.tj + 1}") from None
+    weights = _scalar_grid(spec, spec.channels, x)
+    moments = []
+    for r in orders:
+        sums = [float(s).as_integer_ratio() for s in weights @ (w * x**r)]
+        try:
+            # (2m)^r times each sum in integers, rounded once by the
+            # division: (2m)^r alone passes the float range long before the
+            # moment does
+            moments.append(math.fsum(tm**r * num / den for tm, (num, den) in zip(spec.channels, sums)))
+        except OverflowError:
+            raise DomainError(f"moment of order {r} overflows floats at 2j+1 = {spec.tj + 1}") from None
+    return moments
 
 
 def _point_mass(cont: float) -> float:
@@ -718,7 +725,7 @@ def limit_moment(spec: LimitSpec, r: int) -> float:
     raises DomainError, an even size at a = 0 DegenerateSpecError."""
     r = _require_nonneg_int(r, "moment order")
     _require_law(spec)
-    total = _continuous_moment(spec, r)
+    (total,) = _continuous_moment(spec, (r,))
     if r == 0 and spec.has_point_mass:
         total += _point_mass(total)
     return total
@@ -731,7 +738,7 @@ def delta_mass(spec: LimitSpec) -> float:
     _require_law(spec)
     if not spec.has_point_mass:
         return 0.0
-    return _point_mass(_continuous_moment(spec, 0))
+    return _point_mass(*_continuous_moment(spec, (0,)))
 
 
 def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:

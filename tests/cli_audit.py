@@ -10,6 +10,13 @@ command also leaves ``<name>.log`` with its exit code, stdout and stderr.
 Run it from two checkouts and compare the trees with ``diff -r``: a change
 that keeps the CLI's bytes leaves no difference.
 
+    python tests/cli_audit.py OUTDIR --against OTHER
+
+then names what moved against OTHER, the OUTDIR of an earlier run: for each
+CSV column that differs, the rows that moved, the largest absolute
+difference and that difference over the column's largest magnitude; and
+each manifest ``results`` key whose value changed.
+
 The commands are the README's nine, as ``perfbench/workloads.py`` holds
 them in ``README_COMMANDS``; ``density``, ``moments``,
 ``moments --t 30`` and ``compare --t 80 --bin-width 0.1`` on a dense
@@ -19,6 +26,9 @@ imaginary parts) at beta = 22pi/25, gamma = 0.4; the moments of
 ``compare`` at beta = 0.01.  pytest does not collect this file.
 """
 
+import argparse
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -46,11 +56,66 @@ COMMANDS = {
 }
 
 
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _moved_columns(name: str, mine: str, theirs: str) -> list[str]:
+    """One line per column of CSV ``name`` whose cells differ."""
+    new, old = list(csv.reader(mine.splitlines())), list(csv.reader(theirs.splitlines()))
+    if not new or not old or new[0] != old[0] or len(new) != len(old):
+        return [f"{name}: header or row count changed ({len(old)} -> {len(new)} lines)"]
+    lines = []
+    for col, head in enumerate(new[0]):
+        pairs = [(a[col], b[col]) for a, b in zip(new[1:], old[1:])]
+        moved = [(a, b) for a, b in pairs if a != b]
+        if not moved:
+            continue
+        nums = [(_number(a), _number(b)) for a, b in moved]
+        line = f"{name} {head}: {len(moved)} of {len(pairs)} rows moved"
+        if all(a is not None and b is not None for a, b in nums):
+            gap = max(abs(a - b) for a, b in nums)
+            scale = max(abs(v) for a, b in pairs for v in (_number(a), _number(b)) if v is not None)
+            line += f", max |diff| {gap:.3g}" + (f", {gap / scale:.3g} of max |value|" if scale else "")
+        lines.append(line)
+    return lines
+
+
+def _moved_results(name: str, mine: str, theirs: str) -> list[str]:
+    """One line per manifest ``results`` key whose value changed."""
+    new = json.loads(mine).get("results", {})
+    old = json.loads(theirs).get("results", {})
+    return [
+        f"{name} results.{key}: {old.get(key)!r} -> {new.get(key)!r}"
+        for key in sorted(set(new) | set(old))
+        if new.get(key) != old.get(key)
+    ]
+
+
+def audit_against(out: Path, other: Path) -> list[str]:
+    """What moved in the CSVs and manifests of ``out`` against ``other``."""
+    lines = []
+    names = {p.name for tree in (out, other) for p in tree.iterdir() if p.suffix in (".csv", ".json")}
+    for name in sorted(names):
+        mine, theirs = out / name, other / name
+        if not (mine.exists() and theirs.exists()):
+            lines.append(f"{name}: only in {out if mine.exists() else other}")
+            continue
+        a, b = mine.read_text(encoding="utf-8"), theirs.read_text(encoding="utf-8")
+        if a != b:
+            lines += (_moved_columns if mine.suffix == ".csv" else _moved_results)(name, a, b)
+    return lines
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
-        print("usage: python tests/cli_audit.py OUTDIR", file=sys.stderr)
-        return 2
-    out = Path(argv[0])
+    parser = argparse.ArgumentParser(prog="python tests/cli_audit.py")
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--against", type=Path, help="an earlier OUTDIR to name the moved cells against")
+    args = parser.parse_args(argv)
+    out = args.outdir
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(17)
     amps = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -58,10 +123,10 @@ def main(argv) -> int:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
     failed = 0
-    for name, args in COMMANDS.items():
-        args = args.split() if isinstance(args, str) else args
+    for name, cmd in COMMANDS.items():
+        cmd = cmd.split() if isinstance(cmd, str) else cmd
         proc = subprocess.run(
-            [sys.executable, "-m", "quditwalk", *args, "--out", name],
+            [sys.executable, "-m", "quditwalk", *cmd, "--out", name],
             cwd=out,
             env=env,
             capture_output=True,
@@ -71,6 +136,11 @@ def main(argv) -> int:
         (out / f"{name}.log").write_text(log, encoding="utf-8")
         failed += proc.returncode != 0
         print(f"{name}: exit {proc.returncode}")
+    if args.against is not None:
+        moved = audit_against(out, args.against)
+        print(f"--- against {args.against}: {len(moved) or 'nothing'} moved")
+        for line in moved:
+            print(line)
     return 1 if failed else 0
 
 

@@ -234,8 +234,10 @@ def _bin_masses_in_psi(spec, edges, order):
     the panels are cut at 0, at +-b 2^k and at 16 uniform points of
     [-pi/2, pi/2], and at every bin edge.  An edge maps with
     cos(theta) = sqrt((1 - s)(1 + s)), s = sin(theta); cos(arcsin s) would
-    lose the digits that small beta needs.  W_m is ``_fold_interpolant``,
-    as in ``_bin_masses_per_slice``, so no value comes from the eigenbasis.
+    lose the digits that small beta needs.  W_m comes from the per-point
+    evaluator at every panel node, the small-d fold, so no value comes from
+    the eigenbasis and none from an interpolant, whose error is largest
+    near s = +-1, where the mass sits at small beta.
     """
     out = np.zeros(edges.size - 1)
     a, b = spec.a, math.sin(0.5 * spec.beta)
@@ -243,15 +245,16 @@ def _bin_masses_in_psi(spec, edges, order):
     fine = b * 2.0 ** np.arange(math.floor(math.log2(0.5 * math.pi / b)) + 1)
     cuts = np.concatenate((-fine, [0.0], fine, np.linspace(-0.5 * math.pi, 0.5 * math.pi, 16)))
     for tm in spec.channels:
-        weight = _fold_interpolant(spec, tm)
         s = np.clip(edges / (tm * a), -1.0, 1.0)
         psi = np.arctan2(b * s, np.sqrt((1.0 - s) * (1.0 + s)))
         ends = np.unique(np.concatenate((psi, cuts[(cuts > psi[0]) & (cuts < psi[-1])])))
         mid, hw = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
         p = mid[:, None] + np.multiply.outer(hw, nodes)
         sin = np.sin(p) / np.sqrt((b * np.cos(p)) ** 2 + np.sin(p) ** 2)
+        x = a * sin.ravel()
+        weight = density._point_weights(spec, (tm,), x, np.zeros(x.size, dtype=int)).reshape(sin.shape)
         # each panel lies in one bin: the one whose left edge precedes its middle
-        np.add.at(out, np.searchsorted(psi, mid) - 1, hw * (weight(sin) @ weights) / math.pi)
+        np.add.at(out, np.searchsorted(psi, mid) - 1, hw * (weight @ weights) / math.pi)
     return _with_point_mass(spec, edges, out)
 
 

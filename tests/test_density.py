@@ -789,10 +789,23 @@ def test_one_pass_moments_match_the_per_channel_loop(dim, kind):
             spec = LimitSpec(qudit, beta, gamma)
             for r in (0, 1, 2, 4, 8):
                 want, scale = _per_channel_moment(spec, r)
-                got = density._continuous_moment(spec, r)
+                (got,) = density._continuous_moment(spec, (r,))
                 # odd moments of a symmetric law cancel to rounding: the
                 # scale is then E|X|^r, the sum of the terms' magnitudes
                 assert abs(got - want) <= 1e-14 * scale, (beta, gamma, r, got, want)
+
+
+@pytest.mark.parametrize("dim", (2, 13, 50))
+def test_one_rule_for_many_orders_matches_each_order_alone(dim):
+    # the largest order's Gauss rule is exact for every smaller order, so a
+    # table's moments meet limit_moment's per-order rules to rounding; one
+    # order alone takes limit_moment's own rule, bit for bit
+    spec = LimitSpec(_dense(dim, 7000 + dim), 22 * math.pi / 25, 0.4)
+    orders = range(1, 13)
+    for r, got in zip(orders, density._continuous_moment(spec, orders)):
+        _, scale = _per_channel_moment(spec, r)
+        assert abs(got - limit_moment(spec, r)) <= 1e-14 * scale, r
+    assert density._continuous_moment(spec, (12,)) == [limit_moment(spec, 12)]
 
 
 # ------------------------------------------------------ guards and caches

@@ -148,10 +148,11 @@ SWEEP_ANGLES = (
 
 
 # Largest |difference| evolve's momentum-space amplitudes and position masses
-# may show against the stepped oracle: 3.5 times the worst amplitude gap
-# seen over the sweeps below (2.9e-13, fig1b at t = 1000 with beta = 1e-9,
-# where two momentum grids agree within 8e-14, so most of it is the
-# oracle's own rounding over 1000 steps).
+# may show against the stepped oracle: about twice the worst gap seen over
+# the sweeps below (4.8e-13, fig1b at t = 1000 with beta = pi - 1e-9).
+# Nearly all of it is the oracle's coin: rotation_matrix is within 1.9e-15
+# of the exact one and 1000 steps amplify that, while evolve there is within
+# 1e-15 of a long-double walk with an exact coin.
 WALK_TOL = 1e-12
 
 
@@ -164,25 +165,29 @@ def _assert_matches_reference(field, amps, x, what):
     assert np.abs(dist.p - reference_distribution(amps)).max() <= WALK_TOL, what
 
 
-# h^t with a zero entry at every momentum: beta = 0 gives q = 0 and
-# beta = pi gives p = 0, where the phase tables start from np.angle(0)
+# h^t with an entry at or near 0 at every momentum: beta = 0 gives q = 0,
+# whose half turn is taken as 1, and beta = pi leaves p at rounding level
 DEGENERATE_ANGLES = (
     EulerAngles(0.7, 0.0, -0.4),
     EulerAngles(-0.3, math.pi, 1.2),
 )
 
+# |p| about 5e-10 at every momentum: the half turn of a tiny nonzero entry
+NEAR_PI_ANGLES = EulerAngles(0.4, math.pi - 1e-9, -1.1)
+
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 12, 13, 50, 64])
 def test_evolve_matches_the_position_major_reference(dim):
     q = _dense_qudit(dim)
-    for angles in SWEEP_ANGLES + DEGENERATE_ANGLES:
+    near_pi = (NEAR_PI_ANGLES,) if dim <= 13 else ()
+    for angles in SWEEP_ANGLES + DEGENERATE_ANGLES + near_pi:
         for t in (0, 1, 2, 7, 40, 200):
             amps, x = reference_evolve(q, angles, t)
             assert amps.shape == (1 + (dim - 1) * t, dim)
             _assert_matches_reference(evolve(q, angles, t), amps, x, (dim, angles, t))
 
 
-@pytest.mark.parametrize("angles", SWEEP_ANGLES)
+@pytest.mark.parametrize("angles", SWEEP_ANGLES + (NEAR_PI_ANGLES,))
 def test_evolve_matches_the_reference_on_a_long_fig1b_walk(angles):
     q = preset_qudit("fig1b", "11/2")
     amps, x = reference_evolve(q, angles, 1000)
@@ -228,12 +233,12 @@ def test_evolve_refuses_a_field_over_the_memory_budget():
     # one complex field of M x 130 amplitudes, M = 2^6 3^4 5^2 = 129600 the
     # smallest 5-smooth length >= 1 + 129 t at t = 1000, plus two 130 x 1024
     # work arrays, two 130 x 130 float matrices (the size of one complex
-    # one) and 48 chunk-length vectors
-    assert walk._field_bytes(129, 1000) == 16 * (130 * (129600 + 2 * 1024 + 130) + 48 * 1024)
+    # one) and 16 vectors of a 16384-momentum block
+    assert walk._field_bytes(129, 1000) == 16 * (130 * (129600 + 2 * 1024 + 130) + 16 * 16384)
     assert walk._field_bytes(129, 1000) <= walk.FIELD_BUDGET_BYTES
     # at t = 7937, M = 2^13 5^3 = 1024000; one step more needs 1036800
     t_max = 7937
-    assert walk._field_bytes(129, t_max) == 16 * (130 * (1024000 + 2 * 1024 + 130) + 48 * 1024)
+    assert walk._field_bytes(129, t_max) == 16 * (130 * (1024000 + 2 * 1024 + 130) + 16 * 16384)
     walk._require_field_budget(129, t_max)  # just under: accepted, nothing run
     q = Qudit(HalfInt(129), np.ones(130))
     tracemalloc.start()
@@ -261,6 +266,44 @@ def test_evolve_peak_memory_stays_within_its_budget_count(dim, t):
     finally:
         tracemalloc.stop()
     assert field.amps.nbytes <= peak <= walk._field_bytes(dim - 1, t)
+
+
+def test_half_turns_follow_np_angle():
+    # the principal square root of z/|z|, on np.angle's branch, 1 at z = 0;
+    # the negative real axis turns by +-pi/2 with the sign of its zero
+    rng = np.random.default_rng(3)
+    z = np.concatenate((
+        rng.normal(size=200) + 1j * rng.normal(size=200),
+        [0.0, -1.0, complex(-1.0, -0.0), complex(-3.0, 1e-300), 1e-10j, -5e-10, 2.0],
+    ))
+    got = walk._half_turn(z, np.abs(z))
+    want = np.where(z == 0.0, 1.0, np.exp(0.5j * np.angle(z)))
+    assert np.abs(got - want).max() <= 4e-16
+    assert got[201] == 1j and got[202] == -1j
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+def test_twiddle_tables_are_accurate_to_rounding():
+    # every e^{i pi r/M}, 0 <= r < 2M, from one product of two short
+    # tables, within 2.4e-16 where exp(1j * pi r/M) strays up to 1.3e-15
+    pi = np.arccos(np.longdouble(-1.0))
+    for modes in (1, 2, 7, 1024, 11250, 15000, 129600):
+        r = np.arange(2 * modes)
+        low, high = walk._turn_tables(modes)
+        assert low.size**2 >= 2 * modes and high.size <= low.size
+        exact = np.exp(1j * pi * r.astype(np.longdouble) / modes)
+        assert float(np.abs(walk._turn(r, (low, high)) - exact).max()) <= 3e-16, modes
+
+
+def test_integer_powers_match_pow():
+    # square-and-multiply against float pow: the two round differently, by
+    # at most about r ulps of the power
+    x = np.linspace(-1.5, 1.5, 301)
+    for r in (0, 1, 2, 3, 4, 7, 16, 33):
+        want = x**r
+        got = walk._int_power(x, r)
+        assert np.all(np.abs(got - want) <= r * np.finfo(float).eps * np.abs(want)), r
+    assert np.array_equal(walk._int_power(x, 2), x * x)
 
 
 def test_evolve_validates_t_and_angles():
@@ -322,6 +365,36 @@ def test_binning_spreads_sites_over_lattice_cells():
         [b.density[k0 - 2], b.density[k0 + 2]], [2.5, 2.5], atol=1e-12
     )
     assert b.masses.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def _binned_by_add_at(dist, t, w, v_max=None):
+    """binned_density's masses by one np.add.at per offset: the reference
+    that its single bincount, which adds in the same order, matches bit for
+    bit."""
+    lo, hi = (dist.x - 1.0) / t, (dist.x + 1.0) / t
+    blo = np.floor(lo / w + 0.5).astype(int)
+    bhi = np.floor(hi / w + 0.5).astype(int)
+    half = int(max(np.max(np.abs(blo)), np.max(np.abs(bhi))))
+    if v_max is not None:
+        half = max(half, int(np.ceil(v_max / w - 0.5)))
+    mass = np.zeros(2 * half + 1)
+    for off in range(int(np.max(bhi - blo)) + 1):
+        k = blo + off
+        sel = k <= bhi
+        left = np.maximum(lo[sel], (k[sel] - 0.5) * w)
+        right = np.minimum(hi[sel], (k[sel] + 0.5) * w)
+        np.add.at(mass, k[sel] + half, dist.p[sel] * (right - left) / (hi - lo)[sel])
+    return mass
+
+
+def test_binning_adds_as_the_add_at_loop_does():
+    q = _dense_qudit(12)
+    for t in (1, 40, 300):
+        dist = position_distribution(evolve(q, EulerAngles(0.3, 1.2, -0.5), t))
+        for w in (0.003, 0.01, 0.05, 0.37, 1.0):
+            for v_max in (None, 30.0):
+                b = binned_density(dist, t, w, v_max=v_max)
+                assert np.array_equal(b.density, _binned_by_add_at(dist, t, w, v_max) / w), (t, w)
 
 
 def test_binning_v_max_pads_the_range():
