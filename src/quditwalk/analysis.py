@@ -165,23 +165,35 @@ def pike_weight(j, beta: float, m) -> float:
         return float(math.comb(tj, p) * pair * (lo ** (p - q) + hi ** (p - q)) / 2**tj)
 
 
+@lru_cache(maxsize=8)
+def _sym_qudit(tj: int):
+    """The "paper-sym" preset qudit at doubled spin tj, built once per size
+    for every channel's ``pike_weight_paths``, with read-only amplitudes."""
+    from .qudit import preset_qudit
+
+    qudit = preset_qudit("paper-sym", HalfInt(tj))
+    qudit.amplitudes.setflags(write=False)
+    return qudit
+
+
 def pike_weight_paths(j, beta: float, m) -> tuple[float, float]:
     """(closed form, weight-matrix quadratic form) for the pike weight.
 
     The second path builds the full hermitian matrix at x = cos(beta/2) and
     contracts it with the symmetric endpoint state; the gap between the two
-    numbers is a live accuracy estimate for the matrix machinery.
+    numbers is a live accuracy estimate for the matrix machinery.  The
+    state is built once per size (``_sym_qudit``), and the factors of the
+    matrix that every channel shares at the pike once per point
+    (``density.weight_matrix_direct``).
     """
     from .density import weight_matrix_direct, weight_scalar
-    from .qudit import preset_qudit
 
     tj, tm = _pike_indices(j, m)
     closed = pike_weight(j, beta, m)
-    qudit = preset_qudit("paper-sym", HalfInt(tj))
     mat = weight_matrix_direct(
         HalfInt(tj), HalfInt(tm), math.cos(0.5 * float(beta)), beta, 0.0
     )
-    return closed, weight_scalar(mat, qudit)
+    return closed, weight_scalar(mat, _sym_qudit(tj))
 
 
 def pike_zero_region(j, beta: float, threshold: float = 1e-8) -> tuple[HalfInt, ...]:

@@ -31,7 +31,10 @@ odd-even block U diag(2 sin(beta lam)) U^T, and the even-odd block minus
 its transpose, about (2j+1)^3 / 4 multiply-adds in all.  So d stays
 orthogonal to machine precision at any size and beta = 0 gives the
 identity exactly.  ``rotation_matrix`` writes d into the real part of its
-complex result and applies its two phases there.  The classical factorial
+complex result and applies its two phases there.  What a call needs per
+size beside U -- the row signs (-1)^floor(a/2), which make B one product,
+and the magnetic numbers of the phases -- is cached with it
+(``_coin_rows``, 2j+1 floats each).  The classical factorial
 sum survives only in its coefficient rows (``_coeff_row``, one entry of
 which ``small_d_coeff`` returns), which the off-support weight-matrix
 polynomials are built from.
@@ -152,6 +155,19 @@ def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
+@lru_cache(maxsize=None)
+def _coin_rows(tj: int) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, m) at doubled spin tj, read-only, 2j+1 floats each: the row
+    signs (-1)^floor(a/2) that ``_small_d`` folds into B, as a column, and
+    the magnetic numbers m = j..-j of ``rotation_matrix``'s phases."""
+    k = np.arange(tj + 1)
+    signs = (1.0 - 2.0 * (k // 2 % 2))[:, None]
+    m = (tj - 2 * k) / 2.0
+    signs.setflags(write=False)
+    m.setflags(write=False)
+    return signs, m
+
+
 def _small_d(tj: int, beta: float, dtype) -> np.ndarray:
     """A new (2j+1) x (2j+1) array of ``dtype``, zero but for d^j(beta) in
     its real part; ``_jy_eig`` refuses a size over the budget before
@@ -161,6 +177,7 @@ def _small_d(tj: int, beta: float, dtype) -> np.ndarray:
     at a time.
     """
     lam, vec = _jy_eig(tj)
+    signs, _ = _coin_rows(tj)
     npos = (tj + 1) // 2
     pos = vec[:, tj + 1 - npos :]  # the eigenvectors of lam > 0
     half = (0.5 * beta) * lam[tj + 1 - npos :]
@@ -168,13 +185,9 @@ def _small_d(tj: int, beta: float, dtype) -> np.ndarray:
     # hole in the heap below the next call's result
     out = np.zeros((tj + 1, tj + 1), dtype)
     d = out.real
-    # rows a of B = U diag(2 sin(beta lam/2)), each times (-1)^floor(a/2);
-    # copied before it is scaled, since numpy buffers a product that reads
-    # a strided array into work arrays as large as B
-    b = pos.copy()
+    # rows a of B = U diag(2 sin(beta lam/2)), each times (-1)^floor(a/2)
+    b = pos * signs
     b *= 2.0 * np.sin(half)
-    b[2::4] *= -1.0
-    b[3::4] *= -1.0
     for p in (0, 1):
         # I - B B^T on either parity, a product with its own transpose; the
         # 0 - x turns any -0.0 into +0.0, so d(0) is I bit for bit
@@ -185,9 +198,8 @@ def _small_d(tj: int, beta: float, dtype) -> np.ndarray:
     # the odd-even block U diag(2 sin(beta lam)) U^T, as (U 2 cos(beta
     # lam/2)) B^T on the odd rows of U and the even ones of B, and the
     # even-odd block minus its transpose
-    b[1::2] = pos[1::2]
+    np.multiply(pos[1::2], signs[1::2], out=b[1::2])
     b[1::2] *= 2.0 * np.cos(half)
-    b[3::4] *= -1.0
     cross = b[1::2] @ b[::2].T
     np.add(cross, 0.0, out=d[1::2, ::2])
     np.subtract(0.0, cross.T, out=d[::2, 1::2])
@@ -234,10 +246,10 @@ def rotation_matrix(j, angles) -> np.ndarray:
     """Full coin R(alpha, beta, gamma) = e^{-i alpha J_z} d(beta) e^{-i gamma J_z}."""
     tj = walk_index(j)
     alpha, beta, gamma = _euler(angles)
-    m = np.arange(tj, -tj - 1, -2) / 2.0
     # d goes straight into the real part of the result, and the phases in
     # place, so the call leaves no other matrix behind
     out = _small_d(tj, beta, complex)
+    _, m = _coin_rows(tj)
     out *= np.exp(-1j * alpha * m)[:, None]
     out *= np.exp(-1j * gamma * m)
     return out

@@ -34,7 +34,9 @@ components (``_small_d_fold``) against cos and sin rows of the rotation.
 two real matrix-vector products, and builds M as outer(d, d) times the
 hermitian Toeplitz factor 2 cos(k phi) e^{-i k gamma}, k = m2 - m1, read
 from one vector whose negative-k half is the exact conjugate of the rest,
-so that M is exactly hermitian.
+so that M is exactly hermitian.  Everything but the column depends on the
+point alone, so the channels at one point share one cached entry
+(``_point_factors``).
 
 All three read the small-d entries as a spectral sum over the J_y
 eigenvalues lam = -j..j, which needs e^{i lam alpha} at alpha =
@@ -45,7 +47,7 @@ for it (``_rotation``): the values for lam = 1/2 or 1 upward are the phase
 ladder of ``coin._powers`` (the walk's too) from that start with the step
 z = e^{i alpha}, products only, and -lam takes the conjugate.  Its
 rounding grows about linearly in j, as that of the angle lam * alpha
-does.  ``weight_matrix_direct``, at its one point, takes alpha from the
+does.  ``weight_matrix_direct``, once per point, takes alpha from the
 half angle by one atan2 and e^{-i alpha lam} by one exponential per
 eigenvalue, whose rounding grows the same way.
 The support test, the phase phi and the off-diagonal polynomials read one
@@ -79,12 +81,14 @@ theta) a trigonometric polynomial of degree <= 2j, whose coefficients one
 DCT-II of one evaluator pass over every channel at W's 2j+1 first-kind
 Chebyshev nodes, none on a pike, gives exactly.  A bin's mass is the
 antiderivative's difference at its edges, so it is exact at every beta,
-pikes included (``limit_bin_masses``).
+pikes included (``limit_bin_masses``).  An edge past a channel's support
+needs no series: there the antiderivative is P_0 arcsin(+-1).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -329,6 +333,42 @@ def _wedge_matrix(tj, tm, x: float, tau, gamma):
     return ent, max(1.0, float(kappa.max()) ** 2)
 
 
+@lru_cache(maxsize=16)
+def _point_factors(tj: int, key: bytes):
+    """The factors of ``weight_matrix_direct`` that every channel shares at
+    one point, keyed by 2j and the bytes of (x, tau, gamma) -- bytes, since
+    -0.0 and 0.0 compare equal but may give other phases: None off the
+    support, else (e^{-i alpha lam} over the J_y eigenvalues, the hermitian
+    Toeplitz factor, i^n for n = -2j..2j), read-only.
+
+    A point a few ulps past the edge (a pike point cos(beta/2) can round
+    there) counts as on the support and takes the rank-two form at the
+    edge, where the wedge polynomials would cancel catastrophically.  alpha
+    = arccos(-x) comes from its half angle, whose cos and sin are
+    sqrt((1 -+ x)/2); a point that rounding puts past |x| = 1 is taken at
+    the edge.  T_k = 2 cos(k phi) e^{-i k gamma} for k = 2j..-2j, T_-k the
+    exact conjugate of T_k: row a of the Toeplitz factor, T_{a-b} over b,
+    is its run from k = a down, one view of it, so M is exactly hermitian.
+    """
+    x, tau, gamma = struct.unpack("3d", key)
+    phi, disc = _phase(x, tau)
+    if not disc >= -8.0 * np.finfo(float).eps:
+        return None
+    lam, _ = _jy_eig(tj)
+    xc = min(max(x, -1.0), 1.0)
+    alpha = 2.0 * math.atan2(math.sqrt(0.5 * (1.0 + xc)), math.sqrt(0.5 * (1.0 - xc)))
+    spin = np.exp(-1j * alpha * lam)
+    k = np.arange(tj + 1)
+    half = 2.0 * np.cos(phi * k) * np.exp(-1j * gamma * k)
+    back = np.concatenate((half[::-1], half[1:].conj()))
+    step = back.itemsize
+    toeplitz = np.ndarray((tj + 1, tj + 1), complex, back, tj * step, (-step, step))
+    turn = _ipow(np.arange(-tj, tj + 1))
+    for arr in (spin, back, toeplitz, turn):
+        arr.setflags(write=False)
+    return spin, toeplitz, turn
+
+
 def _require_beta(beta: float) -> float:
     beta = float(beta)
     if not 0.0 <= beta < math.pi:
@@ -395,7 +435,11 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     real and the imaginary part of e^{-i alpha lam} U[c], the first kept
     where i - c is even and the second where it is odd, with the sign of
     i^(i-c).  The entries are outer(d, d) times a hermitian Toeplitz factor
-    taken from one vector over k = m2 - m1 = -2j..2j.  Off it the
+    taken from one vector over k = m2 - m1 = -2j..2j.  Everything but the
+    column depends on the point alone -- the support test, e^{-i alpha lam},
+    the Toeplitz factor and the i^(i-c) table -- so every channel at one
+    point reads it from one cached entry (``_point_factors``); a call forms
+    only its column, two real products, and the outer product.  Off it the
     lower-triangle entries at -|x| are polynomials evaluated in one Horner
     pass, and hermiticity and the reflection give the rest
     (``_wedge_matrix``); entries past the float range raise DomainError.
@@ -404,28 +448,14 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     """
     tj, tm = _weight_indices(j, m)
     x, tau, gamma = _weight_args(x, beta, gamma)
-    # a point a few ulps past the edge (a pike point cos(beta/2) can round
-    # there) takes the rank-two form at the edge, where the wedge
-    # polynomials would cancel catastrophically
-    phi, disc = _phase(x, tau)
-    if disc >= -8.0 * np.finfo(float).eps:
-        lam, vec = _jy_eig(tj)
-        c, k = (tj - tm) // 2, np.arange(tj + 1)
-        # alpha = arccos(-x) from its half angle, whose cos and sin are
-        # sqrt((1 -+ x)/2); a point that rounding puts past |x| = 1 is
-        # taken at the edge
-        xc = min(max(x, -1.0), 1.0)
-        alpha = 2.0 * math.atan2(math.sqrt(0.5 * (1.0 + xc)), math.sqrt(0.5 * (1.0 - xc)))
-        spec = np.exp(-1j * alpha * lam) * vec[c]
+    factors = _point_factors(tj, struct.pack("3d", x, tau, gamma))
+    if factors is not None:
+        spin, toeplitz, turn = factors
+        _, vec = _jy_eig(tj)
+        c = (tj - tm) // 2
+        spec = spin * vec[c]
         col = (vec @ spec.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        col = (col * _ipow(k - c)).real
-        # T_k = 2 cos(k phi) e^{-i k gamma} for k = 2j..-2j, T_-k the exact
-        # conjugate of T_k: row a of the Toeplitz factor, T_{a-b} over b, is
-        # its run from k = a down, one view of it, so M is exactly hermitian
-        half = 2.0 * np.cos(phi * k) * np.exp(-1j * gamma * k)
-        back = np.concatenate((half[::-1], half[1:].conj()))
-        step = back.itemsize
-        toeplitz = np.ndarray((tj + 1, tj + 1), complex, back, tj * step, (-step, step))
+        col = (col * turn[tj - c : 2 * tj + 1 - c]).real
         ent = np.multiply.outer(col, col) * toeplitz
         return WeightMatrix(tj, tm, x, float(beta), gamma, ent)
     ent, worst = _wedge_matrix(tj, tm, x, tau, gamma)
@@ -585,9 +615,10 @@ def _point_weights(spec: LimitSpec, tms, x: np.ndarray, chan: np.ndarray) -> np.
     The sum d^T psi of ``_scalar_grid`` on each point's own column, here
     through ``_small_d_fold``'s real coefficients (for a group of channels
     at a time) against the ``_trig`` rows, on each run of points that
-    shares its channel.  Blocks of _BLOCK points, and groups of _BLOCK / R
-    channels for R nonzero components, keep every work array within _BLOCK
-    x (2j+1) numbers.
+    shares its channel, each run writing its two sums into one buffer per
+    block, which is squared once.  Blocks of _BLOCK points, and groups of
+    _BLOCK / R channels for R nonzero components, keep every work array
+    within _BLOCK x (2j+1) numbers.
     """
     tj, rows, tau, tilted = _tilted_qudit(spec)
     cols = (tj - np.asarray(tms)) // 2
@@ -599,14 +630,15 @@ def _point_weights(spec: LimitSpec, tms, x: np.ndarray, chan: np.ndarray) -> np.
         amp = _twisted(np.multiply.outer(_phase(xb, tau)[0], rows), tilted)
         trig = _trig(tj, _rotation(tj, xb))
         cut = [0, *(np.flatnonzero(np.diff(cb)) + 1), cb.size]
+        res = np.empty((2, xb.size), dtype=complex)
         for s, e in zip(cut[:-1], cut[1:]):
             if fold is None or not first <= cb[s] < first + group:
                 first = cb[s]
                 fold = _small_d_fold(tj, rows, cols[first : first + group])
             # d_{rows, c} at each point, as (points, rows)
-            res = np.einsum("kpi,pi->kp", amp[:, s:e], trig[:, s:e].T @ fold[cb[s] - first])
-            res = res.real**2 + res.imag**2
-            out[lo + s : lo + e] = res[0] + res[1]
+            np.einsum("kpi,pi->kp", amp[:, s:e], trig[:, s:e].T @ fold[cb[s] - first], out=res[:, s:e])
+        res = res.real**2 + res.imag**2
+        out[lo : lo + xb.size] = res[0] + res[1]
     return out
 
 
@@ -741,6 +773,43 @@ def delta_mass(spec: LimitSpec) -> float:
     return _point_mass(*_continuous_moment(spec, (0,)))
 
 
+def _bin_series(spec: LimitSpec):
+    """(coef, geo, root, gap) of ``limit_bin_masses``' antiderivatives, at
+    a > 0: per channel (rows), coef[:, 0] = P_0 and coef[:, l] = 2 P_l / l,
+    less the tails' part where they are closed; geo the tails' two
+    geometric sequences B_s (rows, l = s), or None where the series runs
+    on past l = 2j instead; sqrt(rho), and gap = 1 - sqrt(rho).
+    """
+    a, tj = spec.a, spec.tj
+    b = math.sin(0.5 * spec.beta)
+    # rho = (a/(1 + b))^2 and 1 - sqrt(rho) = 2b/((1 + b)(1 + sqrt(rho)))
+    # keep their digits as beta -> pi and beta -> 0
+    rho = (a / (1.0 + b)) ** 2
+    root = math.sqrt(rho)
+    gap = 2.0 * b / ((1.0 + b) * (1.0 + root))
+    closed = rho ** (0.5 * tj) >= 1e-3
+    terms = tj
+    if not closed and rho > 0.0:
+        terms += 2 * (math.floor(math.log(1e-17) / math.log(rho)) + 1)
+    # W_m at its 2j+1 first-kind Chebyshev nodes, none on a pike, and their DCT-II
+    k = np.arange(tj + 1)
+    w = _scalar_grid(spec, spec.channels, -a * np.cos(math.pi / (tj + 1) * (k + 0.5)))
+    c = np.fft.rfft(np.concatenate((w, w[:, ::-1]), axis=1))[:, : tj + 1]
+    c = (c * np.exp(-0.5j * math.pi / (tj + 1) * k)).real / (2 * (tj + 1))
+    c = np.concatenate((c[:, :0:-1], c), axis=1)  # k = -2j..2j
+    lag = np.arange(terms + 1)[:, None] - np.arange(-tj, tj + 1)
+    even = lag % 2 == 0
+    coef = c @ (even * rho ** (np.abs(lag) / 2)).T
+    geo = None
+    if closed:
+        # geo[:, l] = sum_k c_k rho^{(l-k)/2}: the two geometric
+        # sequences, B_s at l = s, which P_l joins from l = 2j on
+        geo = c @ (even * rho ** (lag / 2)).T
+        coef[:, 1:] -= geo[:, 1:]
+    coef[:, 1:] *= 2.0 / np.arange(1, terms + 1)
+    return coef, geo, root, gap
+
+
 def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     """Exact limit-law mass per bin for a sorted array of bin edges.
 
@@ -764,8 +833,11 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     a log and an atanh.  That closed form is exact but cancels by up to
     rho^-j, so it is taken while rho^-j <= 1e3; beyond, the series is
     summed until rho^q < 1e-17, at most about 6j more terms per parity.
-    The edges go in blocks of ``_BLOCK`` (channel, edge) pairs, and the
-    cost is O(channels x edges x j) at every beta.  Each channel's per-bin
+    An edge past a channel's support clips to theta = +-pi/2, where
+    zeta = -+1 is real and both tails vanish, so G_m there is P_0
+    arcsin(+-1) exactly and the series runs only on the (channel, edge)
+    pairs inside the support, in blocks of ``_BLOCK``: the cost is
+    O(channels x edges x j) at every beta at most.  Each channel's per-bin
     increment is the integral of a non-negative function, so a
     rounding-level negative one is taken as 0.  The point mass, if any, is
     added to the bin containing v = 0.  A degenerate spec raises
@@ -777,50 +849,29 @@ def limit_bin_masses(spec: LimitSpec, edges) -> np.ndarray:
     if spec.is_degenerate:
         raise DegenerateSpecError(f"no limit density to bin at beta = {spec.beta!r}")
     out = np.zeros(edges.size - 1)
-    a, tj = spec.a, spec.tj
+    a = spec.a
     if a > 0.0:
-        b = math.sin(0.5 * spec.beta)
-        # rho = (a/(1 + b))^2 and 1 - sqrt(rho) = 2b/((1 + b)(1 + sqrt(rho)))
-        # keep their digits as beta -> pi and beta -> 0
-        rho = (a / (1.0 + b)) ** 2
-        root = math.sqrt(rho)
-        gap = 2.0 * b / ((1.0 + b) * (1.0 + root))
-        closed = rho ** (0.5 * tj) >= 1e-3
-        terms = tj
-        if not closed and rho > 0.0:
-            terms += 2 * (math.floor(math.log(1e-17) / math.log(rho)) + 1)
-        # W_m at its 2j+1 first-kind Chebyshev nodes, none on a pike, and their DCT-II
-        k = np.arange(tj + 1)
-        w = _scalar_grid(spec, spec.channels, -a * np.cos(math.pi / (tj + 1) * (k + 0.5)))
-        c = np.fft.rfft(np.concatenate((w, w[:, ::-1]), axis=1))[:, : tj + 1]
-        c = (c * np.exp(-0.5j * math.pi / (tj + 1) * k)).real / (2 * (tj + 1))
-        c = np.concatenate((c[:, :0:-1], c), axis=1)  # k = -2j..2j
-        lag = np.arange(terms + 1)[:, None] - np.arange(-tj, tj + 1)
-        even = lag % 2 == 0
-        coef = c @ (even * rho ** (np.abs(lag) / 2)).T
-        if closed:
-            # geo[:, l] = sum_k c_k rho^{(l-k)/2}: the two geometric
-            # sequences, B_s at l = s, which P_l joins from l = 2j on
-            geo = c @ (even * rho ** (lag / 2)).T
-            coef[:, 1:] -= geo[:, 1:]
-        coef[:, 1:] *= 2.0 / np.arange(1, terms + 1)
-        # the (channel, edge) pairs, channel-major, in blocks
+        coef, geo, root, gap = _bin_series(spec)
+        terms = coef.shape[1] - 1
+        # the (channel, edge) pairs, channel-major; a clipped one (|s| = 1)
+        # is P_0 arcsin(s) exactly, so only the rest run the series, in blocks
         s = np.clip(edges / (np.array(spec.channels)[:, None] * a), -1.0, 1.0).ravel()
         ch = np.repeat(np.arange(len(spec.channels)), edges.size)
-        g = np.empty(s.size)
-        for lo in range(0, s.size, _BLOCK):
-            sb, cb = s[lo : lo + _BLOCK], ch[lo : lo + _BLOCK]
+        g = coef[ch, 0] * np.arcsin(s)
+        inner = np.flatnonzero(np.abs(s) < 1.0)
+        for lo in range(0, inner.size, _BLOCK):
+            pick = inner[lo : lo + _BLOCK]
+            sb, cb = s[pick], ch[pick]
             # cos theta from s, not cos(arcsin s), which is 6e-17 at s = 1
             cos = np.sqrt((1.0 - sb) * (1.0 + sb))
             zeta = 1j * cos - sb
             table = _powers(zeta, zeta, np.empty((terms, sb.size), dtype=complex)).imag
-            g[lo : lo + _BLOCK] = coef[cb, 0] * np.arcsin(sb)
-            g[lo : lo + _BLOCK] += np.einsum("pl,lp->p", coef[cb, 1:], table)
-            if closed:
+            g[pick] += np.einsum("pl,lp->p", coef[cb, 1:], table)
+            if geo is not None:
                 # Im of the tails -log(1 - rho zeta^2)/2 and atanh(sqrt(rho) zeta)/sqrt(rho)
                 up = np.arctan2(root * cos, gap + root * (1.0 - sb))
                 down = np.arctan2(root * cos, gap + root * (1.0 + sb))
-                g[lo : lo + _BLOCK] += geo[cb, 1] * (up + down) / root - geo[cb, 0] * (up - down)
+                g[pick] += geo[cb, 1] * (up + down) / root - geo[cb, 0] * (up - down)
         steps = np.diff(g.reshape(len(spec.channels), edges.size), axis=1)
         out += np.maximum(steps, 0.0).sum(axis=0) / math.pi
     if spec.has_point_mass:

@@ -168,17 +168,31 @@ def _su2_power(p: np.ndarray, q: np.ndarray, t: int) -> tuple[np.ndarray, np.nda
 
     Binary powering needs only products, (p1, q1)(p2, q2) =
     (p1 p2 - q1* q2, q1 p2 + p1* q2), so no rotation angle is divided by and
-    h = I is no special case.
+    h = I is no special case.  The products go into six vectors, p and q
+    among them, which are overwritten (``_su2_times``).
     """
-    rp, rq = p, q
+    rp, rq = p.copy(), q.copy()
+    a, b = np.empty_like(p), np.empty_like(p)
     t -= 1
     while t:
         if t & 1:
-            rp, rq = rp * p - np.conj(rq) * q, rq * p + np.conj(rp) * q
+            _su2_times(rp, rq, p, q, a, b)
+            rp, a = a, rp
         t >>= 1
         if t:
-            p, q = p * p - np.conj(q) * q, q * p + np.conj(p) * q
+            _su2_times(p, q, p, q, a, b)
+            p, a = a, p
     return rp, rq
+
+
+def _su2_times(p1, q1, p2, q2, a, b) -> None:
+    """(a, q1) = (p1, q1)(p2, q2), with b as scratch; p2 may be p1 and q2
+    q1.  p1 is left to the caller as the next scratch."""
+    np.multiply(p1, p2, out=a)
+    a -= np.multiply(np.conjugate(q1, out=b), q2, out=b)
+    np.multiply(np.conjugate(p1, out=b), q2, out=b)
+    q1 *= p2
+    q1 += b
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:

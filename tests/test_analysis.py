@@ -19,7 +19,10 @@ from quditwalk import (
     pike_zero_region,
     preset_qudit,
     rescaled_density,
+    weight_matrix_direct,
+    weight_scalar,
 )
+import quditwalk.analysis as analysis
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -197,6 +200,22 @@ def test_paths_at_shallow_angle_hit_the_precision_floor():
             closed, quad = pike_weight_paths(HalfInt(tj), math.pi / 10, HalfInt(tm))
             worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-300))
     assert worst < 1e-3, worst
+
+
+@pytest.mark.parametrize("dim", (2, 7, 50, 130))
+def test_paths_match_the_public_pieces_bit_for_bit(dim):
+    # the cached paper-sym qudit and point factors change no bit of the
+    # matrix path against a fresh qudit, matrix and quadratic form
+    tj = dim - 1
+    for beta in (math.pi / 2, 22 * math.pi / 25):
+        for tm in range(2 - tj % 2, tj + 1, 2):
+            closed, quad = pike_weight_paths(HalfInt(tj), beta, HalfInt(tm))
+            mat = weight_matrix_direct(HalfInt(tj), HalfInt(tm), math.cos(0.5 * beta), beta, 0.0)
+            want = weight_scalar(mat, preset_qudit("paper-sym", HalfInt(tj)))
+            assert (closed, quad.hex()) == (pike_weight(HalfInt(tj), beta, HalfInt(tm)), want.hex())
+    amps = analysis._sym_qudit(tj).amplitudes
+    with pytest.raises(ValueError):
+        amps *= 2
 
 
 def test_innermost_pike_at_fifty_components():

@@ -360,3 +360,49 @@ def test_the_evaluator_blocks_join_without_seams(channels):
     chunks = range(0, v.size, density._BLOCK // 2 - 1)
     want = np.concatenate([evaluate(v[lo : lo + density._BLOCK // 2 - 1]) for lo in chunks], axis=-1)
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def _bin_masses_every_pair(spec, edges):
+    """limit_bin_masses with every (channel, edge) pair through the series,
+    the clipped ones at s = +-1 too, in blocks of ``_BLOCK`` pairs, as the
+    loop ran before it took a clipped pair's antiderivative as P_0
+    arcsin(+-1)."""
+    out = np.zeros(edges.size - 1)
+    coef, geo, root, gap = density._bin_series(spec)
+    terms = coef.shape[1] - 1
+    s = np.clip(edges / (np.array(spec.channels)[:, None] * spec.a), -1.0, 1.0).ravel()
+    ch = np.repeat(np.arange(len(spec.channels)), edges.size)
+    g = np.empty(s.size)
+    for lo in range(0, s.size, density._BLOCK):
+        sb, cb = s[lo : lo + density._BLOCK], ch[lo : lo + density._BLOCK]
+        cos = np.sqrt((1.0 - sb) * (1.0 + sb))
+        zeta = 1j * cos - sb
+        table = density._powers(zeta, zeta, np.empty((terms, sb.size), dtype=complex)).imag
+        g[lo : lo + density._BLOCK] = coef[cb, 0] * np.arcsin(sb)
+        g[lo : lo + density._BLOCK] += np.einsum("pl,lp->p", coef[cb, 1:], table)
+        if geo is not None:
+            up = np.arctan2(root * cos, gap + root * (1.0 - sb))
+            down = np.arctan2(root * cos, gap + root * (1.0 + sb))
+            g[lo : lo + density._BLOCK] += geo[cb, 1] * (up + down) / root - geo[cb, 0] * (up - down)
+    steps = np.diff(g.reshape(len(spec.channels), edges.size), axis=1)
+    out += np.maximum(steps, 0.0).sum(axis=0) / math.pi
+    return _with_point_mass(spec, edges, out)
+
+
+@pytest.mark.parametrize("beta", (1e-6, 0.3, math.pi / 2, math.pi - 1e-6))
+@pytest.mark.parametrize("dim", (2, 7, 13, 30, 50))
+def test_clipped_pairs_match_the_series_bit_for_bit(dim, beta):
+    # an edge past a channel's support reads P_0 arcsin(+-1) without the
+    # series; every bin must keep its bits, signed zeros included
+    for kind, seed in (("dense", 31), ("asym", 32)):
+        spec = LimitSpec(_qudit(kind, dim, seed), beta, 0.4)
+        widest = spec.tj * spec.a
+        # a grid reaching past the widest support, plus every channel's
+        # support edges +-2m a, where s is exactly +-1, and points just
+        # inside them, which must still run the series
+        pikes = np.array(spec.channels) * spec.a
+        pikes = np.concatenate((pikes, np.nextafter(pikes, 0.0), (1.0 - 1e-6) * pikes))
+        edges = np.unique(np.concatenate((np.linspace(-1.3, 1.3, 27) * widest, pikes, -pikes, [0.0])))
+        got = limit_bin_masses(spec, edges)
+        want = _bin_masses_every_pair(spec, edges)
+        assert got.tobytes() == want.tobytes(), (kind, got - want)

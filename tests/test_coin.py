@@ -208,6 +208,18 @@ def test_jy_eigenvectors_are_cached_real():
     assert worst_res < 1e-12, worst_res
 
 
+def test_per_size_constants_are_cached_read_only():
+    for tj in (0, 1, 2, 5, 12, 129):
+        signs, m = coin._coin_rows(tj)
+        a = np.arange(tj + 1)
+        assert signs.ravel().tolist() == [(-1.0) ** (k // 2) for k in a]
+        assert m.tolist() == [(tj - 2 * k) / 2 for k in a]
+        assert coin._coin_rows(tj)[0] is signs
+        for arr in (signs, m):
+            with pytest.raises(ValueError):
+                arr *= 2
+
+
 @settings(deadline=None, max_examples=25)
 @given(beta=st.floats(-10.0, 10.0))
 def test_orthogonal_at_any_angle(beta):

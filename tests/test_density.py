@@ -822,6 +822,71 @@ def test_cached_arrays_are_read_only():
     assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
 
 
+def _point_cases():
+    """(2j, x, beta, gamma) for the point cache: x = +-0.0, beta = +-0.0
+    (the same key to ==, other phases at x = 1), a pike point and the
+    ulps past it with the discriminant in [-8 eps, 0), and an off-support
+    point."""
+    beta = 22 * math.pi / 25
+    tau = math.tan(0.5 * beta)
+    pike = [math.cos(0.5 * beta)]
+    for _ in range(3):
+        pike.append(float(np.nextafter(pike[-1], 2.0)))
+    for x in pike:
+        disc = float(density._phase(x, tau)[1])
+        assert -8.0 * np.finfo(float).eps <= disc < 0.0, (x, disc)
+    for tj in (13, 50):
+        for x in (0.0, -0.0):
+            for gamma in (0.4, 0.0, -0.0):
+                yield tj, x, math.pi / 2, gamma
+        for x in pike:
+            yield tj, x, beta, 0.7
+            yield tj, -x, beta, 0.0
+        yield tj, 0.85, math.pi / 2, 0.7  # off the support
+    for b in (0.0, -0.0):
+        yield 4, 1.0, b, 0.0
+        yield 5, -1.0, b, 0.3
+
+
+def _channel_bits(tj, x, beta, gamma, order):
+    out = {}
+    for tm in order:
+        mat = weight_matrix_direct(tj / 2, tm / 2, x, beta, gamma)
+        out[tm] = (mat.entries.tobytes(), mat.cancellation)
+    return out
+
+
+def test_point_factors_give_the_same_bits_cold_and_warm():
+    cases = list(_point_cases())
+    channels = {tj: list(range(tj % 2, tj + 1, 2)) for tj, *_ in cases}
+    # a list, not a dict: as keys, the cases with -0.0 and 0.0 would be one
+    cold = []
+    for case in cases:
+        cold.append({})
+        for tm in channels[case[0]]:
+            density._point_factors.cache_clear()
+            cold[-1].update(_channel_bits(*case, [tm]))
+    # -0.0 == 0.0, but the two keep their own entries: at x = 1 and
+    # beta = -0.0 the phase is pi
+    assert cold[-4] != cold[-2]
+    density._point_factors.cache_clear()
+    rng = np.random.default_rng(41)
+    for sweep in range(3):
+        for k in range(len(cases)) if sweep != 1 else reversed(range(len(cases))):
+            tms = channels[cases[k][0]]
+            order = tms if sweep == 0 else list(rng.permutation(tms))
+            assert _channel_bits(*cases[k], order) == cold[k], (sweep, cases[k])
+    assert density._point_factors.cache_info().hits > 0
+    # the cached factors are read-only
+    for case in cases:
+        tj, x, beta, gamma = case
+        factors = density._point_factors(tj, density.struct.pack("3d", x, math.tan(0.5 * beta), gamma))
+        assert (factors is None) == (case[1] == 0.85)
+        for arr in factors or ():
+            with pytest.raises(ValueError):
+                arr *= 2
+
+
 def test_a_cached_gauss_rule_gives_the_same_moments():
     # orders r and r + 1 share a rule whenever 2j + r is even
     spec = LimitSpec(_dense(13, 4013), 22 * math.pi / 25, 0.4)

@@ -306,6 +306,33 @@ def test_integer_powers_match_pow():
     assert np.array_equal(walk._int_power(x, 2), x * x)
 
 
+def _su2_power_fresh(p, q, t):
+    """h^t's first column with a fresh array for every product."""
+    rp, rq = p, q
+    t -= 1
+    while t:
+        if t & 1:
+            rp, rq = rp * p - np.conj(rq) * q, rq * p + np.conj(rp) * q
+        t >>= 1
+        if t:
+            p, q = p * p - np.conj(q) * q, q * p + np.conj(p) * q
+    return rp, rq
+
+
+def test_su2_powers_in_reused_buffers_keep_every_bit():
+    # the same products in the same order, only written into six vectors
+    rng = np.random.default_rng(5)
+    k = np.pi * np.arange(1537) / 1537
+    beta = rng.uniform(0.0, np.pi)
+    p0 = np.cos(0.5 * beta) * np.exp(1j * (k - 0.3))
+    q0 = np.sin(0.5 * beta) * np.exp(-1j * (k + 0.2))
+    for t in (1, 2, 3, 4, 7, 64, 300, 1000, 1023):
+        want = _su2_power_fresh(p0, q0, t)
+        p, q = p0.copy(), q0.copy()
+        got = walk._su2_power(p, q, t)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], t
+
+
 def test_evolve_validates_t_and_angles():
     q = preset_qudit("up", "1/2")
     for bad in (-1, 2.5, math.inf, math.nan):
