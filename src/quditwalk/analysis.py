@@ -179,21 +179,32 @@ def _sym_qudit(tj: int):
 def pike_weight_paths(j, beta: float, m) -> tuple[float, float]:
     """(closed form, weight-matrix quadratic form) for the pike weight.
 
-    The second path builds the full hermitian matrix at x = cos(beta/2) and
-    contracts it with the symmetric endpoint state; the gap between the two
-    numbers is a live accuracy estimate for the matrix machinery.  The
-    state is built once per size (``_sym_qudit``), and the factors of the
-    matrix that every channel shares at the pike once per point
-    (``density.weight_matrix_direct``).
+    The second path contracts the weight matrix at x = cos(beta/2) with
+    the symmetric endpoint state; the gap between the two numbers is a live
+    accuracy estimate for the matrix machinery.  The state, built once per
+    size (``_sym_qudit``), has two nonzero components, so on the support
+    the form reads only the matrix's 2x2 block on them
+    (``density._support_block``), each entry and the contraction bit for
+    bit those of ``weight_scalar`` on the full matrix; a pike point off
+    the support takes the full matrix and ``weight_scalar``.  The factors
+    of the matrix that every channel shares at the pike are built once per
+    point (``density._point_factors``).
     """
-    from .density import weight_matrix_direct, weight_scalar
+    import numpy as np
+
+    from .density import _support_block, weight_matrix_direct, weight_scalar
 
     tj, tm = _pike_indices(j, m)
     closed = pike_weight(j, beta, m)
-    mat = weight_matrix_direct(
-        HalfInt(tj), HalfInt(tm), math.cos(0.5 * float(beta)), beta, 0.0
-    )
-    return closed, weight_scalar(mat, _sym_qudit(tj))
+    x = math.cos(0.5 * float(beta))
+    qudit = _sym_qudit(tj)
+    rows = np.flatnonzero(qudit.amplitudes)
+    block = _support_block(tj, tm, x, beta, 0.0, rows)
+    if block is None:
+        mat = weight_matrix_direct(HalfInt(tj), HalfInt(tm), x, beta, 0.0)
+        return closed, weight_scalar(mat, qudit)
+    q = qudit.amplitudes[rows]
+    return closed, complex(np.conj(q) @ block @ q).real
 
 
 def pike_zero_region(j, beta: float, threshold: float = 1e-8) -> tuple[HalfInt, ...]:

@@ -36,7 +36,8 @@ hermitian Toeplitz factor 2 cos(k phi) e^{-i k gamma}, k = m2 - m1, read
 from one vector whose negative-k half is the exact conjugate of the rest,
 so that M is exactly hermitian.  Everything but the column depends on the
 point alone, so the channels at one point share one cached entry
-(``_point_factors``).
+(``_point_factors``), and a caller that reads a few rows of M forms only
+their entries (``_support_entries``).
 
 All three read the small-d entries as a spectral sum over the J_y
 eigenvalues lam = -j..j, which needs e^{i lam alpha} at alpha =
@@ -62,7 +63,8 @@ instead its ladder row, a polynomial in rho = (1+x)/(1-x), evaluated in
 one extended-precision Horner pass per component at x = -|x|, where rho
 never exceeds 1 in magnitude; a lower-triangle entry m1 <= m2 is the
 product of two rows and of factors that each depend on one exponent or
-order in 0..2j alone, tabulated once per call.  The upper triangle
+order in 0..2j alone, tabulated once per point for every channel and
+both signs of x (``_wedge_tables``).  The upper triangle
 follows by hermiticity, and x > 0 by the reflection M_{m1 m2}(x) =
 (-1)^{m1+m2+2m} M_{-m2,-m1}(-x), which therefore holds exactly.
 ``cancellation`` reports max kappa^2 over the rows, kappa a row's
@@ -294,17 +296,41 @@ def _small_d_fold(tj, rows, cols) -> np.ndarray:
     return fold
 
 
-def _wedge_matrix(tj, tm, x: float, tau, gamma):
+class _Wedge(tuple):
+    """The tables of ``_wedge_matrix`` at one point |x|, over n = 0..2j:
+    (1+|x|)^n and (1-|x|)^n in extended precision, 2^(1-2j) f_n(-|x|) and
+    e^{-i n gamma}.  A tuple type of its own, so that a ``_point_factors``
+    entry tells its kind."""
+
+
+@lru_cache(maxsize=16)
+def _wedge_tables(tj: int, key: bytes) -> _Wedge:
+    """``_Wedge`` at 2j and the bytes of (|x|, tau, gamma), read-only: every
+    channel, and x of either sign, reads one entry per point."""
+    t, tau, gamma = struct.unpack("3d", key)
+    tl = np.longdouble(t)
+    n = np.arange(tj + 1)
+    # f_n(x) overflows first, and inf times a zero entry would read as nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = (1.0 + tl) ** n, (1.0 - tl) ** n
+        fn = 2.0 ** (1 - tj) * _offdiag(n, tau, -t)
+    tables = _Wedge((*powers, fn, np.exp(-1j * n * gamma)))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _wedge_matrix(tj, tm, x: float, tables: _Wedge):
     """M^(j,m) at one point x off the support: one extended-precision
     Horner pass per component of ``_ladder_rows`` at -|x|, each entry the
     product of two rows.  (1+|x|)^up, (1-|x|)^down, f_n and e^{-i n gamma}
     depend on the exponent or the order n alone, which run over 0..2j:
-    each is one table of 2j+1 values, gathered per entry.  The upper
-    triangle follows by hermiticity, and x > 0 by the reflection
-    M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x): a flip on the
-    anti-diagonal, negated where i1 + i2 is odd (2m has the parity of 2j).
-    Returns (entries, ``WeightMatrix.cancellation``); an entry past the
-    float range raises DomainError.
+    each is one table of 2j+1 values at the point (``_wedge_tables``),
+    gathered per entry.  The upper triangle follows by hermiticity, and
+    x > 0 by the reflection M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x):
+    a flip on the anti-diagonal, negated where i1 + i2 is odd (2m has the
+    parity of 2j).  Returns (entries, ``WeightMatrix.cancellation``); an
+    entry past the float range raises DomainError.
     """
     coef, rows, cols, up, down = _ladder_rows(tj, tm)
     t = np.longdouble(abs(x))
@@ -312,13 +338,11 @@ def _wedge_matrix(tj, tm, x: float, tau, gamma):
     g = np.polynomial.polynomial.polyval(r, coef)
     ga = np.polynomial.polynomial.polyval(r, np.abs(coef))
     order = rows - cols
-    n = np.arange(tj + 1)
-    # f_n(x) overflows first, and inf times a zero entry would read as nan
+    plus, minus, fn, phase = tables
     with np.errstate(over="ignore", invalid="ignore"):
-        pref = ((1.0 + t) ** n)[up] * ((1.0 - t) ** n)[down]
-        fn = 2.0 ** (1 - tj) * _offdiag(n, tau, -abs(x))
+        pref = plus[up] * minus[down]
         low = (pref * g[rows] * g[cols]).astype(float) * fn[order]
-        low = low * np.exp(-1j * n * gamma)[order]
+        low = low * phase[order]
     if not np.isfinite(low).all():
         raise DomainError(f"weight matrix at x = {x!r} overflows floats at 2j+1 = {tj + 1}")
     # every row has a nonzero lowest coefficient, so ga > 0; kappa <= 1e15
@@ -337,9 +361,10 @@ def _wedge_matrix(tj, tm, x: float, tau, gamma):
 def _point_factors(tj: int, key: bytes):
     """The factors of ``weight_matrix_direct`` that every channel shares at
     one point, keyed by 2j and the bytes of (x, tau, gamma) -- bytes, since
-    -0.0 and 0.0 compare equal but may give other phases: None off the
-    support, else (e^{-i alpha lam} over the J_y eigenvalues, the hermitian
-    Toeplitz factor, i^n for n = -2j..2j), read-only.
+    -0.0 and 0.0 compare equal but may give other phases: off the support
+    the ``_Wedge`` tables at |x| (``_wedge_tables``), else (e^{-i alpha lam}
+    over the J_y eigenvalues, the hermitian Toeplitz factor, i^n for n =
+    -2j..2j), read-only.
 
     A point a few ulps past the edge (a pike point cos(beta/2) can round
     there) counts as on the support and takes the rank-two form at the
@@ -353,7 +378,7 @@ def _point_factors(tj: int, key: bytes):
     x, tau, gamma = struct.unpack("3d", key)
     phi, disc = _phase(x, tau)
     if not disc >= -8.0 * np.finfo(float).eps:
-        return None
+        return _wedge_tables(tj, struct.pack("3d", abs(x), tau, gamma))
     lam, _ = _jy_eig(tj)
     xc = min(max(x, -1.0), 1.0)
     alpha = 2.0 * math.atan2(math.sqrt(0.5 * (1.0 + xc)), math.sqrt(0.5 * (1.0 - xc)))
@@ -367,6 +392,21 @@ def _point_factors(tj: int, key: bytes):
     for arr in (spin, back, toeplitz, turn):
         arr.setflags(write=False)
     return spin, toeplitz, turn
+
+
+def _support_entries(tj: int, tm: int, factors, rows=slice(None)) -> np.ndarray:
+    """M^(j,m)'s entries on the rows ``rows`` and the same columns, at a
+    point on the support with the ``_point_factors`` ``factors``: the
+    small-d column c = j - m from the eigenbasis, two real products over
+    every component, then its outer product and the Toeplitz factor on
+    ``rows`` alone.  Every entry is the one the full matrix holds."""
+    spin, toeplitz, turn = factors
+    _, vec = _jy_eig(tj)
+    c = (tj - tm) // 2
+    spec = spin * vec[c]
+    col = (vec @ spec.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    col = (col * turn[tj - c : 2 * tj + 1 - c]).real[rows]
+    return np.multiply.outer(col, col) * toeplitz[rows][:, rows]
 
 
 def _require_beta(beta: float) -> float:
@@ -439,27 +479,31 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     column depends on the point alone -- the support test, e^{-i alpha lam},
     the Toeplitz factor and the i^(i-c) table -- so every channel at one
     point reads it from one cached entry (``_point_factors``); a call forms
-    only its column, two real products, and the outer product.  Off it the
-    lower-triangle entries at -|x| are polynomials evaluated in one Horner
-    pass, and hermiticity and the reflection give the rest
-    (``_wedge_matrix``); entries past the float range raise DomainError.
+    only its column, two real products, and the outer product
+    (``_support_entries``).  Off it the lower-triangle entries at -|x| are
+    polynomials evaluated in one Horner pass, and hermiticity and the
+    reflection give the rest (``_wedge_matrix``); their per-point tables
+    come from the same cached entry, which x and -x share.  Entries past
+    the float range raise DomainError.
     Accepts m = 0 so that ``weight_matrix_second`` can be checked against
     it at j = 1, although the density itself only sums channels with m > 0.
     """
     tj, tm = _weight_indices(j, m)
     x, tau, gamma = _weight_args(x, beta, gamma)
     factors = _point_factors(tj, struct.pack("3d", x, tau, gamma))
-    if factors is not None:
-        spin, toeplitz, turn = factors
-        _, vec = _jy_eig(tj)
-        c = (tj - tm) // 2
-        spec = spin * vec[c]
-        col = (vec @ spec.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        col = (col * turn[tj - c : 2 * tj + 1 - c]).real
-        ent = np.multiply.outer(col, col) * toeplitz
-        return WeightMatrix(tj, tm, x, float(beta), gamma, ent)
-    ent, worst = _wedge_matrix(tj, tm, x, tau, gamma)
-    return WeightMatrix(tj, tm, x, float(beta), gamma, ent, worst)
+    if isinstance(factors, _Wedge):
+        ent, worst = _wedge_matrix(tj, tm, x, factors)
+        return WeightMatrix(tj, tm, x, float(beta), gamma, ent, worst)
+    return WeightMatrix(tj, tm, x, float(beta), gamma, _support_entries(tj, tm, factors))
+
+
+def _support_block(tj: int, tm: int, x, beta, gamma, rows) -> np.ndarray | None:
+    """The entries of ``weight_matrix_direct`` at doubled spin tj and
+    channel tm on the rows ``rows`` and the same columns, bit for bit,
+    without the rest of the matrix; None where x lies off the support."""
+    x, tau, gamma = _weight_args(x, beta, gamma)
+    factors = _point_factors(tj, struct.pack("3d", x, tau, gamma))
+    return None if isinstance(factors, _Wedge) else _support_entries(tj, tm, factors, rows)
 
 
 def weight_matrix_top(j, x, beta, gamma=0.0) -> WeightMatrix:

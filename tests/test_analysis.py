@@ -202,12 +202,12 @@ def test_paths_at_shallow_angle_hit_the_precision_floor():
     assert worst < 1e-3, worst
 
 
-@pytest.mark.parametrize("dim", (2, 7, 50, 130))
+@pytest.mark.parametrize("dim", (2, 3, 7, 50, 130, 260))
 def test_paths_match_the_public_pieces_bit_for_bit(dim):
-    # the cached paper-sym qudit and point factors change no bit of the
-    # matrix path against a fresh qudit, matrix and quadratic form
+    # the cached paper-sym qudit, point factors and 2x2 block change no bit
+    # of the matrix path against a fresh qudit, matrix and quadratic form
     tj = dim - 1
-    for beta in (math.pi / 2, 22 * math.pi / 25):
+    for beta in (math.pi / 2, 22 * math.pi / 25, 0.3, 1e-3):
         for tm in range(2 - tj % 2, tj + 1, 2):
             closed, quad = pike_weight_paths(HalfInt(tj), beta, HalfInt(tm))
             mat = weight_matrix_direct(HalfInt(tj), HalfInt(tm), math.cos(0.5 * beta), beta, 0.0)

@@ -816,7 +816,10 @@ def test_cached_arrays_are_read_only():
     lam, vec = _jy_eig(5)
     coef, rows, _, up, _ = _ladder_rows(5, 1)
     konno_t, konno_w = density._konno_rule(math.pi / 2, 2)
-    for arr in (lam, vec, coef, rows, up, konno_t, konno_w):
+    # the off-support tables at one point, which every channel reads
+    wedge = density._point_factors(5, density.struct.pack("3d", -0.85, 1.0, 0.7))
+    assert isinstance(wedge, density._Wedge)
+    for arr in (lam, vec, coef, rows, up, konno_t, konno_w, *wedge):
         with pytest.raises(ValueError):
             arr *= 2
     assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
@@ -856,35 +859,67 @@ def _channel_bits(tj, x, beta, gamma, order):
     return out
 
 
-def test_point_factors_give_the_same_bits_cold_and_warm():
-    cases = list(_point_cases())
-    channels = {tj: list(range(tj % 2, tj + 1, 2)) for tj, *_ in cases}
+def _clear_point_caches():
+    density._point_factors.cache_clear()
+    density._wedge_tables.cache_clear()
+
+
+def _cold_and_warm(cases, channels):
+    """Each case's channel bits with the point caches emptied before every
+    channel, then checked against three warm sweeps over all the cases, the
+    second backwards, the last two in a shuffled channel order; returns the
+    cold bits."""
     # a list, not a dict: as keys, the cases with -0.0 and 0.0 would be one
     cold = []
     for case in cases:
         cold.append({})
-        for tm in channels[case[0]]:
-            density._point_factors.cache_clear()
+        for tm in channels(case[0]):
+            _clear_point_caches()
             cold[-1].update(_channel_bits(*case, [tm]))
-    # -0.0 == 0.0, but the two keep their own entries: at x = 1 and
-    # beta = -0.0 the phase is pi
-    assert cold[-4] != cold[-2]
-    density._point_factors.cache_clear()
+    _clear_point_caches()
     rng = np.random.default_rng(41)
     for sweep in range(3):
         for k in range(len(cases)) if sweep != 1 else reversed(range(len(cases))):
-            tms = channels[cases[k][0]]
+            tms = channels(cases[k][0])
             order = tms if sweep == 0 else list(rng.permutation(tms))
             assert _channel_bits(*cases[k], order) == cold[k], (sweep, cases[k])
     assert density._point_factors.cache_info().hits > 0
+    return cold
+
+
+def test_point_factors_give_the_same_bits_cold_and_warm():
+    cases = list(_point_cases())
+    cold = _cold_and_warm(cases, lambda tj: list(range(tj % 2, tj + 1, 2)))
+    # -0.0 == 0.0, but the two keep their own entries: at x = 1 and
+    # beta = -0.0 the phase is pi
+    assert cold[-4] != cold[-2]
     # the cached factors are read-only
     for case in cases:
         tj, x, beta, gamma = case
         factors = density._point_factors(tj, density.struct.pack("3d", x, math.tan(0.5 * beta), gamma))
-        assert (factors is None) == (case[1] == 0.85)
-        for arr in factors or ():
+        assert isinstance(factors, density._Wedge) == (case[1] == 0.85)
+        for arr in factors:
             with pytest.raises(ValueError):
                 arr *= 2
+
+
+def test_wedge_tables_give_the_same_bits_cold_and_warm():
+    # off the support every channel at x and at -x reads one table entry:
+    # the benchmark's points, points just inside |x| = 1 and the ends, at
+    # m = j, j - 1 and the smallest channel
+    cases = [(tj, s * 0.85, math.pi / 2, 0.7) for tj in (29, 39, 49) for s in (1.0, -1.0)]
+    for beta in (math.pi / 10, 22 * math.pi / 25):
+        for x in (0.9999995, -0.9999995, 1.0, -1.0):
+            cases += [(tj, x, beta, 0.7) for tj in (29, 49)]
+    cold = _cold_and_warm(cases, lambda tj: [tj, tj - 2, tj % 2])
+    for case, bits in zip(cases, cold):
+        tj, x, beta, gamma = case
+        factors = density._point_factors(tj, density.struct.pack("3d", x, math.tan(0.5 * beta), gamma))
+        assert isinstance(factors, density._Wedge), case
+        mirror = density._point_factors(tj, density.struct.pack("3d", -x, math.tan(0.5 * beta), gamma))
+        assert mirror is factors, case
+        assert len(bits) == 3, case
+    assert density._wedge_tables.cache_info().hits > 0
 
 
 def test_a_cached_gauss_rule_gives_the_same_moments():

@@ -148,11 +148,12 @@ SWEEP_ANGLES = (
 
 
 # Largest |difference| evolve's momentum-space amplitudes and position masses
-# may show against the stepped oracle: about twice the worst gap seen over
-# the sweeps below (4.8e-13, fig1b at t = 1000 with beta = pi - 1e-9).
-# Nearly all of it is the oracle's coin: rotation_matrix is within 1.9e-15
-# of the exact one and 1000 steps amplify that, while evolve there is within
-# 1e-15 of a long-double walk with an exact coin.
+# may show against the stepped oracle.  The oracle steps with the exact coin
+# rounded once (walk_reference.exact_coin), so the gap is the walk's own:
+# at most 3.9e-14 over the sweeps below (64 components, beta = 0, t = 200),
+# and on fig1b at t = 1000 with alpha = gamma = 0, beta = pi - 1e-9, 2.9e-15
+# in amplitude and 4.9e-15 in mass, where an oracle stepping with
+# rotation_matrix's coin (within 1.9e-15 of the exact one) read 1.008e-12.
 WALK_TOL = 1e-12
 
 
@@ -187,7 +188,11 @@ def test_evolve_matches_the_position_major_reference(dim):
             _assert_matches_reference(evolve(q, angles, t), amps, x, (dim, angles, t))
 
 
-@pytest.mark.parametrize("angles", SWEEP_ANGLES + (NEAR_PI_ANGLES,))
+# a real coin whose |p| is about 5e-10 at every momentum
+REAL_NEAR_PI_ANGLES = EulerAngles(0.0, math.pi - 1e-9, 0.0)
+
+
+@pytest.mark.parametrize("angles", SWEEP_ANGLES + (NEAR_PI_ANGLES, REAL_NEAR_PI_ANGLES))
 def test_evolve_matches_the_reference_on_a_long_fig1b_walk(angles):
     q = preset_qudit("fig1b", "11/2")
     amps, x = reference_evolve(q, angles, 1000)
