@@ -284,14 +284,14 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from .density import _continuous_moment
+    from .density import _law_moments
     from .walk import pseudovelocity_moment
 
     spec = _live_spec(args)
     orders = range(1, args.rmax + 1)
     # one Gauss rule, the largest order's, for every order: no order from 1
     # on sees the point mass
-    limits = _continuous_moment(spec, orders)
+    limits = _law_moments(spec, orders)
     if args.t is None:
         text = _csv_text(("r", "limit"), zip(orders, limits))
     else:
@@ -307,13 +307,13 @@ def _cmd_moments(args) -> int:
 def _cmd_compare(args) -> int:
     import numpy as np
 
-    from .density import _continuous_moment, limit_bin_masses
+    from .density import _law_moments, limit_bin_masses
     from .walk import binned_density, pseudovelocity_moment
 
     spec = _live_spec(args)
     dist = _distribution(args, spec.qudit)
     mrows = []
-    for r, lim in enumerate(_continuous_moment(spec, range(1, 5)), 1):
+    for r, lim in enumerate(_law_moments(spec, range(1, 5)), 1):
         sim = pseudovelocity_moment(dist, args.t, r)
         mrows.append((r, sim, lim, abs(sim - lim)))
     binned = binned_density(dist, args.t, args.bin_width, v_max=spec.tj * spec.a)

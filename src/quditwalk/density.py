@@ -70,12 +70,12 @@ follows by hermiticity, and x > 0 by the reflection M_{m1 m2}(x) =
 ``cancellation`` reports max kappa^2 over the rows, kappa a row's
 cancellation ratio: an upper bound on the digits an entry loses.
 
-Moments and the point mass use the Gauss rule of Konno's measure itself
-(``_konno_rule``, built once per (beta, n)), a Bernstein-Szego weight with
-a closed-form Jacobi matrix.  The channel weight is a polynomial of degree
-<= 2j on the support, so j + O(1) nodes make every moment exact at every
-beta, down to the ballistic law at beta = 0.  Every channel shares those
-nodes, so a moment is one evaluator pass over all channels.
+Moments use the Gauss rule of Konno's measure itself (``_konno_rule``,
+built once per (beta, n)), a Bernstein-Szego weight with a closed-form
+Jacobi matrix.  The channel weight is a polynomial of degree <= 2j on the
+support, so j + O(1) nodes make every moment exact at every beta, down to
+the ballistic law at beta = 0.  One evaluator pass on those nodes serves
+every channel, and channel 0's at half weight is the point mass.
 
 Bin masses take each channel's antiderivative in theta, x = a sin(theta),
 in closed form: there Konno's measure is a Poisson kernel and W(a sin
@@ -752,26 +752,31 @@ def _konno_rule(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, weights
 
 
-def _continuous_moment(spec: LimitSpec, orders) -> list[float]:
-    """Moment of each order r of the continuous part alone (r = 0: its
-    mass).
+def _law_moments(spec: LimitSpec, orders, tms=None) -> list[float]:
+    """Moment of each order r of the law's terms in the doubled channels
+    ``tms``: by default every m > 0, and m = 0 for an odd size at r = 0.
 
     Channel m adds (2m)^r sum_k w_k x_k^r W_m(x_k) over ``_konno_rule``'s
     n = floor((2j + R)/2) + 1 nodes for the largest order R, exact to
     degree 2n - 1 >= 2j + r for every r <= R, so exact for the polynomial
-    W_m.  The nodes are the same for every channel and order, so one
-    ``_scalar_grid`` pass gives all the W_m.  At a = 1 the nodes sit on
-    x = +-1: the ballistic law.
+    W_m.  Channel 0's matrix counts the pair +-0 twice, so its row is
+    halved, and 0^0 = 1 puts it at the origin: the point mass.  One
+    ``_scalar_grid`` pass on the shared nodes gives every W_m.  At a = 1
+    the nodes sit on x = +-1: the ballistic law.
     """
     orders = list(orders)
+    if tms is None:
+        tms = spec.channels + (0,) * (spec.has_point_mass and 0 in orders)
     if spec.a == 0.0:
-        return [0.0] * len(orders)
+        return [float(r == 0 and 0 in tms) for r in orders]
     # the channel weights need the (cached) J_y spectrum: building it first
     # refuses an oversized one before the Gauss rule's own eigh
     _jy_eig(spec.tj)
     t, w = _konno_rule(spec.beta, (spec.tj + max(orders)) // 2 + 1)
     x = spec.a * t
-    weights = _scalar_grid(spec, spec.channels, x)
+    weights = _scalar_grid(spec, tms, x)
+    if 0 in tms:
+        weights[tms.index(0)] *= 0.5
     moments = []
     for r in orders:
         sums = [float(s).as_integer_ratio() for s in weights @ (w * x**r)]
@@ -779,42 +784,36 @@ def _continuous_moment(spec: LimitSpec, orders) -> list[float]:
             # (2m)^r times each sum in integers, rounded once by the
             # division: (2m)^r alone passes the float range long before the
             # moment does
-            moments.append(math.fsum(tm**r * num / den for tm, (num, den) in zip(spec.channels, sums)))
+            moments.append(math.fsum(tm**r * num / den for tm, (num, den) in zip(tms, sums)))
         except OverflowError:
             raise DomainError(f"moment of order {r} overflows floats at 2j+1 = {spec.tj + 1}") from None
     return moments
 
 
-def _point_mass(cont: float) -> float:
-    """The point mass left by a continuous mass ``cont``, checked to lie in
-    [0, 1] up to 1e-8 and then clamped there."""
-    deficit = 1.0 - cont
-    if not -1e-8 <= deficit <= 1.0 + 1e-8:
-        raise DomainError(f"continuous mass {cont} outside [0, 1]: the quadrature failed")
-    return min(max(deficit, 0.0), 1.0)
-
-
 def limit_moment(spec: LimitSpec, r: int) -> float:
-    """r-th moment of the limit law (point mass included; it only ever
-    contributes to r = 0), exact to rounding at every beta through the
-    Gauss rule of ``_continuous_moment``.  A moment past the float range
-    raises DomainError, an even size at a = 0 DegenerateSpecError."""
+    """r-th moment of the limit law, point mass included (it adds to r = 0
+    alone), exact to rounding at every beta through the Gauss rule of
+    ``_law_moments``.  A moment past the float range raises DomainError,
+    an even size at a = 0 DegenerateSpecError."""
     r = _require_nonneg_int(r, "moment order")
     _require_law(spec)
-    (total,) = _continuous_moment(spec, (r,))
-    if r == 0 and spec.has_point_mass:
-        total += _point_mass(total)
-    return total
+    return _law_moments(spec, (r,))[0]
 
 
 def delta_mass(spec: LimitSpec) -> float:
-    """Mass of the origin point-term: the normalization deficit of the
-    continuous part.  Zero for an even size, except at a = 0: that raises
+    """Mass of the origin point-term: half of channel 0's own mass
+    (``_law_moments``), |phi0(0)|^2 at beta = 0, checked to lie in [0, 1]
+    up to 1e-8.  Zero for an even size, except at a = 0: that raises
     DegenerateSpecError."""
     _require_law(spec)
     if not spec.has_point_mass:
         return 0.0
-    return _point_mass(*_continuous_moment(spec, (0,)))
+    if spec.beta == 0.0:
+        return float(abs(spec.qudit.amplitudes[spec.tj // 2]) ** 2)
+    (mass,) = _law_moments(spec, (0,), (0,))
+    if not -1e-8 <= mass <= 1.0 + 1e-8:
+        raise DomainError(f"point mass {mass} outside [0, 1]: the quadrature failed")
+    return min(max(mass, 0.0), 1.0)
 
 
 def _bin_series(spec: LimitSpec):

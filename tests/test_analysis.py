@@ -23,6 +23,7 @@ from quditwalk import (
     weight_scalar,
 )
 import quditwalk.analysis as analysis
+import quditwalk.density as density
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -216,6 +217,20 @@ def test_paths_match_the_public_pieces_bit_for_bit(dim):
     amps = analysis._sym_qudit(tj).amplitudes
     with pytest.raises(ValueError):
         amps *= 2
+
+
+@pytest.mark.parametrize("dim", (7, 50, 130))
+def test_paths_off_the_support_take_the_full_matrix(monkeypatch, dim):
+    # no beta is known to put a pike off the support, so the 2x2 block is
+    # refused by hand: the full matrix and weight_scalar agree bit for bit
+    tj = dim - 1
+    for beta in (math.pi / 2, 22 * math.pi / 25):
+        paths = [(HalfInt(tj), beta, HalfInt(tm)) for tm in range(2 - tj % 2, tj + 1, 2)]
+        block = [pike_weight_paths(*args) for args in paths]
+        with monkeypatch.context() as mp:
+            mp.setattr(density, "_support_block", lambda *args: None)
+            full = [pike_weight_paths(*args) for args in paths]
+        assert [(c, q.hex()) for c, q in full] == [(c, q.hex()) for c, q in block]
 
 
 def test_innermost_pike_at_fifty_components():

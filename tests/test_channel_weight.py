@@ -315,8 +315,8 @@ def test_bin_masses_match_the_per_slice_loop(monkeypatch, qudit, beta, gamma, wi
     with monkeypatch.context() as mp:
         mp.setattr(density, "_scalar_grid", recording)
         got = limit_bin_masses(spec, edges)
-    # one call for every channel, plus delta_mass's one pass
-    assert calls == [spec.channels] * (1 + spec.has_point_mass)
+    # one call for every channel, plus delta_mass's pass on channel 0 alone
+    assert calls == [spec.channels] + [(0,)] * spec.has_point_mass
     want = _bin_masses_per_slice(spec, edges, order)
     # the reference has converged: twice its order gives the same bins
     assert float(np.abs(_bin_masses_per_slice(spec, edges, 2 * order) - want).max()) < tol

@@ -611,6 +611,24 @@ def test_point_mass_values():
     assert delta_mass(spread) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-12)
 
 
+@pytest.mark.parametrize("beta, tol", ((0.3, 2e-15), (0.01, 5e-14), (1e-4, 1e-11), (1e-6, 2e-10), (1e-8, 2e-8)))
+def test_point_mass_keeps_its_digits_at_small_beta(beta, tol):
+    # spin 1 from |up> leaves sin(beta/2)/2 at the origin; a mass taken as
+    # 1 - (continuous mass) cancels to 1.6e-9 (relative) at beta = 1e-6
+    want = math.sin(0.5 * beta) / 2.0
+    got = delta_mass(LimitSpec(preset_qudit("up", 1), beta))
+    assert abs(got - want) <= tol * want, (got, want)
+
+
+@pytest.mark.parametrize("dim", (3, 5, 13, 51, 129))
+def test_law_mass_is_one(dim):
+    # the channel masses and the point mass sum to 1, unforced
+    qudit = _dense(dim, 8000 + dim)
+    for beta in (math.pi / 2, 0.01, 3.1):
+        total = limit_moment(LimitSpec(qudit, beta, 0.4), 0)
+        assert abs(total - 1.0) <= 1e-13, (beta, total)
+
+
 def test_bin_masses_sum_to_total_mass():
     spec = LimitSpec(preset_qudit("paper-sym", 2), math.pi / 2, 0.0)
     edges = np.linspace(-3.0, 3.0, 61)
@@ -756,20 +774,22 @@ def test_moment_rule_needs_no_more_nodes(monkeypatch, dim, betas, orders):
 
 
 def _per_channel_moment(spec, r):
-    """(continuous part of the r-th moment, sum of its terms' magnitudes)
-    with one call per channel on the same Konno nodes: the reference for
-    ``_continuous_moment``'s one pass over every channel.  The weights come
-    from the per-point evaluator, the small-d fold, so the J_y eigenbasis
-    of ``_scalar_grid`` is checked against the other route."""
+    """(r-th moment, sum of its terms' magnitudes) with one call per
+    channel on the same Konno nodes: the reference for ``_law_moments``'
+    one pass over every channel.  At r = 0 an odd size adds channel 0 at
+    half weight, the point mass.  The weights come from the per-point
+    evaluator, the small-d fold, so the J_y eigenbasis of ``_scalar_grid``
+    is checked against the other route."""
     t, w = density._konno_rule(spec.beta, (spec.tj + r) // 2 + 1)
     x = spec.a * t
     own = np.zeros(x.size, dtype=int)
+    tms = spec.channels + (0,) * (spec.has_point_mass and r == 0)
     sums, scale = [], 0.0
-    for tm in spec.channels:
-        weight = density._point_weights(spec, (tm,), x, own)
+    for tm in tms:
+        weight = density._point_weights(spec, (tm,), x, own) / (1 + (tm == 0))
         sums.append(float((w * x**r) @ weight).as_integer_ratio())
         scale += tm**r * float((w * np.abs(x) ** r) @ weight)
-    return math.fsum(tm**r * num / den for tm, (num, den) in zip(spec.channels, sums)), scale
+    return math.fsum(tm**r * num / den for tm, (num, den) in zip(tms, sums)), scale
 
 
 @pytest.mark.parametrize("kind", ("dense", "asym", "paper-sym"))
@@ -789,7 +809,7 @@ def test_one_pass_moments_match_the_per_channel_loop(dim, kind):
             spec = LimitSpec(qudit, beta, gamma)
             for r in (0, 1, 2, 4, 8):
                 want, scale = _per_channel_moment(spec, r)
-                (got,) = density._continuous_moment(spec, (r,))
+                (got,) = density._law_moments(spec, (r,))
                 # odd moments of a symmetric law cancel to rounding: the
                 # scale is then E|X|^r, the sum of the terms' magnitudes
                 assert abs(got - want) <= 1e-14 * scale, (beta, gamma, r, got, want)
@@ -802,10 +822,10 @@ def test_one_rule_for_many_orders_matches_each_order_alone(dim):
     # order alone takes limit_moment's own rule, bit for bit
     spec = LimitSpec(_dense(dim, 7000 + dim), 22 * math.pi / 25, 0.4)
     orders = range(1, 13)
-    for r, got in zip(orders, density._continuous_moment(spec, orders)):
+    for r, got in zip(orders, density._law_moments(spec, orders)):
         _, scale = _per_channel_moment(spec, r)
         assert abs(got - limit_moment(spec, r)) <= 1e-14 * scale, r
-    assert density._continuous_moment(spec, (12,)) == [limit_moment(spec, 12)]
+    assert density._law_moments(spec, (12,)) == [limit_moment(spec, 12)]
 
 
 # ------------------------------------------------------ guards and caches
