@@ -185,9 +185,10 @@ def pike_weight_paths(j, beta: float, m) -> tuple[float, float]:
     size (``_sym_qudit``), has two nonzero components, so on the support
     the form reads only the matrix's 2x2 block on them
     (``density._support_block``), each entry and the contraction bit for
-    bit those of ``weight_scalar`` on the full matrix; a pike point off
-    the support takes the full matrix and ``weight_scalar``.  The factors
-    of the matrix that every channel shares at the pike are built once per
+    bit those of ``weight_scalar`` on the full matrix; a pike point more
+    than a few ulps off the support takes the full matrix from the
+    off-support small-d recurrence and ``weight_scalar``.  The factors of
+    the matrix that every channel shares at the pike are built once per
     point (``density._point_factors``).
     """
     import numpy as np

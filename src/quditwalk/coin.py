@@ -35,9 +35,8 @@ complex result and applies its two phases there.  What a call needs per
 size beside U -- the row signs (-1)^floor(a/2), which make B one product,
 and the magnetic numbers of the phases -- is cached with it
 (``_coin_rows``, 2j+1 floats each).  The classical factorial
-sum survives only in its coefficient rows (``_coeff_row``, one entry of
-which ``small_d_coeff`` returns), which the off-support weight-matrix
-polynomials are built from.
+sum survives only in its coefficient rows (``_coeff_row``), which serve
+``small_d_coeff`` alone: it returns one entry of a row.
 
 Rotations taken through that spectrum need phases e^{i lam theta},
 lam = -j..j; ``_powers`` is the package's one ladder of them, products of

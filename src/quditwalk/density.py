@@ -57,18 +57,18 @@ it is (1 - |x|)(1 + |x|) - (tau |x|)^2 in extended precision.  Konno's factor
 (``_konno``) takes b = sin(beta/2); sqrt(1 - a^2) loses it at small beta.
 
 Off the support, which only the public weight-matrix API visits, the same
-collapse holds with cos turned into a growing exponential that amplifies
-the small-d rounding floor at large j.  There each small-d factor is
-instead its ladder row, a polynomial in rho = (1+x)/(1-x), evaluated in
-one extended-precision Horner pass per component at x = -|x|, where rho
-never exceeds 1 in magnitude; a lower-triangle entry m1 <= m2 is the
-product of two rows and of factors that each depend on one exponent or
-order in 0..2j alone, tabulated once per point for every channel and
-both signs of x (``_wedge_tables``).  The upper triangle
-follows by hermiticity, and x > 0 by the reflection M_{m1 m2}(x) =
-(-1)^{m1+m2+2m} M_{-m2,-m1}(-x), which therefore holds exactly.
-``cancellation`` reports max kappa^2 over the rows, kappa a row's
-cancellation ratio: an upper bound on the digits an entry loses.
+collapse holds with cos(k phi) turned into cosh(k theta), e^theta =
+(tau |x| + w)/sin(alpha), which multiplies the small-d error by up to
+e^{2j theta}: an eigenbasis column, accurate only to its largest entry,
+would lose every digit of the small ones.  There the column comes from
+the three-term recurrence in m' at fixed m, run in extended precision
+from both closed-form ends towards its classical row, which keeps every
+entry to its own relative precision, with each row carried times
+e^{+-(a - i*) theta} so that one loop covers x = +-1 (``_point_factors``,
+``_off_support_entries``); M is (P Q^T + Q P^T) times a Toeplitz factor,
+exactly hermitian, and the reflection M_{m1 m2}(x) = (-1)^{m1+m2+2m}
+M_{-m2,-m1}(-x) holds to rounding without being imposed.  Every route is
+accurate per entry, so ``cancellation`` reads 1.0.
 
 Moments use the Gauss rule of Konno's measure itself (``_konno_rule``,
 built once per (beta, n)), a Bernstein-Szego weight with a closed-form
@@ -96,7 +96,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coin import _coeff_row, _ipow, _jy_eig, _powers, _require_dense
+from .coin import _ipow, _jy_eig, _powers, _require_dense
 from .errors import DegenerateSpecError, DomainError
 from .halfint import HalfInt, _require_nonneg_int, _weight_indices, doubled_channels, walk_index
 from .qudit import Qudit
@@ -181,52 +181,27 @@ def offdiag_poly(order: int, tau: float, x):
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("offdiag_poly needs finite x")
-    out = _offdiag(order, tau, np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
-
-
-def _offdiag(order, tau: float, x: np.ndarray) -> np.ndarray:
-    """``offdiag_poly`` without its checks, broadcasting integer orders
-    against points."""
+    x = np.atleast_1d(arr)
     ax = np.abs(x)
-    # one discriminant per point, before the points meet the orders
     phi, disc = _phase(ax, tau)
-    order, ax, phi, disc = np.broadcast_arrays(order, ax, phi, disc)
+    # the order as an array: for a scalar exponent of 2 or 1/2 np.power
+    # takes square or sqrt, which round apart from pow
+    n = np.full(ax.shape, order)
     out = np.empty(ax.shape)
     trig = disc >= 0.0
     if trig.any():
-        xt, n = ax[trig], order[trig]
-        out[trig] = np.power((1.0 - xt) * (1.0 + xt), 0.5 * n) * np.cos(n * phi[trig])
+        xt, nt = ax[trig], n[trig]
+        out[trig] = np.power((1.0 - xt) * (1.0 + xt), 0.5 * nt) * np.cos(nt * phi[trig])
     hyp = ~trig
     if hyp.any():
-        xh, n = ax[hyp], order[hyp]
+        xh, nh = ax[hyp], n[hyp]
         w = np.sqrt(-disc[hyp])
         u = tau * xh + w
         # tau x - w = (1 - x^2)/u avoids subtracting nearby quantities
-        out[hyp] = 0.5 * (u**n + ((1.0 - xh) * (1.0 + xh) / u) ** n)
-    return np.where((order % 2 == 1) & (x < 0.0), -out, out)
-
-
-@lru_cache(maxsize=16)
-def _ladder_rows(tj: int, tm: int):
-    """(coef, rows, cols, up, down) of M^(j,m) off the support.
-
-    Lower-triangle entry (rows >= cols, m = j - i) at x = -|x| is
-    2^(1-2j) f_{m2-m1}(x) e^{-i (m2-m1) gamma} (1+|x|)^up (1-|x|)^down
-    g_rows(r) g_cols(r), r = (1-|x|)/(1+|x|) <= 1, with g_i component i's
-    ladder row (``_coeff_row``), column i of coef, ascending in r.
-    """
-    h = (tj - tm) // 2
-    coef = np.zeros((h + 1, tj + 1))
-    lo = np.empty(tj + 1, dtype=int)
-    for i in range(tj + 1):
-        lo[i], g = _coeff_row(tj, tj - 2 * i, tm)
-        coef[: g.size, i] = g
-    r, c = np.tril_indices(tj + 1)
-    tab = (coef, r, c, tj + h - r - lo[r] - lo[c], c - h + lo[r] + lo[c])
-    for arr in tab:
-        arr.setflags(write=False)
-    return tab
+        out[hyp] = 0.5 * (u**nh + ((1.0 - xh) * (1.0 + xh) / u) ** nh)
+    if order % 2 == 1:
+        out = np.where(x < 0.0, -out, out)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _phase(x, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -296,65 +271,27 @@ def _small_d_fold(tj, rows, cols) -> np.ndarray:
     return fold
 
 
-class _Wedge(tuple):
-    """The tables of ``_wedge_matrix`` at one point |x|, over n = 0..2j:
-    (1+|x|)^n and (1-|x|)^n in extended precision, 2^(1-2j) f_n(-|x|) and
-    e^{-i n gamma}.  A tuple type of its own, so that a ``_point_factors``
-    entry tells its kind."""
+class _OffSupport(tuple):
+    """``_point_factors`` off the support, all but the last in extended
+    precision: kappa = sqrt((1 - x)/2), eps = sqrt((1 + x)/2), tau |x| + w,
+    e^{-2 k theta} for k = 0..2j, the ladder roots sqrt((2j - a)(a + 1))
+    for a = 0..2j (the last 0) and them times e^{-2 theta} as tuples, and
+    T_{a-b}, T_k = sign(x)^k e^{-i k gamma}.  A tuple type of its own, so
+    that a ``_point_factors`` entry tells its kind."""
 
 
-@lru_cache(maxsize=16)
-def _wedge_tables(tj: int, key: bytes) -> _Wedge:
-    """``_Wedge`` at 2j and the bytes of (|x|, tau, gamma), read-only: every
-    channel, and x of either sign, reads one entry per point."""
-    t, tau, gamma = struct.unpack("3d", key)
-    tl = np.longdouble(t)
-    n = np.arange(tj + 1)
-    # f_n(x) overflows first, and inf times a zero entry would read as nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = (1.0 + tl) ** n, (1.0 - tl) ** n
-        fn = 2.0 ** (1 - tj) * _offdiag(n, tau, -t)
-    tables = _Wedge((*powers, fn, np.exp(-1j * n * gamma)))
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
-
-
-def _wedge_matrix(tj, tm, x: float, tables: _Wedge):
-    """M^(j,m) at one point x off the support: one extended-precision
-    Horner pass per component of ``_ladder_rows`` at -|x|, each entry the
-    product of two rows.  (1+|x|)^up, (1-|x|)^down, f_n and e^{-i n gamma}
-    depend on the exponent or the order n alone, which run over 0..2j:
-    each is one table of 2j+1 values at the point (``_wedge_tables``),
-    gathered per entry.  The upper triangle follows by hermiticity, and
-    x > 0 by the reflection M_{m1 m2}(x) = (-1)^(m1+m2+2m) M_{-m2,-m1}(-x):
-    a flip on the anti-diagonal, negated where i1 + i2 is odd (2m has the
-    parity of 2j).  Returns (entries, ``WeightMatrix.cancellation``); an
-    entry past the float range raises DomainError.
-    """
-    coef, rows, cols, up, down = _ladder_rows(tj, tm)
-    t = np.longdouble(abs(x))
-    r = (1.0 - t) / (1.0 + t)
-    g = np.polynomial.polynomial.polyval(r, coef)
-    ga = np.polynomial.polynomial.polyval(r, np.abs(coef))
-    order = rows - cols
-    plus, minus, fn, phase = tables
-    with np.errstate(over="ignore", invalid="ignore"):
-        pref = plus[up] * minus[down]
-        low = (pref * g[rows] * g[cols]).astype(float) * fn[order]
-        low = low * phase[order]
-    if not np.isfinite(low).all():
-        raise DomainError(f"weight matrix at x = {x!r} overflows floats at 2j+1 = {tj + 1}")
-    # every row has a nonzero lowest coefficient, so ga > 0; kappa <= 1e15
-    kappa = ga / np.maximum(np.abs(g), ga * np.longdouble(1e-15))
-    ent = np.empty((tj + 1, tj + 1), dtype=complex)
-    ent[cols, rows] = np.conj(low)
-    ent[rows, cols] = low
-    if x > 0:
-        ent = ent[::-1, ::-1].T.copy()
-        ent[1::2, ::2] *= -1
-        ent[::2, 1::2] *= -1
-    return ent, max(1.0, float(kappa.max()) ** 2)
+def _toeplitz(half: np.ndarray) -> np.ndarray:
+    """The hermitian Toeplitz matrix T_{a-b} from T_k for k = 0..2j, read-
+    only.  Row a, T_{a-b} over b, is the run from k = a down of one vector
+    over k = 2j..-2j whose negative-k half is the exact conjugate of the
+    rest, one strided view of it, so T is exactly hermitian."""
+    tj = half.size - 1
+    back = np.concatenate((half[::-1], half[1:].conj()))
+    step = back.itemsize
+    toeplitz = np.ndarray((tj + 1, tj + 1), complex, back, tj * step, (-step, step))
+    back.setflags(write=False)
+    toeplitz.setflags(write=False)
+    return toeplitz
 
 
 @lru_cache(maxsize=16)
@@ -362,36 +299,98 @@ def _point_factors(tj: int, key: bytes):
     """The factors of ``weight_matrix_direct`` that every channel shares at
     one point, keyed by 2j and the bytes of (x, tau, gamma) -- bytes, since
     -0.0 and 0.0 compare equal but may give other phases: off the support
-    the ``_Wedge`` tables at |x| (``_wedge_tables``), else (e^{-i alpha lam}
-    over the J_y eigenvalues, the hermitian Toeplitz factor, i^n for n =
-    -2j..2j), read-only.
+    an ``_OffSupport``, else (e^{-i alpha lam} over the J_y eigenvalues, the
+    hermitian Toeplitz factor, i^n for n = -2j..2j), read-only.
 
     A point a few ulps past the edge (a pike point cos(beta/2) can round
     there) counts as on the support and takes the rank-two form at the
-    edge, where the wedge polynomials would cancel catastrophically.  alpha
-    = arccos(-x) comes from its half angle, whose cos and sin are
-    sqrt((1 -+ x)/2); a point that rounding puts past |x| = 1 is taken at
-    the edge.  T_k = 2 cos(k phi) e^{-i k gamma} for k = 2j..-2j, T_-k the
-    exact conjugate of T_k: row a of the Toeplitz factor, T_{a-b} over b,
-    is its run from k = a down, one view of it, so M is exactly hermitian.
+    edge.  alpha = arccos(-x) comes from its half angle, whose cos and sin
+    are sqrt((1 -+ x)/2).  On the support T_k = 2 cos(k phi) e^{-i k gamma}
+    (``_toeplitz``).  Off it w = sqrt((tau x)^2 - (1 - x^2)) > 0 and
+    e^{-2 theta} = (1 - x^2)/(tau |x| + w)^2, which is 0 at x = +-1.
     """
     x, tau, gamma = struct.unpack("3d", key)
     phi, disc = _phase(x, tau)
-    if not disc >= -8.0 * np.finfo(float).eps:
-        return _wedge_tables(tj, struct.pack("3d", abs(x), tau, gamma))
-    lam, _ = _jy_eig(tj)
-    xc = min(max(x, -1.0), 1.0)
-    alpha = 2.0 * math.atan2(math.sqrt(0.5 * (1.0 + xc)), math.sqrt(0.5 * (1.0 - xc)))
-    spin = np.exp(-1j * alpha * lam)
     k = np.arange(tj + 1)
-    half = 2.0 * np.cos(phi * k) * np.exp(-1j * gamma * k)
-    back = np.concatenate((half[::-1], half[1:].conj()))
-    step = back.itemsize
-    toeplitz = np.ndarray((tj + 1, tj + 1), complex, back, tj * step, (-step, step))
+    if not disc >= -8.0 * np.finfo(float).eps:
+        xl = np.longdouble(x)
+        tx = np.longdouble(tau) * abs(xl)
+        sin2 = (1.0 - xl) * (1.0 + xl)
+        grow = tx + np.sqrt(tx * tx - sin2)
+        damp = (sin2 / (grow * grow)) ** k
+        damp.setflags(write=False)
+        roots = np.sqrt(((tj - k) * (k + 1)).astype(np.longdouble))
+        half = np.exp(-1j * gamma * k)
+        if x < 0.0:
+            half[1::2] *= -1.0
+        kappa, eps = np.sqrt(0.5 * (1.0 - xl)), np.sqrt(0.5 * (1.0 + xl))
+        return _OffSupport((kappa, eps, grow, damp, tuple(roots), tuple(roots * damp[1]), _toeplitz(half)))
+    lam, _ = _jy_eig(tj)
+    alpha = 2.0 * math.atan2(math.sqrt(0.5 * (1.0 + x)), math.sqrt(0.5 * (1.0 - x)))
+    spin = np.exp(-1j * alpha * lam)
+    toeplitz = _toeplitz(2.0 * np.cos(phi * k) * np.exp(-1j * gamma * k))
     turn = _ipow(np.arange(-tj, tj + 1))
-    for arr in (spin, back, toeplitz, turn):
+    for arr in (spin, turn):
         arr.setflags(write=False)
     return spin, toeplitz, turn
+
+
+def _climb(start, coef, roots, cross, count: int) -> list:
+    """``count`` rows of the scaled three-term recurrence from ``start``:
+    roots_a y_{a+1} = coef_a y_a - cross_{a-1} y_{a-1}, with y_{-1} = 0
+    (cross_{-1}, at a = 2j, is 0)."""
+    rows, prev, cur = [start], 0.0, start
+    for a in range(count - 1):
+        prev, cur = cur, (coef[a] * cur - cross[a - 1] * prev) / roots[a]
+        rows.append(cur)
+    return rows[:count]
+
+
+def _off_support_entries(tj: int, tm: int, x: float, factors: _OffSupport) -> np.ndarray:
+    """M^(j,m) at a point x off the support, |x| <= 1, with
+    ``_point_factors``' entry.
+
+    Entry (a, b) is 2 d_a d_b cosh((a - b) theta) T_{a-b}, d the small-d
+    column c = j - m at cos(alpha) = -x and cosh(theta) = tau |x| /
+    sin(alpha): (P_a Q_b + Q_a P_b) T_{a-b} for P_a = d_a e^{(a - i*) theta}
+    and Q_a = d_a e^{(i* - a) theta}, i* = round(j + m x) the classical row.
+    The recurrence 2 (m - m' cos alpha) d_a = sin(alpha) [sqrt((2j - a)(a +
+    1)) d_{a+1} + sqrt(a (2j - a + 1)) d_{a-1}], m' = j - a, takes Q from
+    row 0 to i* and P back from row 2j to i* + 1 in extended precision,
+    from the closed-form ends (-1)^(j-m) sqrt(C(2j, j+m)) kappa^(j+m)
+    eps^(j-m) and sqrt(C(2j, j+m)) kappa^(j-m) eps^(j+m).  Scaled so, its
+    coefficient is 2 (m - m' cos alpha)/(tau |x| + w) and e^{-2 theta}
+    damps its cross term, which covers x = +-1, where sin(alpha) = 0.  Both
+    runs move towards the classical region, where the column grows, so
+    neither amplifies its rounding; the other of P and Q is the run times
+    powers of e^{-2 theta}.  P Q^T + Q P^T, exactly symmetric, is rounded
+    to floats once.  A scaled end below the extended range, or an entry
+    past the float range, raises DomainError.
+    """
+    kappa, eps, grow, damp, roots, cross, toeplitz = factors
+    p, q = (tj + tm) // 2, (tj - tm) // 2  # j + m, j - m
+    mid = round(0.5 * (tj + tm * x))
+    binom = np.sqrt(np.longdouble(math.comb(tj, p)))
+    half = 0.5 * grow
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        top = (-1) ** q * binom * kappa ** (p - mid) * eps ** (q - mid) * half**mid
+        bottom = binom * kappa ** (mid - p) * eps ** (mid - q) * half ** (tj - mid)
+        if not min(abs(top), abs(bottom)) >= np.finfo(np.longdouble).smallest_normal:
+            raise DomainError(
+                f"weight matrix at x = {x!r} has a small-d column end below "
+                f"the extended range at 2j+1 = {tj + 1}"
+            )
+        coef = list((tm + np.arange(tj, -tj - 1, -2) * np.longdouble(x)) / grow)
+        front = np.array(_climb(top, coef, roots, cross, mid + 1))  # Q, rows 0..i*
+        back = np.array(_climb(bottom, coef[::-1], roots, cross, tj - mid), dtype=np.longdouble)[::-1]
+        pp = np.concatenate((front * damp[mid::-1], back))
+        qq = np.concatenate((front, back * damp[1 : tj - mid + 1]))
+        sym = np.multiply.outer(pp, qq)
+        real = np.empty(sym.shape)
+        np.add(sym, sym.T, out=real, casting="unsafe")
+    if not np.isfinite(real).all():
+        raise DomainError(f"weight matrix at x = {x!r} overflows floats at 2j+1 = {tj + 1}")
+    return real * toeplitz
 
 
 def _support_entries(tj: int, tm: int, factors, rows=slice(None)) -> np.ndarray:
@@ -418,11 +417,11 @@ def _require_beta(beta: float) -> float:
 
 def _weight_args(x, beta, gamma) -> tuple[float, float, float]:
     """(x, tau, gamma) of a weight-matrix request, checked: beta in
-    [0, pi), x and gamma finite."""
+    [0, pi), x in [-1, 1] and gamma finite."""
     tau = _require_beta(beta)
     x, gamma = float(x), float(gamma)
-    if not (math.isfinite(x) and math.isfinite(gamma)):
-        raise DomainError(f"weight matrices need a finite x and gamma, got {x!r} and {gamma!r}")
+    if not (abs(x) <= 1.0 and math.isfinite(gamma)):
+        raise DomainError(f"weight matrices need |x| <= 1 and a finite gamma, got {x!r} and {gamma!r}")
     return x, tau, gamma
 
 
@@ -430,14 +429,11 @@ def _weight_args(x, beta, gamma) -> tuple[float, float, float]:
 class WeightMatrix:
     """Hermitian channel-weight matrix M^(j,m) evaluated at one point x.
 
-    ``cancellation`` is, off the support, the largest ratio over the
-    entries of the sum of absolute terms to the net sum.  An entry is the
-    product of two ladder rows, so that is max kappa_i^2, kappa_i row i's
-    ratio: an upper bound on the digits an entry loses (rounding costs it
-    about kappa_1 + kappa_2 ulps).  It stays 1.0 on the channel support
-    (1+tau^2) x^2 <= 1 (up to a few ulps past it), where the rank-two
-    form cannot cancel, and for m = j everywhere, whose rows have one term
-    each.  Past ~1e10, an off-support result may keep only a few digits.
+    ``cancellation`` bounds the factor by which cancellation multiplies
+    an entry's rounding.  It is 1.0 on every route: on the support the
+    rank-two form sums no terms of opposite sign, and off it every small-d
+    entry keeps its own relative precision and an entry is the sum of two
+    products of one sign.
     """
 
     tj: int
@@ -480,21 +476,23 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     the Toeplitz factor and the i^(i-c) table -- so every channel at one
     point reads it from one cached entry (``_point_factors``); a call forms
     only its column, two real products, and the outer product
-    (``_support_entries``).  Off it the lower-triangle entries at -|x| are
-    polynomials evaluated in one Horner pass, and hermiticity and the
-    reflection give the rest (``_wedge_matrix``); their per-point tables
-    come from the same cached entry, which x and -x share.  Entries past
-    the float range raise DomainError.
+    (``_support_entries``).  Off the support, for |x| <= 1, the column
+    comes from its three-term recurrence in extended precision, accurate
+    per entry, and M from its rows scaled by e^{+-(a - i*) theta}
+    (``_off_support_entries``), with the per-point factors from the same
+    cache.  x outside [-1, 1], where no angle has cos(alpha) = -x, and
+    entries past the float range raise DomainError.
     Accepts m = 0 so that ``weight_matrix_second`` can be checked against
     it at j = 1, although the density itself only sums channels with m > 0.
     """
     tj, tm = _weight_indices(j, m)
     x, tau, gamma = _weight_args(x, beta, gamma)
     factors = _point_factors(tj, struct.pack("3d", x, tau, gamma))
-    if isinstance(factors, _Wedge):
-        ent, worst = _wedge_matrix(tj, tm, x, factors)
-        return WeightMatrix(tj, tm, x, float(beta), gamma, ent, worst)
-    return WeightMatrix(tj, tm, x, float(beta), gamma, _support_entries(tj, tm, factors))
+    if isinstance(factors, _OffSupport):
+        ent = _off_support_entries(tj, tm, x, factors)
+    else:
+        ent = _support_entries(tj, tm, factors)
+    return WeightMatrix(tj, tm, x, float(beta), gamma, ent)
 
 
 def _support_block(tj: int, tm: int, x, beta, gamma, rows) -> np.ndarray | None:
@@ -503,12 +501,12 @@ def _support_block(tj: int, tm: int, x, beta, gamma, rows) -> np.ndarray | None:
     without the rest of the matrix; None where x lies off the support."""
     x, tau, gamma = _weight_args(x, beta, gamma)
     factors = _point_factors(tj, struct.pack("3d", x, tau, gamma))
-    return None if isinstance(factors, _Wedge) else _support_entries(tj, tm, factors, rows)
+    return None if isinstance(factors, _OffSupport) else _support_entries(tj, tm, factors, rows)
 
 
 def weight_matrix_top(j, x, beta, gamma=0.0) -> WeightMatrix:
     """M^(j,j)(x), the top channel's matrix: ``weight_matrix_direct`` at
-    m = j, where every off-support polynomial is a single term."""
+    m = j."""
     return weight_matrix_direct(j, j, x, beta, gamma)
 
 
@@ -532,7 +530,7 @@ def weight_matrix_second(j, x, beta, gamma=0.0, top: WeightMatrix | None = None)
     tms = np.arange(tj, -tj - 1, -2, dtype=float)
     g = tj * x + tms
     fac = np.outer(g, g) / (tj * (1.0 - x) * (1.0 + x))
-    return WeightMatrix(tj, tj - 2, x, float(beta), gamma, fac * top.entries, top.cancellation)
+    return WeightMatrix(tj, tj - 2, x, float(beta), gamma, fac * top.entries)
 
 
 def weight_scalar(mat: WeightMatrix, qudit: Qudit) -> float:

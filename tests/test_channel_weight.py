@@ -33,6 +33,7 @@ from quditwalk import (
     preset_qudit,
 )
 from small_d_reference import two_path_small_d, two_path_small_d_column
+from weight_reference import decimal_matrix
 
 BETAS = (0.002, math.pi / 10, math.pi / 2, 3.0)
 GAMMAS = (0.0, 0.4, -1.1)
@@ -177,24 +178,17 @@ def _scales(numbers):
     return np.maximum(1.0, np.abs(dens)), np.maximum(1.0, absmom), max(1.0, abs(dm))
 
 
-def _wedge_at(tj, tm, x, tau, gamma):
-    """``density._wedge_matrix``'s entries at x, on the support or off it."""
-    key = density.struct.pack("3d", abs(x), tau, gamma)
-    return density._wedge_matrix(tj, tm, x, density._wedge_tables(tj, key))[0]
-
-
 @pytest.mark.parametrize("beta", (1e-4, 1e-3, 0.002))
 @pytest.mark.parametrize("kind", ("dense", "asym"))
 @pytest.mark.parametrize("dim", (2, 3, 13, 30))
-def test_edge_nodes_match_the_wedge_polynomials(dim, kind, beta):
+def test_edge_nodes_match_the_decimal_oracle(dim, kind, beta):
     # below beta ~ 0.003 the outermost nodes of a 200-node rule in
     # x = a sin(theta) sit at |x| >= 0.999999, where arccos(-x) nears 0 or
-    # pi; there the wedge polynomials, whose Horner variable
-    # (1-|x|)/(1+|x|) nears 0, are an independent route
+    # pi; there the 60-digit factorial sums of ``decimal_matrix`` are an
+    # independent route
     qudit = _qudit(kind, dim, seed=2000 + dim)
     q = qudit.amplitudes
     nodes, _ = np.polynomial.legendre.leggauss(200)
-    tau = math.tan(0.5 * beta)
     for gamma in GAMMAS:
         spec = LimitSpec(qudit, beta, gamma)
         s = spec.a * np.sin(0.5 * math.pi * nodes)
@@ -203,7 +197,7 @@ def test_edge_nodes_match_the_wedge_polynomials(dim, kind, beta):
         for tm in spec.channels:
             got = density._scalar_grid(spec, (tm,), edge)[0]
             want = [
-                (np.conj(q) @ _wedge_at(spec.tj, tm, x, tau, gamma) @ q).real
+                (np.conj(q) @ decimal_matrix(spec.tj, tm, x, beta, gamma) @ q).real
                 for x in edge
             ]
             assert float(np.abs(got - want).max()) < 1e-12, (tm, got - want)

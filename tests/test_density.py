@@ -37,11 +37,18 @@ from quditwalk import (
 )
 import quditwalk.density as density
 from quditwalk.coin import _jy_eig
-from quditwalk.density import _ladder_rows
 from weight_reference import decimal_matrix, grown_top
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def _worse(worst, gap):
+    """The larger of two gaps, or of two tuples by their first entries,
+    where a nan wins and stays: max(0.0, nan) is 0.0, which would let a
+    nan matrix pass a sweep."""
+    old, new = (v[0] if isinstance(v, tuple) else v for v in (worst, gap))
+    return worst if math.isnan(old) or old >= new else gap
 
 
 def _konno_decimal(x: float, a: float, b: float) -> Decimal:
@@ -75,7 +82,7 @@ def test_konno_support_and_values():
         for k in range(2, 15):
             x = a * (1.0 - 10.0**-k)
             got = konno_density(x, a)
-            worst = max(worst, abs(float(Decimal(got) / _konno_decimal(x, a, b)) - 1.0))
+            worst = _worse(worst, abs(float(Decimal(got) / _konno_decimal(x, a, b)) - 1.0))
     assert worst <= 2e-15, worst
 
 
@@ -129,7 +136,7 @@ def test_offdiag_poly_matches_low_order_literals():
         for order in range(5):
             lit = _f_literal(order, tau, xs)
             gap = np.abs(offdiag_poly(order, tau, xs) - lit) / np.maximum(1.0, np.abs(lit))
-            worst = max(worst, float(gap.max()))
+            worst = _worse(worst, float(gap.max()))
     assert worst < 5e-13, worst
 
 
@@ -253,9 +260,9 @@ def _any_entry_by_brute_force(tj, tm, tm1, tm2, x, beta, gamma):
 
 
 def test_entries_match_the_literal_sum_at_small_sizes():
-    # every entry at both signs of x, on the support and off it; off it the
-    # package builds x > 0 from -x, so the literal sum is its independent
-    # check.  Entries reach 3e7 at 22pi/25, so past 100 the bound is relative.
+    # every entry at both signs of x, on the support and off it, against
+    # the defining double sum.  Entries reach 3e7 at 22pi/25, so past 100
+    # the bound is relative.
     worst = 0.0
     for tj in (3, 5, 8):
         for tm in range(tj % 2, tj + 1, 2):
@@ -268,7 +275,7 @@ def test_entries_match_the_literal_sum_at_small_sizes():
                                 tj, tm, tj - 2 * i1, tj - 2 * i2, x, beta, 0.3
                             )
                             gap = abs(full[i1, i2] - brute)
-                            worst = max(worst, gap / max(1.0, 1e-2 * abs(brute)))
+                            worst = _worse(worst, gap / max(1.0, 1e-2 * abs(brute)))
     assert worst < 1e-10, worst
 
 
@@ -335,13 +342,33 @@ def test_matrix_argument_validation():
         ):
             with pytest.raises(DomainError):
                 call()
-    # far off the support f_n(x) overflows: an error, not nan entries
-    for call in (
-        lambda: weight_matrix_top(45, 50.0, 3.1),
-        lambda: weight_matrix_direct(60, 1, 4.0, 3.1),
-    ):
-        with pytest.raises(DomainError, match="overflows"):
-            call()
+
+
+def test_matrices_past_the_unit_interval_are_refused():
+    # x = -cos(alpha) has no angle past |x| = 1, one ulp past it included
+    for x in (np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 4.0, -4.0):
+        for call in (
+            lambda: weight_matrix_direct(2, 1, x, math.pi / 2),
+            lambda: weight_matrix_top(2, x, math.pi / 2),
+            lambda: weight_matrix_second(2, x, math.pi / 2),
+        ):
+            with pytest.raises(DomainError, match=r"\|x\| <= 1"):
+                call()
+
+
+def test_matrices_past_the_float_range_are_refused():
+    # at x = 1 and beta = 3.1 the corner entry grows like tau^200, past the
+    # float range at 201 components: an error, not inf or nan entries
+    with pytest.raises(DomainError, match="overflows"):
+        weight_matrix_top(100, 1.0, 3.1)
+
+
+def test_column_ends_past_the_extended_range_are_refused():
+    # at x = 1 and beta = 1e-6 the top channel's scaled column starts at
+    # tau^1000 ~ 1e-6300, below even the extended range: a recurrence from
+    # 0 would return a zero matrix whose last entry is really 2
+    with pytest.raises(DomainError, match="extended range"):
+        weight_matrix_top(500, 1.0, 1e-6)
 
 
 def test_grown_matrix_matches_direct_at_small_sizes():
@@ -351,7 +378,7 @@ def test_grown_matrix_matches_direct_at_small_sizes():
             for x in (-0.8, -0.3, 0.1, 0.6, 0.95):
                 grown = grown_top(int(2 * j), x, beta, 0.45)
                 direct = weight_matrix_direct(j, j, x, beta, 0.45).entries
-                worst = max(worst, float(np.abs(grown - direct).max()))
+                worst = _worse(worst, float(np.abs(grown - direct).max()))
     assert worst < 1e-11, worst
 
 
@@ -363,14 +390,13 @@ def test_grown_matrix_matches_direct_at_fifty_components():
                 direct = weight_matrix_direct(tj / 2, tj / 2, x, beta, 0.6)
                 grown = grown_top(tj, x, beta, 0.6)
                 gap = np.linalg.norm(direct.entries - grown)
-                worst = max(worst, float(gap / np.linalg.norm(grown)))
+                worst = _worse(worst, float(gap / np.linalg.norm(grown)))
     assert worst < 1e-6, worst
 
 
 def test_top_matrix_matches_the_grown_oracle():
     # the public top-channel matrix against the half-spin recurrence, off
-    # the support and on it, up to 130 components; m = j has one-term wedge
-    # polynomials, so nothing cancels anywhere
+    # the support and on it, up to 130 components, x = +-1 included
     worst = 0.0
     for tj, betas in ((1, BETAS), (2, BETAS), (3, BETAS), (29, BETAS), (49, BETAS), (129, (math.pi / 2,))):
         for beta in betas:
@@ -379,14 +405,13 @@ def test_top_matrix_matches_the_grown_oracle():
                 grown = grown_top(tj, x, beta, 0.6)
                 assert top.cancellation == 1.0, (tj, beta, x)
                 gap = np.linalg.norm(top.entries - grown) / np.linalg.norm(grown)
-                worst = max(worst, float(gap))
+                worst = _worse(worst, float(gap))
     assert worst < 1e-13, worst
 
 
 def test_off_support_entries_match_the_decimal_oracle():
-    # every entry of channels below the top one, where the ladder rows
-    # cancel (cancellation 2e9 to 2e11 here), against the 60-digit
-    # factorial-sum oracle
+    # every entry of channels below the top one, whose factorial sums
+    # cancel, against the 60-digit factorial-sum oracle
     for dim, tm, x, beta, gamma in (
         (50, 1, 0.85, math.pi / 2, 0.7),
         (65, 2, 0.9, 22 * math.pi / 25, 0.0),
@@ -399,7 +424,7 @@ def test_off_support_entries_match_the_decimal_oracle():
 
 
 @pytest.mark.parametrize("dim", (30, 40, 50))
-def test_benchmark_wedge_points_match_the_decimal_oracle(dim):
+def test_benchmark_off_support_points_match_the_decimal_oracle(dim):
     # the off-support points of the benchmark's weight-matrix jobs: channel
     # m = j-1 at x = +-0.85, beta = pi/2, gamma = 0.7, every entry against
     # the 60-digit factorial-sum oracle
@@ -412,22 +437,45 @@ def test_benchmark_wedge_points_match_the_decimal_oracle(dim):
 
 
 def test_entries_just_past_the_pikes_match_the_decimal_oracle():
-    # off the support, from 1e-13 to 1e-5 past either pike: the wedge rows'
-    # f_n read w^2 = (1+tau^2) x^2 - 1, which cancels there.  pi/2 is left
-    # out: its ladder rows cancel by themselves and set a floor of ~1e-12
+    # off the support, from 1e-13 to 1e-5 past either pike, where
+    # w^2 = (1+tau^2) x^2 - 1 cancels, up to 130 components and from a
+    # shallow beta to 22pi/25
     worst = (0.0,)
-    for beta in (math.pi / 10, 0.01):
+    for beta in (math.pi / 10, 0.01, math.pi / 2, 22 * math.pi / 25):
         tau = math.tan(0.5 * beta)
         edge = 1.0 / math.sqrt(1.0 + tau * tau)
         for x in edge * (1.0 + np.array([1e-13, 1e-11, 1e-9, 1e-7, 1e-5])):
             for sx in (-x, x):
-                for dim in (13, 50):
+                for dim in (13, 50, 130):
                     tj = dim - 1
                     for tm in (tj, tj - 2, 2 - tj % 2):
                         ref = decimal_matrix(tj, tm, sx, beta, 0.3)
                         got = weight_matrix_direct(tj / 2, tm / 2, sx, beta, 0.3).entries
                         gap = float(np.abs(got - ref).max()) / max(1.0, float(np.abs(ref).max()))
-                        worst = max(worst, (gap, beta, sx, dim, tm))
+                        worst = _worse(worst, (gap, beta, sx, dim, tm))
+    assert worst[0] <= 1e-14, worst
+
+
+@pytest.mark.parametrize("dim", (130, 260))
+def test_off_support_matrices_at_large_sizes_match_the_decimal_oracle(dim):
+    # every entry of the top, second and smallest channel far off the
+    # support, near |x| = 1 and in between, where the entries reach 1e262;
+    # at beta = 3.1 they pass the float range at 260 components, where the
+    # oracle holds infinities and the package must refuse
+    tj = dim - 1
+    worst = (0.0,)
+    far = 22 * math.pi / 25
+    for beta, x in ((3.1, 0.9999995), (2.0, -0.9999995), (math.pi / 2, 0.95), (far, -0.3), (far, 0.99)):
+        for tm in (tj, tj - 2, 2 - tj % 2):
+            ref = decimal_matrix(tj, tm, x, beta, 0.4)
+            if not np.isfinite(ref).all():
+                assert dim == 260 and beta == 3.1, (beta, x, tm)
+                with pytest.raises(DomainError, match="overflows"):
+                    weight_matrix_direct(tj / 2, tm / 2, x, beta, 0.4)
+                continue
+            got = weight_matrix_direct(tj / 2, tm / 2, x, beta, 0.4).entries
+            gap = float(np.abs(got - ref).max()) / max(1.0, float(np.abs(ref).max()))
+            worst = _worse(worst, (gap, beta, x, tm))
     assert worst[0] <= 1e-14, worst
 
 
@@ -447,13 +495,14 @@ def test_on_support_entries_match_the_decimal_oracle(dim):
                     mat = weight_matrix_direct(tj / 2, tm / 2, x, beta, gamma)
                     assert mat.cancellation == 1.0, (beta, x, tm)
                     gap = float(np.abs(mat.entries - ref).max()) / max(1.0, float(np.abs(ref).max()))
-                    worst = max(worst, (gap, beta, x, tm, gamma))
+                    worst = _worse(worst, (gap, beta, x, tm, gamma))
     assert worst[0] <= 1e-13, worst
 
 
 def test_pike_point_takes_the_rank_two_form():
     # x = +-cos(beta/2) can round one ulp past (1+tau^2) x^2 <= 1 (it does
-    # at beta = 22pi/25); the wedge polynomials there shed up to 22 digits
+    # at beta = 22pi/25); within a few ulps it takes the rank-two form at
+    # the edge, and past them the off-support column
     rng = np.random.default_rng(2025)
     worst = 0.0
     for beta in (22 * math.pi / 25, *rng.uniform(0.2, 3.0, size=3)):
@@ -479,7 +528,7 @@ def test_pike_point_takes_the_rank_two_form():
                         assert mat.cancellation == 1.0, (beta, tj, tm, x)
                         if (1.0 + tau * tau) * x * x > 1.0:
                             gap = float(np.abs(mat.entries - ref).max()) / scale
-                            worst = max(worst, gap)
+                            worst = _worse(worst, gap)
     assert worst <= 1e-10, worst
 
 
@@ -494,7 +543,7 @@ def test_second_channel_rescaling_matches_direct():
     ):
         second = weight_matrix_second(j, x, beta, 0.45).entries
         direct = weight_matrix_direct(j, j - 1, x, beta, 0.45).entries
-        worst = max(worst, float(np.linalg.norm(second - direct) / np.linalg.norm(second)))
+        worst = _worse(worst, float(np.linalg.norm(second - direct) / np.linalg.norm(second)))
     assert worst < 1e-6, worst
 
 
@@ -834,12 +883,13 @@ def test_cached_arrays_are_read_only():
     spec = LimitSpec(preset_qudit("up", "1/2"), math.pi / 2)
     before = limit_moment(spec, 2)
     lam, vec = _jy_eig(5)
-    coef, rows, _, up, _ = _ladder_rows(5, 1)
     konno_t, konno_w = density._konno_rule(math.pi / 2, 2)
-    # the off-support tables at one point, which every channel reads
-    wedge = density._point_factors(5, density.struct.pack("3d", -0.85, 1.0, 0.7))
-    assert isinstance(wedge, density._Wedge)
-    for arr in (lam, vec, coef, rows, up, konno_t, konno_w, *wedge):
+    # the off-support factors at one point, which every channel reads
+    off = density._point_factors(5, density.struct.pack("3d", -0.85, 1.0, 0.7))
+    assert isinstance(off, density._OffSupport)
+    tables = [arr for arr in off if isinstance(arr, np.ndarray)]
+    assert len(tables) == 2
+    for arr in (lam, vec, konno_t, konno_w, *tables, tables[1].base):
         with pytest.raises(ValueError):
             arr *= 2
     assert limit_moment(spec, 2) == before == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
@@ -879,13 +929,8 @@ def _channel_bits(tj, x, beta, gamma, order):
     return out
 
 
-def _clear_point_caches():
-    density._point_factors.cache_clear()
-    density._wedge_tables.cache_clear()
-
-
 def _cold_and_warm(cases, channels):
-    """Each case's channel bits with the point caches emptied before every
+    """Each case's channel bits with the point cache emptied before every
     channel, then checked against three warm sweeps over all the cases, the
     second backwards, the last two in a shuffled channel order; returns the
     cold bits."""
@@ -894,9 +939,9 @@ def _cold_and_warm(cases, channels):
     for case in cases:
         cold.append({})
         for tm in channels(case[0]):
-            _clear_point_caches()
+            density._point_factors.cache_clear()
             cold[-1].update(_channel_bits(*case, [tm]))
-    _clear_point_caches()
+    density._point_factors.cache_clear()
     rng = np.random.default_rng(41)
     for sweep in range(3):
         for k in range(len(cases)) if sweep != 1 else reversed(range(len(cases))):
@@ -917,15 +962,16 @@ def test_point_factors_give_the_same_bits_cold_and_warm():
     for case in cases:
         tj, x, beta, gamma = case
         factors = density._point_factors(tj, density.struct.pack("3d", x, math.tan(0.5 * beta), gamma))
-        assert isinstance(factors, density._Wedge) == (case[1] == 0.85)
+        assert isinstance(factors, density._OffSupport) == (case[1] == 0.85)
         for arr in factors:
-            with pytest.raises(ValueError):
-                arr *= 2
+            if isinstance(arr, np.ndarray):
+                with pytest.raises(ValueError):
+                    arr *= 2
 
 
-def test_wedge_tables_give_the_same_bits_cold_and_warm():
-    # off the support every channel at x and at -x reads one table entry:
-    # the benchmark's points, points just inside |x| = 1 and the ends, at
+def test_off_support_factors_give_the_same_bits_cold_and_warm():
+    # off the support every channel at a point reads one cache entry: the
+    # benchmark's points, points just inside |x| = 1 and the ends, at
     # m = j, j - 1 and the smallest channel
     cases = [(tj, s * 0.85, math.pi / 2, 0.7) for tj in (29, 39, 49) for s in (1.0, -1.0)]
     for beta in (math.pi / 10, 22 * math.pi / 25):
@@ -935,11 +981,12 @@ def test_wedge_tables_give_the_same_bits_cold_and_warm():
     for case, bits in zip(cases, cold):
         tj, x, beta, gamma = case
         factors = density._point_factors(tj, density.struct.pack("3d", x, math.tan(0.5 * beta), gamma))
-        assert isinstance(factors, density._Wedge), case
-        mirror = density._point_factors(tj, density.struct.pack("3d", -x, math.tan(0.5 * beta), gamma))
-        assert mirror is factors, case
+        assert isinstance(factors, density._OffSupport), case
+        for arr in factors:
+            if isinstance(arr, np.ndarray):
+                with pytest.raises(ValueError):
+                    arr *= 2
         assert len(bits) == 3, case
-    assert density._wedge_tables.cache_info().hits > 0
 
 
 def test_a_cached_gauss_rule_gives_the_same_moments():

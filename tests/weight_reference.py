@@ -11,7 +11,7 @@ corner M_{-j,j} = 2^(1-2j) f_{2j}(x) e^{-2ij gamma} from ``offdiag_poly``.
 The entries off the wedge follow by hermiticity and the reflection
 M_{-m2,-m1}(x) = (-1)^(m1+m2+2m) M_{m1,m2}(-x), so the recurrence carries
 the matrices at x and -x together.  It uses neither the rank-two support
-vectors nor the wedge polynomial tables of the package's evaluator, so the
+vectors nor the small-d recurrence of the package's evaluator, so the
 tests that compare the two compare different constructions.
 
 ``decimal_matrix`` evaluates any channel's matrix for |x| < 1 from the
@@ -22,11 +22,13 @@ collapsed entry
 
 with cos(theta) = -x, so cos^2(theta/2) = (1 - x)/2, each small-d the
 literal factorial sum and f_n = (1/2)[(tau x + w)^n + (tau x - w)^n],
-w^2 = (1 + tau^2) x^2 - 1, each factor in 60-digit ``decimal`` and
-rounded to a float once; the three factors of an entry multiply in floats.
-Off the support f_n grows like an exponential and the factorial sums
-cancel, which 60 digits absorb at the sizes the tests use; the package's
-ladder rows take no part.
+w^2 = (1 + tau^2) x^2 - 1.  Each factor and each entry's real part
+2 d d f_n / (1 - x^2)^(n/2) is formed in 60-digit ``decimal`` and the
+entry rounded to a float once, so a small-d entry below the float range
+and an f_n above it meet before either is rounded; the phase multiplies in
+floats.  Off the support f_n grows like an exponential and the factorial
+sums cancel, which 60 digits absorb at the sizes the tests use; the
+package's small-d code takes no part.
 """
 
 import cmath
@@ -119,23 +121,20 @@ def _small_d_decimal(tj: int, tm: int, tmp: int, cp: list[Decimal], sp: list[Dec
 
 
 @lru_cache(maxsize=64)
-def _decimal_column(tj: int, tm: int, x: float) -> np.ndarray:
-    """d_{m_i m}(theta), cos(theta) = -x, for every component i, each
-    rounded once from 60 digits; read-only, since the cache shares it."""
+def _decimal_column(tj: int, tm: int, x: float) -> tuple[Decimal, ...]:
+    """d_{m_i m}(theta), cos(theta) = -x, for every component i, in 60
+    digits."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         dx = Decimal(x)
         cp = _powers(((1 - dx) / 2).sqrt(), tj)
         sp = _powers(((1 + dx) / 2).sqrt(), tj)
-        col = np.array([float(_small_d_decimal(tj, tj - 2 * i, tm, cp, sp)) for i in range(tj + 1)])
-    col.setflags(write=False)
-    return col
+        return tuple(_small_d_decimal(tj, tj - 2 * i, tm, cp, sp) for i in range(tj + 1))
 
 
 @lru_cache(maxsize=64)
-def _decimal_offdiag(tj: int, x: float, beta: float) -> np.ndarray:
-    """f_n(x) / (1 - x^2)^(n/2) for n = 0..tj, each rounded once from 60
-    digits; read-only, since the cache shares it."""
+def _decimal_offdiag(tj: int, x: float, beta: float) -> tuple[Decimal, ...]:
+    """F_n = f_n(x) / (1 - x^2)^(n/2) for n = 0..tj, in 60 digits."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         dx, tau = Decimal(x), Decimal(math.tan(0.5 * beta))
@@ -144,23 +143,35 @@ def _decimal_offdiag(tj: int, x: float, beta: float) -> np.ndarray:
         up = _powers(tau * dx, tj)
         qp = _powers((1 + tau * tau) * dx * dx - 1, tj // 2)
         rp = _powers((1 - dx * dx).sqrt(), tj)
-        fn = np.array(
-            [
-                float(sum(math.comb(n, 2 * k) * up[n - 2 * k] * qp[k] for k in range(n // 2 + 1)) / rp[n])
-                for n in range(tj + 1)
-            ]
+        return tuple(
+            sum(math.comb(n, 2 * k) * up[n - 2 * k] * qp[k] for k in range(n // 2 + 1)) / rp[n]
+            for n in range(tj + 1)
         )
-    fn.setflags(write=False)
-    return fn
+
+
+@lru_cache(maxsize=64)
+def _decimal_real(tj: int, tm: int, x: float, beta: float) -> np.ndarray:
+    """2 d_a d_b F_|a-b| for every entry, each product in 60 digits and
+    rounded to a float once, so that a factor past the float range meets
+    its partner before it is rounded; read-only, since the cache shares it."""
+    d = _decimal_column(tj, tm, x)
+    f = _decimal_offdiag(tj, x, beta)
+    out = np.empty((tj + 1, tj + 1))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for a in range(tj + 1):
+            twice = 2 * d[a]
+            out[a, a:] = [float(twice * d[b] * f[b - a]) for b in range(a, tj + 1)]
+    out = np.triu(out) + np.triu(out, 1).T
+    out.setflags(write=False)
+    return out
 
 
 def decimal_matrix(tj: int, tm: int, x: float, beta: float, gamma: float = 0.0) -> np.ndarray:
     """M^(j,m)(x) at doubled spin tj and doubled channel tm, for |x| < 1,
     with tau = tan(beta/2) rounded to a float as the package rounds it.
-    The small-d column and the f_n are cached per point, so other channels
-    or gammas at the same point reuse them; their products are taken in
-    floats, a few ulps from the 60-digit entries."""
+    The real part of each entry is cached per point and channel, so other
+    gammas reuse it; the phase e^{-i (m2 - m1) gamma} multiplies in floats."""
     x, beta = float(x), float(beta)
-    d = _decimal_column(tj, tm, x)
     n = np.subtract.outer(np.arange(tj + 1), np.arange(tj + 1))  # m2 - m1 = i1 - i2
-    return 2.0 * np.outer(d, d) * _decimal_offdiag(tj, x, beta)[np.abs(n)] * np.exp(-1j * n * gamma)
+    return _decimal_real(tj, tm, x, beta) * np.exp(-1j * n * gamma)
