@@ -185,11 +185,12 @@ def pike_weight_paths(j, beta: float, m) -> tuple[float, float]:
     size (``_sym_qudit``), has two nonzero components, so on the support
     the form reads only the matrix's 2x2 block on them
     (``density._support_block``), each entry and the contraction bit for
-    bit those of ``weight_scalar`` on the full matrix; a pike point more
-    than a few ulps off the support takes the full matrix from the
-    off-support small-d recurrence and ``weight_scalar``.  The factors of
-    the matrix that every channel shares at the pike are built once per
-    point (``density._point_factors``).
+    bit those of ``weight_scalar`` on the full matrix, from two entries of
+    the channel's column of the coin's d^j(alpha) at the pike; a pike
+    point more than a few ulps off the support takes the full matrix from
+    the off-support small-d recurrence and ``weight_scalar``.  Every
+    channel at the pike reads one d^j(alpha) and one Toeplitz factor,
+    built once per point (``density._point_factors``).
     """
     import numpy as np
 

@@ -34,9 +34,11 @@ identity exactly.  ``rotation_matrix`` writes d into the real part of its
 complex result and applies its two phases there.  What a call needs per
 size beside U -- the row signs (-1)^floor(a/2), which make B one product,
 and the magnetic numbers of the phases -- is cached with it
-(``_coin_rows``, 2j+1 floats each).  The classical factorial
-sum survives only in its coefficient rows (``_coeff_row``), which serve
-``small_d_coeff`` alone: it returns one entry of a row.
+(``_coin_rows``, 2j+1 floats each).  ``_small_d`` is the package's one
+full small-d evaluator: it serves the coin and, at alpha = arccos(-x), the
+weight matrices on a channel's support (``density._point_factors``).  The
+classical factorial sum survives only in ``small_d_coeff``, one of its
+terms from exact integers.
 
 Rotations taken through that spectrum need phases e^{i lam theta},
 lam = -j..j; ``_powers`` is the package's one ladder of them, products of
@@ -46,14 +48,13 @@ a first row and a step z = e^{i theta}, for the walk and the limit law.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .halfint import HalfInt, walk_index
+from .halfint import HalfInt, _require_nonneg_int, walk_index
 
 __all__ = ["EulerAngles", "small_d_coeff", "small_d", "rotation_matrix"]
 
@@ -72,31 +73,15 @@ def _ell_range(tj: int, tm: int, tmp: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _coeff_row(tj: int, tm: int, tmp: int) -> tuple[int, np.ndarray]:
-    """(lo, row): the signed factorial-sum coefficients for ell = lo..hi.
-
-    The first term comes from one exact rational, each next one from the
-    exact ratio of neighbours -(A - ell)(B - ell) / ((ell + 1)(ell + 1 + C))
-    with A = j - m', B = j + m, C = m' - m: a few ulps at any size.
-    """
-    lo, hi = _ell_range(tj, tm, tmp)
-    big_a, big_b, big_c = (tj - tmp) // 2, (tj + tm) // 2, (tmp - tm) // 2
-    f = math.factorial
-    num = f(big_b) * f(tj - big_b) * f(tj - big_a) * f(big_a)
-    den = f(big_a - lo) * f(big_b - lo) * f(lo) * f(lo + big_c)
-    row = np.empty(hi - lo + 1)
-    row[0] = (-1) ** lo * math.sqrt(float(Fraction(num, den * den)))
-    for k, ell in enumerate(range(lo, hi)):
-        ratio = (big_a - ell) * (big_b - ell) / ((ell + 1) * (ell + 1 + big_c))
-        row[k + 1] = -row[k] * ratio
-    return lo, row
-
-
 def small_d_coeff(j, m, mp, ell: int) -> float:
-    """Signed coefficient of the ell-th term of the small-d factorial sum.
+    """Signed coefficient of the ell-th term of the small-d factorial sum,
+    (-1)^ell sqrt(num) / den for num = (j+m)! (j-m)! (j+m')! (j-m')! and
+    den = (j-m'-ell)! (j+m-ell)! ell! (m'-m+ell)!, from their exact
+    integers: within an ulp or two at any size.
 
-    Raises DomainError when (m, mp) do not belong to spin j or when ell lies
-    outside the range where all four denominator factorials are defined.
+    Raises DomainError when (m, mp) do not belong to spin j or when ell is
+    not an integer in the range where all four denominator factorials are
+    defined.
     """
     tj = walk_index(j)
     tm = HalfInt.parse(m).doubled
@@ -104,10 +89,19 @@ def small_d_coeff(j, m, mp, ell: int) -> float:
     for t in (tm, tmp):
         if abs(t) > tj or (t - tj) % 2 != 0:
             raise DomainError(f"magnetic number {HalfInt(t)} invalid for j = {HalfInt(tj)}")
-    lo, row = _coeff_row(tj, tm, tmp)
-    if not lo <= ell < lo + row.size:
-        raise DomainError(f"ell = {ell} outside [{lo}, {lo + row.size - 1}]")
-    return float(row[ell - lo])
+    ell = _require_nonneg_int(ell, "ell")
+    lo, hi = _ell_range(tj, tm, tmp)
+    if not lo <= ell <= hi:
+        raise DomainError(f"ell = {ell} outside [{lo}, {hi}]")
+    f = math.factorial
+    num = f((tj + tm) // 2) * f((tj - tm) // 2) * f((tj + tmp) // 2) * f((tj - tmp) // 2)
+    den = f((tj - tmp) // 2 - ell) * f((tj + tm) // 2 - ell) * f(ell) * f(ell + (tmp - tm) // 2)
+    # the integer square root of num times 4^k holds 65 bits or more, and
+    # one correctly rounded integer division leaves it: no float on the way
+    # overflows, as num / den^2 does from about 530 components
+    k = max(0, 66 - num.bit_length() // 2)
+    mag = math.isqrt(num << 2 * k) / (den << k)
+    return -mag if ell % 2 else mag
 
 
 # Largest dense matrix the package builds, in bytes: ``rotation_matrix``'s

@@ -30,17 +30,17 @@ that each carry their own channel (``continuous_density`` puts every
 channel's samples into one pass) go through that channel's small-d column
 (``_point_weights``): the real small-d coefficients of the nonzero
 components (``_small_d_fold``) against cos and sin rows of the rotation.
-``weight_matrix_direct`` takes its one column from the eigenbasis too, in
-two real matrix-vector products, and builds M as outer(d, d) times the
-hermitian Toeplitz factor 2 cos(k phi) e^{-i k gamma}, k = m2 - m1, read
-from one vector whose negative-k half is the exact conjugate of the rest,
-so that M is exactly hermitian.  Everything but the column depends on the
-point alone, so the channels at one point share one cached entry
-(``_point_factors``), and a caller that reads a few rows of M forms only
-their entries (``_support_entries``).
+``weight_matrix_direct`` reads its column from the whole d^j(alpha) of
+the coin's own evaluator (``coin._small_d``), and builds M as outer(d, d)
+times the hermitian Toeplitz factor 2 cos(k phi) e^{-i k gamma},
+k = m2 - m1, read from one vector whose negative-k half is the exact
+conjugate of the rest, so that M is exactly hermitian.  d and the factor
+depend on the point alone, so the channels at one point share one cached
+entry (``_point_factors``), and a caller that reads a few rows of M forms
+only their entries (``_support_entries``).
 
-All three read the small-d entries as a spectral sum over the J_y
-eigenvalues lam = -j..j, which needs e^{i lam alpha} at alpha =
+The two evaluators read the small-d entries as a spectral sum over the
+J_y eigenvalues lam = -j..j, which needs e^{i lam alpha} at alpha =
 arccos(-x).  The half angle has the closed forms cos(alpha/2) =
 sqrt((1 - x)/2) and sin(alpha/2) = sqrt((1 + x)/2), and cos(alpha) = -x,
 sin(alpha) = sqrt(1 - x^2).  The two evaluators make no trigonometric call
@@ -49,8 +49,8 @@ ladder of ``coin._powers`` (the walk's too) from that start with the step
 z = e^{i alpha}, products only, and -lam takes the conjugate.  Its
 rounding grows about linearly in j, as that of the angle lam * alpha
 does.  ``weight_matrix_direct``, once per point, takes alpha from the
-half angle by one atan2 and e^{-i alpha lam} by one exponential per
-eigenvalue, whose rounding grows the same way.
+half angle by one atan2 and hands it to ``coin._small_d``, whose entries
+sin(alpha lam) and sin^2(alpha lam / 2) round the same way.
 The support test, the phase phi and the off-diagonal polynomials read one
 discriminant 1 - (1+tau^2) x^2 (``_phase``), which cancels near the pikes:
 it is (1 - |x|)(1 + |x|) - (tau |x|)^2 in extended precision.  Konno's factor
@@ -59,8 +59,9 @@ it is (1 - |x|)(1 + |x|) - (tau |x|)^2 in extended precision.  Konno's factor
 Off the support, which only the public weight-matrix API visits, the same
 collapse holds with cos(k phi) turned into cosh(k theta), e^theta =
 (tau |x| + w)/sin(alpha), which multiplies the small-d error by up to
-e^{2j theta}: an eigenbasis column, accurate only to its largest entry,
-would lose every digit of the small ones.  There the column comes from
+e^{2j theta}: a spectral column such as ``coin._small_d``'s, accurate
+only to its largest entry, would lose every digit of the small ones.
+There the column comes from
 the three-term recurrence in m' at fixed m, run in extended precision
 from both closed-form ends towards its classical row, which keeps every
 entry to its own relative precision, with each row carried times
@@ -96,7 +97,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coin import _ipow, _jy_eig, _powers, _require_dense
+from .coin import _ipow, _jy_eig, _powers, _require_dense, _small_d
 from .errors import DegenerateSpecError, DomainError
 from .halfint import HalfInt, _require_nonneg_int, _weight_indices, doubled_channels, walk_index
 from .qudit import Qudit
@@ -260,14 +261,14 @@ def _small_d_fold(tj, rows, cols) -> np.ndarray:
     """
     _, vec = _jy_eig(tj)
     npos = (tj + 1) // 2
-    turn = _ipow(np.subtract.outer(rows, cols)).T[:, None, :]  # i^(i-c)
+    ipow = _ipow(np.subtract.outer(rows, cols)).T[:, None, :]  # i^(i-c)
     coef = np.swapaxes(vec[cols][:, None, :] * vec[rows], 1, 2)
     plus, minus = coef[:, tj + 1 - npos :], coef[:, npos - 1 :: -1]
     fold = np.empty((len(cols), 2 * npos + 1 - tj % 2, len(rows)))
-    np.multiply(plus + minus, turn.real, out=fold[:, :npos])
-    np.multiply(plus - minus, turn.imag, out=fold[:, npos : 2 * npos])
+    np.multiply(plus + minus, ipow.real, out=fold[:, :npos])
+    np.multiply(plus - minus, ipow.imag, out=fold[:, npos : 2 * npos])
     if tj % 2 == 0:
-        np.multiply(coef[:, tj // 2 : tj // 2 + 1], turn.real, out=fold[:, 2 * npos :])
+        np.multiply(coef[:, tj // 2 : tj // 2 + 1], ipow.real, out=fold[:, 2 * npos :])
     return fold
 
 
@@ -294,18 +295,22 @@ def _toeplitz(half: np.ndarray) -> np.ndarray:
     return toeplitz
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _point_factors(tj: int, key: bytes):
     """The factors of ``weight_matrix_direct`` that every channel shares at
     one point, keyed by 2j and the bytes of (x, tau, gamma) -- bytes, since
     -0.0 and 0.0 compare equal but may give other phases: off the support
-    an ``_OffSupport``, else (e^{-i alpha lam} over the J_y eigenvalues, the
-    hermitian Toeplitz factor, i^n for n = -2j..2j), read-only.
+    an ``_OffSupport``, else (d^j(alpha) at alpha = arccos(-x), the
+    hermitian Toeplitz factor), read-only.
 
-    A point a few ulps past the edge (a pike point cos(beta/2) can round
-    there) counts as on the support and takes the rank-two form at the
-    edge.  alpha = arccos(-x) comes from its half angle, whose cos and sin
-    are sqrt((1 -+ x)/2).  On the support T_k = 2 cos(k phi) e^{-i k gamma}
+    On the support an entry holds (2j+1)^2 floats, so the cache keeps two
+    points: every channel at one point (``pike_weight_paths``,
+    ``weight_matrix_top`` then ``weight_matrix_second``) and the pair x,
+    -x.  A point a few ulps past the edge (a pike point cos(beta/2) can
+    round there) counts as on the support and takes the rank-two form at
+    the edge.  alpha comes from its half angle, whose cos and sin are
+    sqrt((1 -+ x)/2), by one atan2, and d from the coin's own evaluator
+    (``coin._small_d``).  On the support T_k = 2 cos(k phi) e^{-i k gamma}
     (``_toeplitz``).  Off it w = sqrt((tau x)^2 - (1 - x^2)) > 0 and
     e^{-2 theta} = (1 - x^2)/(tau |x| + w)^2, which is 0 at x = +-1.
     """
@@ -325,14 +330,10 @@ def _point_factors(tj: int, key: bytes):
             half[1::2] *= -1.0
         kappa, eps = np.sqrt(0.5 * (1.0 - xl)), np.sqrt(0.5 * (1.0 + xl))
         return _OffSupport((kappa, eps, grow, damp, tuple(roots), tuple(roots * damp[1]), _toeplitz(half)))
-    lam, _ = _jy_eig(tj)
     alpha = 2.0 * math.atan2(math.sqrt(0.5 * (1.0 + x)), math.sqrt(0.5 * (1.0 - x)))
-    spin = np.exp(-1j * alpha * lam)
-    toeplitz = _toeplitz(2.0 * np.cos(phi * k) * np.exp(-1j * gamma * k))
-    turn = _ipow(np.arange(-tj, tj + 1))
-    for arr in (spin, turn):
-        arr.setflags(write=False)
-    return spin, toeplitz, turn
+    d = _small_d(tj, alpha, float)
+    d.setflags(write=False)
+    return d, _toeplitz(2.0 * np.cos(phi * k) * np.exp(-1j * gamma * k))
 
 
 def _climb(start, coef, roots, cross, count: int) -> list:
@@ -395,16 +396,12 @@ def _off_support_entries(tj: int, tm: int, x: float, factors: _OffSupport) -> np
 
 def _support_entries(tj: int, tm: int, factors, rows=slice(None)) -> np.ndarray:
     """M^(j,m)'s entries on the rows ``rows`` and the same columns, at a
-    point on the support with the ``_point_factors`` ``factors``: the
-    small-d column c = j - m from the eigenbasis, two real products over
-    every component, then its outer product and the Toeplitz factor on
-    ``rows`` alone.  Every entry is the one the full matrix holds."""
-    spin, toeplitz, turn = factors
-    _, vec = _jy_eig(tj)
-    c = (tj - tm) // 2
-    spec = spin * vec[c]
-    col = (vec @ spec.view(float).reshape(-1, 2)).view(complex)[:, 0]
-    col = (col * turn[tj - c : 2 * tj + 1 - c]).real[rows]
+    point on the support with the ``_point_factors`` ``factors``: column
+    c = j - m of the cached d^j(alpha) on ``rows``, its outer product and
+    the Toeplitz factor there.  Every entry is the one the full matrix
+    holds."""
+    d, toeplitz = factors
+    col = d[rows, (tj - tm) // 2]
     return np.multiply.outer(col, col) * toeplitz[rows][:, rows]
 
 
@@ -466,22 +463,18 @@ def weight_matrix_direct(j, m, x, beta, gamma=0.0) -> WeightMatrix:
     v2_i = d_{i c} e^{+i m_i (phi + gamma)}, c = j - m, each up to a phase
     common to the whole vector, with phi from ``_phase``: the collapsed
     entry 2 d1 d2 cos((m2-m1) phi) e^{-i (m2-m1) gamma}.  The small-d
-    column is V e^{-i alpha Lam} V^dag's column c at alpha = arccos(-x),
-    through the cached eigenbasis V = P U (``coin._jy_eig``): U times the
-    real and the imaginary part of e^{-i alpha lam} U[c], the first kept
-    where i - c is even and the second where it is odd, with the sign of
-    i^(i-c).  The entries are outer(d, d) times a hermitian Toeplitz factor
-    taken from one vector over k = m2 - m1 = -2j..2j.  Everything but the
-    column depends on the point alone -- the support test, e^{-i alpha lam},
-    the Toeplitz factor and the i^(i-c) table -- so every channel at one
-    point reads it from one cached entry (``_point_factors``); a call forms
-    only its column, two real products, and the outer product
-    (``_support_entries``).  Off the support, for |x| <= 1, the column
-    comes from its three-term recurrence in extended precision, accurate
-    per entry, and M from its rows scaled by e^{+-(a - i*) theta}
-    (``_off_support_entries``), with the per-point factors from the same
-    cache.  x outside [-1, 1], where no angle has cos(alpha) = -x, and
-    entries past the float range raise DomainError.
+    column is column c of d^j(alpha) at alpha = arccos(-x), the coin's own
+    evaluator (``coin._small_d``), and the entries are outer(d, d) times a
+    hermitian Toeplitz factor taken from one vector over k = m2 - m1 =
+    -2j..2j.  Both depend on the point alone, so every channel at one
+    point reads them from one cached entry (``_point_factors``); a call
+    forms only the outer product of its column (``_support_entries``).
+    Off the support, for |x| <= 1, the column comes from its three-term
+    recurrence in extended precision, accurate per entry, and M from its
+    rows scaled by e^{+-(a - i*) theta} (``_off_support_entries``), with
+    the per-point factors from the same cache.  x outside [-1, 1], where
+    no angle has cos(alpha) = -x, and entries past the float range raise
+    DomainError.
     Accepts m = 0 so that ``weight_matrix_second`` can be checked against
     it at j = 1, although the density itself only sums channels with m > 0.
     """

@@ -6,8 +6,9 @@
                      cos(beta/2)^(2j + m - m' - 2 ell) sin(beta/2)^(2 ell + m' - m),
 
 term by term in ``math.fsum``, with each coefficient from exact integer
-arithmetic (``coeff_exact``).  It alternates in sign and loses roughly one
-digit per ten components, so it is a reference up to about 30 components.
+arithmetic (``coeff_square``, ``coeff_exact``) over its own ell range
+(``ell_range``).  It alternates in sign and loses roughly one digit per
+ten components, so it is a reference up to about 30 components.
 
 ``two_path_small_d`` is the package's earlier two-path evaluator: that sum
 up to 20 components, and above them the plain complex J_y spectral product
@@ -25,12 +26,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from quditwalk.coin import _ell_range
+
+def ell_range(tj: int, tm: int, tmp: int) -> range:
+    """The ell of the factorial sum, where all four factorials of its
+    denominator are defined."""
+    return range(max(0, (tm - tmp) // 2), min((tj - tmp) // 2, (tj + tm) // 2) + 1)
 
 
-def coeff_exact(tj: int, tm: int, tmp: int, ell: int) -> float:
-    """Signed small-d summation coefficient, correctly rounded from the
-    exact rational."""
+def coeff_square(tj: int, tm: int, tmp: int, ell: int) -> Fraction:
+    """The square of the ell-th small-d summation coefficient, exactly."""
     num = (
         math.factorial((tj + tm) // 2)
         * math.factorial((tj - tm) // 2)
@@ -43,7 +47,12 @@ def coeff_exact(tj: int, tm: int, tmp: int, ell: int) -> float:
         * math.factorial(ell)
         * math.factorial(ell + (tmp - tm) // 2)
     )
-    mag = math.sqrt(float(Fraction(num, den * den)))
+    return Fraction(num, den * den)
+
+
+def coeff_exact(tj: int, tm: int, tmp: int, ell: int) -> float:
+    """Signed small-d summation coefficient from its exact square."""
+    mag = math.sqrt(float(coeff_square(tj, tm, tmp, ell)))
     return -mag if ell % 2 else mag
 
 
@@ -54,12 +63,11 @@ def small_d_sum(tj: int, beta: float) -> np.ndarray:
     out = np.empty((dim, dim))
     for i1, tm in enumerate(range(tj, -tj - 1, -2)):
         for i2, tmp in enumerate(range(tj, -tj - 1, -2)):
-            lo, hi = _ell_range(tj, tm, tmp)
             out[i1, i2] = math.fsum(
                 coeff_exact(tj, tm, tmp, ell)
                 * c ** (tj + (tm - tmp) // 2 - 2 * ell)
                 * s ** (2 * ell + (tmp - tm) // 2)
-                for ell in range(lo, hi + 1)
+                for ell in ell_range(tj, tm, tmp)
             )
     return out
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from quditwalk import (
     small_d_coeff,
 )
 from quditwalk import coin
-from quditwalk.coin import _coeff_row, _ell_range, _jy_eig
-from small_d_reference import coeff_exact, jy_generator, small_d_sum, two_path_small_d
+from quditwalk.coin import _jy_eig
+from small_d_reference import coeff_square, ell_range, jy_generator, small_d_sum, two_path_small_d
+from weight_reference import decimal_column
 
 BETAS = (math.pi / 10, math.pi / 2, 22 * math.pi / 25)
 
@@ -35,32 +37,43 @@ def test_coeff_rejects_bad_indices():
         small_d_coeff(1, "1/2", 0, 0)  # m off the spin-1 lattice
     with pytest.raises(DomainError):
         small_d_coeff("1/2", "1/2", "1/2", 1)  # ell past the sum range
+    with pytest.raises(DomainError):
+        small_d_coeff(1, 0, 0, 0.5)  # ell not an integer
+    assert small_d_coeff(1, 0, 0, 1.0) == -1.0
 
 
-def _row_gap(tj, tm, tmp):
-    lo, row = _coeff_row(tj, tm, tmp)
-    assert (lo, lo + row.size - 1) == _ell_range(tj, tm, tmp)
-    exact = np.array([coeff_exact(tj, tm, tmp, lo + k) for k in range(row.size)])
-    return float(np.max(np.abs(row - exact) / np.abs(exact)))
+def _coeff_gap(tj, tm, tmp) -> Fraction:
+    """The worst |c^2 - q| / q over every ell of one sum, in exact
+    arithmetic, for ``small_d_coeff``'s c and the exact square q; each c
+    must carry the sign (-1)^ell."""
+    worst = Fraction(0)
+    for ell in ell_range(tj, tm, tmp):
+        c = small_d_coeff(HalfInt(tj), HalfInt(tm), HalfInt(tmp), ell)
+        assert (c < 0) == (ell % 2 == 1), (tj, tm, tmp, ell)
+        q = coeff_square(tj, tm, tmp, ell)
+        worst = max(worst, abs(Fraction(c) ** 2 - q) / q)
+    return worst
 
 
-def test_coeff_rows_match_exact_ones():
-    # each row runs from one exact term by exact neighbour ratios, so it
-    # stays within a few ulps of the rational at any size
-    worst = 0.0
-    for tj in range(1, 20):
-        for tm in range(-tj, tj + 1, 2):
-            for tmp in range(-tj, tj + 1, 2):
-                worst = max(worst, _row_gap(tj, tm, tmp))
+def test_coeffs_match_the_exact_rationals():
+    # each coefficient is one correctly rounded quotient of exact integers,
+    # so it stays within an ulp or two of the rational at any size, past
+    # the float range of its square too (600 components)
+    worst = max(
+        _coeff_gap(tj, tm, tmp)
+        for tj in range(1, 20)
+        for tm in range(-tj, tj + 1, 2)
+        for tmp in range(-tj, tj + 1, 2)
+    )
     rng = np.random.default_rng(11)
-    for dim in (50, 130, 300):
+    for dim in (50, 130, 300, 600):
         tj = dim - 1
         for _ in range(12):
             tm, tmp = (int(t) for t in tj - 2 * rng.integers(0, dim, size=2))
-            worst = max(worst, _row_gap(tj, tm, tmp))
-        # the longest row, where the ratios run furthest
-        worst = max(worst, _row_gap(tj, tj % 2, tj % 2))
-    assert worst < 1e-14, worst
+            worst = max(worst, _coeff_gap(tj, tm, tmp))
+        # the longest sum, with the largest terms
+        worst = max(worst, _coeff_gap(tj, tj % 2, tj % 2))
+    assert worst <= Fraction(1, 2**51), float(worst)
 
 
 def test_half_spin_matrix():
@@ -101,6 +114,20 @@ def test_sum_and_spectral_paths_agree():
         beta = float(rng.uniform(0.0, math.pi))
         gap = float(np.abs(small_d_sum(tj, beta) - small_d(HalfInt(tj), beta)).max())
         assert gap < 1e-11, (tj, gap)
+
+
+def test_columns_at_520_components_match_the_decimal_sum():
+    # the factorial sum in enough digits, at a point inside the support
+    # and at one next to the pike, on the largest, a middle and the
+    # smallest channel: d is accurate to its largest entry, 1, and the
+    # rounding of alpha moves an entry by up to j ulps
+    tj = 519
+    for beta, frac, tms in ((math.pi / 2, 0.3, (tj, 319, 1)), (1e-3, 1.0 - 1e-9, (1,))):
+        x = frac * math.cos(0.5 * beta)
+        d = small_d(HalfInt(tj), math.acos(-x))
+        for tm in tms:
+            gap = float(np.abs(d[:, (tj - tm) // 2] - decimal_column(tj, tm, x)).max())
+            assert gap <= 1e-13, (beta, tm, gap)
 
 
 @pytest.mark.parametrize("dim", (21, 50, 130, 260))

@@ -481,7 +481,7 @@ def test_off_support_matrices_at_large_sizes_match_the_decimal_oracle(dim):
 
 @pytest.mark.parametrize("dim", (130, 260))
 def test_on_support_entries_match_the_decimal_oracle(dim):
-    # the small-d column's running rotation and the phase, on the support
+    # the coin's d^j(alpha) column and the phase, on the support
     # at large j: a relative 1e-9 inside either pike, at 0 and between, for
     # beta near 0, at pi/2 and near pi; channels m = j, j-1 and the smallest
     tj = dim - 1
@@ -987,6 +987,32 @@ def test_off_support_factors_give_the_same_bits_cold_and_warm():
                 with pytest.raises(ValueError):
                     arr *= 2
         assert len(bits) == 3, case
+
+
+def test_the_point_cache_serves_its_traffic_with_two_entries(monkeypatch):
+    # every channel at one on-support point reads one d^j(alpha)
+    calls = []
+    small_d = density._small_d
+    monkeypatch.setattr(density, "_small_d", lambda *args: calls.append(args) or small_d(*args))
+    density._point_factors.cache_clear()
+    for tm in range(1, 130, 2):
+        weight_matrix_direct(HalfInt(129), HalfInt(tm), 0.3, math.pi / 2, 0.4)
+    assert len(calls) == 1, len(calls)
+    # an entry holds (2j+1)^2 floats: after 16 points at 260 components the
+    # cache must hold two of them, not 16
+    tj = 259
+    entry = (tj + 1) ** 2 * 8
+    weight_matrix_direct(HalfInt(tj), HalfInt(tj), 0.0, math.pi / 2)  # fills the per-size caches
+    density._point_factors.cache_clear()
+    tracemalloc.start()
+    try:
+        for x in np.linspace(-0.6, 0.6, 16):
+            weight_matrix_direct(HalfInt(tj), HalfInt(tj), x, math.pi / 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert density._point_factors.cache_info().currsize == 2
+    assert 2 * entry <= held < 3 * entry, held
 
 
 def test_a_cached_gauss_rule_gives_the_same_moments():

@@ -23,12 +23,14 @@ collapsed entry
 with cos(theta) = -x, so cos^2(theta/2) = (1 - x)/2, each small-d the
 literal factorial sum and f_n = (1/2)[(tau x + w)^n + (tau x - w)^n],
 w^2 = (1 + tau^2) x^2 - 1.  Each factor and each entry's real part
-2 d d f_n / (1 - x^2)^(n/2) is formed in 60-digit ``decimal`` and the
-entry rounded to a float once, so a small-d entry below the float range
+2 d d f_n / (1 - x^2)^(n/2) is formed in ``decimal`` and the entry
+rounded to a float once, so a small-d entry below the float range
 and an f_n above it meet before either is rounded; the phase multiplies in
-floats.  Off the support f_n grows like an exponential and the factorial
-sums cancel, which 60 digits absorb at the sizes the tests use; the
-package's small-d code takes no part.
+floats.  The factorial sums alternate and cancel by up to about
+2j log10(2) digits, and so does f_n on the support; off it f_n grows like
+an exponential.  So every sum runs in 60 digits plus 2j log10(2)
+(``_digits``): 217 at 520 components, where 60 alone leave a small-d
+entry off by 1e15.  The package's small-d code takes no part.
 """
 
 import cmath
@@ -91,6 +93,12 @@ def grown_top(tj: int, x: float, beta: float, gamma: float = 0.0) -> np.ndarray:
     return p
 
 
+def _digits(tj: int) -> int:
+    """Working digits at doubled spin tj: 60 beyond what the alternating
+    sums cancel."""
+    return 60 + math.ceil(tj * math.log10(2))
+
+
 def _powers(base: Decimal, top: int) -> list[Decimal]:
     """[base^0, ..., base^top] by repeated products (Decimal refuses 0^0)."""
     out = [Decimal(1)]
@@ -122,21 +130,28 @@ def _small_d_decimal(tj: int, tm: int, tmp: int, cp: list[Decimal], sp: list[Dec
 
 @lru_cache(maxsize=64)
 def _decimal_column(tj: int, tm: int, x: float) -> tuple[Decimal, ...]:
-    """d_{m_i m}(theta), cos(theta) = -x, for every component i, in 60
-    digits."""
+    """d_{m_i m}(theta), cos(theta) = -x, for every component i, in
+    ``_digits`` digits."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = _digits(tj)
         dx = Decimal(x)
         cp = _powers(((1 - dx) / 2).sqrt(), tj)
         sp = _powers(((1 + dx) / 2).sqrt(), tj)
         return tuple(_small_d_decimal(tj, tj - 2 * i, tm, cp, sp) for i in range(tj + 1))
 
 
+def decimal_column(tj: int, tm: int, x: float) -> np.ndarray:
+    """``_decimal_column`` rounded to floats: column c = j - m of
+    d^j(theta) at cos(theta) = -x."""
+    return np.array([float(v) for v in _decimal_column(tj, tm, float(x))])
+
+
 @lru_cache(maxsize=64)
 def _decimal_offdiag(tj: int, x: float, beta: float) -> tuple[Decimal, ...]:
-    """F_n = f_n(x) / (1 - x^2)^(n/2) for n = 0..tj, in 60 digits."""
+    """F_n = f_n(x) / (1 - x^2)^(n/2) for n = 0..tj, in ``_digits``
+    digits."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = _digits(tj)
         dx, tau = Decimal(x), Decimal(math.tan(0.5 * beta))
         # odd powers of w cancel, so f_n is a sum over even ones; q < 0 on
         # the support, where w is imaginary
