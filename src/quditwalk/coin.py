@@ -11,9 +11,9 @@ d is exp(-i beta J_y) in the z basis.  It is evaluated through the exact
 spectrum of the tridiagonal J_y generator (eigenvalues -j..j).  J_y is
 P S P^dag with P = diag(i^k) and S the real symmetric tridiagonal matrix
 with off-diagonals sqrt((j-m)(j+m+1))/2, so its eigenvectors are V = P U
-for the real orthogonal eigenvectors U of S, cached once per size
-(``_jy_eig``) at (2j+1)^2 floats.  P holds the exact values +-1 and +-i
-(``_ipow``), and each caller folds it into a product it takes anyway.
+for the real orthogonal eigenvectors U of S (``_jy_spectrum``, one eigh).
+P holds the exact values +-1 and +-i (``_ipow``), and each caller folds it
+into a product it takes anyway.
 ``small_d`` writes d as the deviation from the identity,
 
     d - I = Re V diag(e^{-i beta lam} - 1) V^dag,
@@ -31,14 +31,22 @@ odd-even block U diag(2 sin(beta lam)) U^T, and the even-odd block minus
 its transpose, about (2j+1)^3 / 4 multiply-adds in all.  So d stays
 orthogonal to machine precision at any size and beta = 0 gives the
 identity exactly.  ``rotation_matrix`` writes d into the real part of its
-complex result and applies its two phases there.  What a call needs per
-size beside U -- the row signs (-1)^floor(a/2), which make B one product,
-and the magnetic numbers of the phases -- is cached with it
-(``_coin_rows``, 2j+1 floats each).  ``_small_d`` is the package's one
-full small-d evaluator: it serves the coin and, at alpha = arccos(-x), the
-weight matrices on a channel's support (``density._point_factors``).  The
-classical factorial sum survives only in ``small_d_coeff``, one of its
-terms from exact integers.
+complex result and applies its two phases there.
+
+The coin reads only U's columns for lam > 0.  Its cached per-size entry
+(``_coin_rows``) holds them with the row signs (-1)^floor(a/2) folded in,
+as two contiguous blocks of the even and the odd rows, beside the
+eigenvalues lam > 0 and the magnetic numbers of the phases: 8 (2j+1)
+floor((2j+1)/2) bytes plus O(2j+1), so B on either parity is one product
+from its block.  The whole U, 8 (2j+1)^2 bytes, is cached apart
+(``_jy_eig``) for the walk and the limit law alone, so a size scan that
+only the coin visits pins about half of it per size.  Both caches come
+from the same eigh and hold the same bits.
+
+``_small_d`` is the package's one full small-d evaluator: it serves the
+coin and, at alpha = arccos(-x), the weight matrices on a channel's
+support (``density._point_factors``).  The classical factorial sum
+survives only in ``small_d_coeff``, one of its terms from exact integers.
 
 Rotations taken through that spectrum need phases e^{i lam theta},
 lam = -j..j; ``_powers`` is the package's one ladder of them, products of
@@ -126,16 +134,15 @@ def _ipow(k) -> np.ndarray:
     return np.array((1.0, 1j, -1.0, -1j))[np.asarray(k) % 4]
 
 
-@lru_cache(maxsize=None)
-def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, U) at doubled spin tj: J_y = P S P^dag with P =
-    diag(i^k), and U the real orthogonal eigenvectors of the real
+def _jy_spectrum(tj: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, U) at doubled spin tj, new arrays: J_y = P S P^dag
+    with P = diag(i^k), and U the real orthogonal eigenvectors of the real
     tridiagonal S, so V = P U diagonalizes J_y.
 
     The eigenvalues are replaced by their exact ascending values -j ... j,
-    which eigh only approximates.  Both are read-only float arrays, U of
-    8 (2j+1)^2 bytes.  A size over DENSE_BUDGET_BYTES, counted for
-    ``rotation_matrix``'s complex result, raises DomainError.
+    which eigh only approximates.  A size over DENSE_BUDGET_BYTES, counted
+    for ``rotation_matrix``'s complex result, raises DomainError before
+    anything is built.
     """
     dim = tj + 1
     _require_dense(dim, np.dtype(complex).itemsize, "the J_y generator")
@@ -143,57 +150,73 @@ def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
     half_lad = 0.5 * np.sqrt((tj / 2.0 - m[1:]) * (tj / 2.0 + m[1:] + 1.0))
     _, vec = np.linalg.eigh(np.diag(half_lad, 1) + np.diag(half_lad, -1))
     lam = np.arange(-tj, tj + 1, 2) / 2.0
+    return lam, vec
+
+
+@lru_cache(maxsize=None)
+def _jy_eig(tj: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_jy_spectrum(tj)`` cached read-only, U of 8 (2j+1)^2 bytes: the
+    whole eigenbasis, for the walk and the limit law."""
+    lam, vec = _jy_spectrum(tj)
     lam.setflags(write=False)
     vec.setflags(write=False)
     return lam, vec
 
 
 @lru_cache(maxsize=None)
-def _coin_rows(tj: int) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, m) at doubled spin tj, read-only, 2j+1 floats each: the row
-    signs (-1)^floor(a/2) that ``_small_d`` folds into B, as a column, and
-    the magnetic numbers m = j..-j of ``rotation_matrix``'s phases."""
+def _coin_rows(tj: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, even, odd, m) at doubled spin tj, read-only: the coin's whole
+    per-size entry, 8 (2j+1) floor((2j+1)/2) bytes plus O(2j+1).
+
+    lam holds the eigenvalues lam > 0; even and odd are the even and the
+    odd rows a of U's columns for them, each times (-1)^floor(a/2), as two
+    contiguous blocks; m holds the magnetic numbers j..-j of
+    ``rotation_matrix``'s phases.
+    """
+    lam, vec = _jy_spectrum(tj)
+    npos = (tj + 1) // 2
+    pos = vec[:, tj + 1 - npos :]  # the eigenvectors of lam > 0
     k = np.arange(tj + 1)
     signs = (1.0 - 2.0 * (k // 2 % 2))[:, None]
+    even = pos[::2] * signs[::2]
+    odd = pos[1::2] * signs[1::2]
+    lam = lam[tj + 1 - npos :].copy()
     m = (tj - 2 * k) / 2.0
-    signs.setflags(write=False)
-    m.setflags(write=False)
-    return signs, m
+    for arr in (lam, even, odd, m):
+        arr.setflags(write=False)
+    return lam, even, odd, m
 
 
 def _small_d(tj: int, beta: float, dtype) -> np.ndarray:
     """A new (2j+1) x (2j+1) array of ``dtype``, zero but for d^j(beta) in
-    its real part; ``_jy_eig`` refuses a size over the budget before
+    its real part; ``_coin_rows`` refuses a size over the budget before
     anything is allocated.
 
     The work arrays hold half the result's entries (B) and then one block
     at a time.
     """
-    lam, vec = _jy_eig(tj)
-    signs, _ = _coin_rows(tj)
-    npos = (tj + 1) // 2
-    pos = vec[:, tj + 1 - npos :]  # the eigenvectors of lam > 0
-    half = (0.5 * beta) * lam[tj + 1 - npos :]
+    lam, even, odd, _ = _coin_rows(tj)
+    half = (0.5 * beta) * lam
     # the result first, so that the work arrays freed after it leave no
     # hole in the heap below the next call's result
     out = np.zeros((tj + 1, tj + 1), dtype)
     d = out.real
-    # rows a of B = U diag(2 sin(beta lam/2)), each times (-1)^floor(a/2)
-    b = pos * signs
-    b *= 2.0 * np.sin(half)
-    for p in (0, 1):
+    # B = U diag(2 sin(beta lam/2)) with its row signs, by parity
+    two_sin = 2.0 * np.sin(half)
+    b_even = even * two_sin
+    b_odd = odd * two_sin
+    for p, b in ((0, b_even), (1, b_odd)):
         # I - B B^T on either parity, a product with its own transpose; the
         # 0 - x turns any -0.0 into +0.0, so d(0) is I bit for bit
-        gram = b[p::2] @ b[p::2].T
+        gram = b @ b.T
         gram.ravel()[:: len(gram) + 1] -= 1.0
         np.subtract(0.0, gram, out=d[p::2, p::2])
     del gram
     # the odd-even block U diag(2 sin(beta lam)) U^T, as (U 2 cos(beta
     # lam/2)) B^T on the odd rows of U and the even ones of B, and the
     # even-odd block minus its transpose
-    np.multiply(pos[1::2], signs[1::2], out=b[1::2])
-    b[1::2] *= 2.0 * np.cos(half)
-    cross = b[1::2] @ b[::2].T
+    np.multiply(odd, 2.0 * np.cos(half), out=b_odd)
+    cross = b_odd @ b_even.T
     np.add(cross, 0.0, out=d[1::2, ::2])
     np.subtract(0.0, cross.T, out=d[::2, 1::2])
     return out
@@ -227,8 +250,12 @@ def _powers(first, z, out: np.ndarray) -> np.ndarray:
 
 
 def _euler(angles) -> tuple[float, float, float]:
-    """(alpha, beta, gamma) as floats; a non-finite angle raises DomainError."""
-    alpha, beta, gamma = (float(a) for a in angles)
+    """(alpha, beta, gamma) as floats; a count other than three or a
+    non-finite angle raises DomainError."""
+    angles = tuple(float(a) for a in angles)
+    if len(angles) != 3:
+        raise DomainError(f"expected 3 Euler angles (alpha, beta, gamma), got {len(angles)}")
+    alpha, beta, gamma = angles
     for name, a in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(a):
             raise DomainError(f"{name} must be finite, got {a!r}")
@@ -242,7 +269,7 @@ def rotation_matrix(j, angles) -> np.ndarray:
     # d goes straight into the real part of the result, and the phases in
     # place, so the call leaves no other matrix behind
     out = _small_d(tj, beta, complex)
-    _, m = _coin_rows(tj)
+    m = _coin_rows(tj)[3]
     out *= np.exp(-1j * alpha * m)[:, None]
     out *= np.exp(-1j * gamma * m)
     return out

@@ -17,6 +17,9 @@ CSV column that differs, the rows that moved, the largest absolute
 difference and that difference over the column's largest magnitude; and
 each manifest ``results`` key whose value changed.
 
+The exit code is 1 when a command failed, else 2 when ``--against`` found
+anything moved, else 0.
+
 The commands are the README's nine, as ``perfbench/workloads.py`` holds
 them in ``README_COMMANDS``; ``density``, ``moments``,
 ``moments --t 30`` and ``compare --t 80 --bin-width 0.1`` on a dense
@@ -136,12 +139,13 @@ def main(argv) -> int:
         (out / f"{name}.log").write_text(log, encoding="utf-8")
         failed += proc.returncode != 0
         print(f"{name}: exit {proc.returncode}")
+    moved = []
     if args.against is not None:
         moved = audit_against(out, args.against)
         print(f"--- against {args.against}: {len(moved) or 'nothing'} moved")
         for line in moved:
             print(line)
-    return 1 if failed else 0
+    return 1 if failed else 2 if moved else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ from quditwalk import (
     DomainError,
     EulerAngles,
     HalfInt,
+    evolve,
+    preset_qudit,
     rotation_matrix,
     small_d,
     small_d_coeff,
@@ -169,6 +171,11 @@ def test_rejects_nonfinite_angles():
         small_d(1, math.nan)
     with pytest.raises(DomainError):
         rotation_matrix(1, (0.0, math.inf, 0.0))
+    # a wrong count of angles is named, not unpacked raw
+    with pytest.raises(DomainError, match="3 Euler angles.* got 2"):
+        rotation_matrix(1, (0.1, 0.2))
+    with pytest.raises(DomainError, match="3 Euler angles.* got 2"):
+        evolve(preset_qudit("up", 1), (0.1, 0.2), 5)
 
 
 def test_generator_over_the_dense_budget_is_refused():
@@ -196,7 +203,7 @@ def test_small_d_and_rotation_peak_memory(dim):
     # of its size, so a call's peak stays within 2.5 times the bytes it
     # returns
     tj = dim - 1
-    _jy_eig(tj)  # the cached spectrum is not the call's own
+    coin._coin_rows(tj)  # the cached per-size entry is not the call's own
     for call in (lambda: small_d(HalfInt(tj), 1.1), lambda: rotation_matrix(HalfInt(tj), (0.4, 1.1, -0.7))):
         tracemalloc.start()
         try:
@@ -237,14 +244,59 @@ def test_jy_eigenvectors_are_cached_real():
 
 def test_per_size_constants_are_cached_read_only():
     for tj in (0, 1, 2, 5, 12, 129):
-        signs, m = coin._coin_rows(tj)
+        lam, even, odd, m = coin._coin_rows(tj)
         a = np.arange(tj + 1)
-        assert signs.ravel().tolist() == [(-1.0) ** (k // 2) for k in a]
+        npos = (tj + 1) // 2
+        assert lam.tolist() == [(tj - 2 * (npos - 1 - k)) / 2 for k in range(npos)]
+        assert even.shape == ((tj + 2) // 2, npos) and odd.shape == ((tj + 1) // 2, npos)
         assert m.tolist() == [(tj - 2 * k) / 2 for k in a]
-        assert coin._coin_rows(tj)[0] is signs
-        for arr in (signs, m):
+        assert coin._coin_rows(tj)[1] is even
+        for arr in (lam, even, odd, m):
             with pytest.raises(ValueError):
                 arr *= 2
+
+
+def test_coin_blocks_are_the_shared_eigenbasis():
+    # the coin's blocks are _jy_eig's lam > 0 columns times (-1)^floor(a/2),
+    # split by the parity of the row a, bit for bit: the coin, the walk and
+    # the limit law read one eigenbasis
+    try:
+        for dim in range(2, 261):
+            tj = dim - 1
+            lam, even, odd, _ = coin._coin_rows(tj)
+            full_lam, vec = _jy_eig(tj)
+            pos = full_lam > 0
+            signs = (-1.0) ** (np.arange(dim) // 2)
+            want = vec[:, pos] * signs[:, None]
+            assert lam.tobytes() == full_lam[pos].tobytes(), dim
+            assert even.tobytes() == want[::2].tobytes(), dim
+            assert odd.tobytes() == want[1::2].tobytes(), dim
+            assert even.flags.c_contiguous and odd.flags.c_contiguous
+    finally:
+        # both caches hold about 70 MB by now
+        _jy_eig.cache_clear()
+        coin._coin_rows.cache_clear()
+
+
+def test_a_rotation_sweep_pins_only_the_coin_entries():
+    # a size scan that only the coin visits builds no full eigenbasis: each
+    # size keeps 8 n floor(n/2) bytes of blocks and O(n) beside them
+    _jy_eig.cache_clear()
+    coin._coin_rows.cache_clear()
+    try:
+        for dim in range(2, 131):
+            rotation_matrix(HalfInt(dim - 1), (0.4, 1.1, -0.7))
+        assert _jy_eig.cache_info().currsize == 0
+        assert coin._coin_rows.cache_info().currsize == 129
+        for dim in range(2, 131):
+            lam, even, odd, m = coin._coin_rows(dim - 1)
+            # each array owns its bytes: no larger buffer stays behind it
+            assert all(arr.base is None for arr in (lam, even, odd, m))
+            assert even.nbytes + odd.nbytes == 8 * dim * (dim // 2)
+            assert lam.nbytes + m.nbytes <= 16 * dim
+    finally:
+        _jy_eig.cache_clear()
+        coin._coin_rows.cache_clear()
 
 
 @settings(deadline=None, max_examples=25)
